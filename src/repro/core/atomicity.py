@@ -28,6 +28,7 @@ from __future__ import annotations
 from repro.errors import AtomicityViolation, CycleError
 from repro.core.graph import EdgeKind, ExecutionGraph, iter_bits
 from repro.core.node import Node
+from repro.isa.operands import Value
 
 
 def _resolved_loads(graph: ExecutionGraph) -> list[Node]:
@@ -53,67 +54,88 @@ def close_store_atomicity(graph: ExecutionGraph, include_rule_c: bool = True) ->
     check performed by TSOtool (§7: "They do not formalize or check
     property c"), provided so the trace checker can reproduce exactly
     that gap.
+
+    Rules a and b are evaluated as masks over the graph's reachability
+    bitsets.  For a load ``L`` with source ``s``, the stores that still
+    need an edge are ``anc(L) & ~anc(s)`` (rule a) and
+    ``desc(s) & ~desc(L)`` (rule b), each restricted to the visible
+    stores at ``L``'s address.  The stores are visited in nid order,
+    rule a before rule b, and both masks are re-read after every
+    insertion, so the edges are recorded in exactly the order of a
+    pairwise load × store scan; stores outside both masks would be
+    no-ops in that scan and are skipped.  The engine owns every node id
+    here, so the masks are read without the public API's bounds checks.
     """
+    nodes = graph.nodes
+    anc = graph._anc
+    desc = graph._desc
+    # Closing only adds edges: the resolved loads and the visible stores
+    # stay the same for every round.
+    loads: list[tuple[Node, int]] = []  # (load, source nid)
+    stores_at: dict[Value | None, int] = {}  # address -> visible-store mask
+    for node in nodes:
+        if node.executed:
+            if node.source is not None and node.reads_memory:
+                loads.append((node, node.source))
+            if node.writes:
+                stores_at[node.addr] = stores_at.get(node.addr, 0) | (1 << node.nid)
+    rule_c_pairs: list[tuple[Node, int, Node, int]] = []
+    if include_rule_c:
+        rule_c_pairs = [
+            (load, src, other, other_src)
+            for i, (load, src) in enumerate(loads)
+            for other, other_src in loads[i + 1 :]
+            if load.addr == other.addr and src != other_src
+        ]
     total_added = 0
     changed = True
     while changed:
         changed = False
-        loads = _resolved_loads(graph)
-        stores = _visible_stores(graph)
-
-        for load in loads:
-            src = load.source
-            assert src is not None
-            for store in stores:
-                # Skip the observed source and the load itself (an RMW node
-                # is simultaneously a load and a store; its own write
-                # trivially follows its read).
-                if store.nid in (src, load.nid) or store.addr != load.addr:
-                    continue
+        for load, src in loads:
+            lid = load.nid
+            remaining = stores_at.get(load.addr, 0) & ~((1 << src) | (1 << lid))
+            while remaining:
+                # Rule a: S ⊑ L ⇒ S ⊑ source(L);  rule b: source(L) ⊑ S ⇒ L ⊑ S
+                due = ((anc[lid] & ~anc[src]) | (desc[src] & ~desc[lid])) & remaining
+                if not due:
+                    break
+                low = due & -due
+                remaining &= ~((low << 1) - 1)
+                store = low.bit_length() - 1
                 try:
-                    # Rule a: S ⊑ L ⇒ S ⊑ source(L)
-                    if graph.before(store.nid, load.nid) and not graph.before(store.nid, src):
-                        if graph.add_edge(store.nid, src, EdgeKind.ATOMICITY):
+                    if anc[lid] & ~anc[src] & low:
+                        if graph.add_edge(store, src, EdgeKind.ATOMICITY):
                             changed = True
                             total_added += 1
-                    # Rule b: source(L) ⊑ S ⇒ L ⊑ S
-                    if graph.before(src, store.nid) and not graph.before(load.nid, store.nid):
-                        if graph.add_edge(load.nid, store.nid, EdgeKind.ATOMICITY):
+                    if desc[src] & ~desc[lid] & low:
+                        if graph.add_edge(lid, store, EdgeKind.ATOMICITY):
                             changed = True
                             total_added += 1
                 except CycleError as exc:
                     raise AtomicityViolation(
                         f"store atomicity is unsatisfiable: load {load.describe()} with "
-                        f"source n{src} conflicts with store {store.describe()}"
+                        f"source n{src} conflicts with store {nodes[store].describe()}"
                     ) from exc
 
         # Rule c: over pairs of same-address loads with distinct sources.
-        if not include_rule_c:
-            continue
-        for i, load in enumerate(loads):
-            for other in loads[i + 1 :]:
-                if load.addr != other.addr or load.source == other.source:
-                    continue
-                common_anc = graph.ancestors_mask(load.nid) & graph.ancestors_mask(other.nid)
-                common_desc = graph.descendants_mask(load.source) & graph.descendants_mask(
-                    other.source
-                )
-                if not common_anc or not common_desc:
-                    continue
-                for a in iter_bits(common_anc):
-                    missing = common_desc & ~graph.descendants_mask(a)
-                    for b in iter_bits(missing):
-                        if a == b or graph.before(a, b):
-                            continue
-                        try:
-                            if graph.add_edge(a, b, EdgeKind.ATOMICITY):
-                                changed = True
-                                total_added += 1
-                        except CycleError as exc:
-                            raise AtomicityViolation(
-                                f"rule c is unsatisfiable between loads n{load.nid} and "
-                                f"n{other.nid} (common ancestor n{a}, common successor n{b})"
-                            ) from exc
+        for load, src, other, other_src in rule_c_pairs:
+            common_anc = anc[load.nid] & anc[other.nid]
+            common_desc = desc[src] & desc[other_src]
+            if not common_anc or not common_desc:
+                continue
+            for a in iter_bits(common_anc):
+                for b in iter_bits(common_desc & ~desc[a] & ~(1 << a)):
+                    if (desc[a] >> b) & 1:
+                        continue
+                    try:
+                        if graph.add_edge(a, b, EdgeKind.ATOMICITY):
+                            changed = True
+                            total_added += 1
+                    except CycleError as exc:
+                        raise AtomicityViolation(
+                            f"rule c is unsatisfiable between loads n{load.nid} and "
+                            f"n{other.nid} (common ancestor n{a}, common successor n{b})"
+                        ) from exc
     return total_added
 
 

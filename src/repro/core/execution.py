@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import EnumerationError, ExecutionError, GraphError
 from repro.core.atomicity import close_store_atomicity
-from repro.core.graph import EdgeKind, ExecutionGraph, iter_bits, remap_mask
+from repro.core.graph import EdgeKind, ExecutionGraph, remap_mask
 from repro.core.node import INIT_TID, Node
 from repro.isa.instructions import (
     Branch,
@@ -438,17 +438,17 @@ class Execution:
         """Unresolved loads that may be resolved now: address known, all
         ⊑-predecessor loads resolved (the paper's eligibility rule), RMW
         operands available, and any model-specific conditions."""
+        unresolved = self.unresolved_loads()
+        unresolved_mask = 0
+        for node in unresolved:
+            unresolved_mask |= 1 << node.nid
+        anc = self.graph._anc
         eligible = []
-        for node in self.unresolved_loads():
+        for node in unresolved:
             if node.addr is None:
                 continue
-            predecessors_resolved = all(
-                self.graph.node(p).executed
-                for p in iter_bits(self.graph.ancestors_mask(node.nid))
-                if self.graph.node(p).reads_memory
-            )
-            if not predecessors_resolved:
-                continue
+            if anc[node.nid] & unresolved_mask:
+                continue  # an unresolved load is ⊑-before this one
             if node.op_class is OpClass.RMW and self._operand_values(node) is None:
                 continue
             if self.model.store_load_bypass and not self._buffer_searchable(node):
@@ -530,6 +530,7 @@ class Execution:
                 load.stored = stored
                 load.writes = True
 
+        # Closed again in stabilize(); dropping this close changes the recorded dotted edges.
         close_store_atomicity(self.graph)
         self.stabilize()
 
@@ -590,26 +591,23 @@ class Execution:
     # ------------------------------------------------------------------
     # canonical keys (deduplication)
 
-    def _identity(self, nid: int) -> tuple[int, int]:
-        node = self.graph.node(nid)
-        return (node.tid, node.index)
+    def _identities(self) -> list[tuple[int, int]]:
+        """The (tid, index) identity of every node, indexed by nid."""
+        return [(node.tid, node.index) for node in self.graph.nodes]
 
-    def _canonical_ranks(self) -> tuple[list[int], list[int]]:
+    def _canonical_ranks(self, identities: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
         """Node ids sorted by (tid, index) identity, plus the inverse
         permutation (nid -> canonical rank).  Two executions of the same
         behavior list the same identities in the same canonical order
         even when their nid assignment order differs."""
-        nodes = self.graph.nodes
-        order = sorted(range(len(nodes)), key=lambda nid: (nodes[nid].tid, nodes[nid].index))
-        rank = [0] * len(nodes)
+        order = sorted(range(len(identities)), key=identities.__getitem__)
+        rank = [0] * len(identities)
         for position, nid in enumerate(order):
             rank[nid] = position
         return order, rank
 
-    def _bypass_identities(self) -> tuple:
-        return tuple(
-            sorted((self._identity(u), self._identity(v)) for u, v in self.graph.bypass_edges())
-        )
+    def _bypass_identities(self, identities: list[tuple[int, int]]) -> tuple:
+        return tuple(sorted((identities[u], identities[v]) for u, v in self.graph._bypass))
 
     def state_key(self) -> tuple:
         """A canonical key for the *full* behavior state.
@@ -628,7 +626,8 @@ class Execution:
         """
         graph = self.graph
         nodes = graph.nodes
-        order, rank = self._canonical_ranks()
+        identities = self._identities()
+        order, rank = self._canonical_ranks(identities)
         node_states = tuple(
             (
                 node.tid,
@@ -637,26 +636,28 @@ class Execution:
                 node.executed,
                 node.value,
                 node.addr,
-                self._identity(node.source) if node.source is not None else None,
+                identities[node.source] if node.source is not None else None,
                 node.writes,
                 node.stored,
             )
             for node in (nodes[nid] for nid in order)
         )
-        anc_sig = tuple(remap_mask(graph.ancestors_mask(nid), rank) for nid in order)
+        if order == list(range(len(order))):
+            # nids already in canonical order: the permutation is the identity.
+            anc_sig = tuple(graph._anc)
+        else:
+            anc_sig = tuple(remap_mask(graph._anc[nid], rank) for nid in order)
         thread_states = tuple(
             (
                 state.pc,
                 state.halted,
                 state.waiting_branch is not None,
-                tuple(sorted((reg, self._identity(nid)) for reg, nid in state.regs.items())),
+                tuple(sorted((reg, identities[nid]) for reg, nid in state.regs.items())),
             )
             for state in self.threads
         )
-        pending = tuple(
-            sorted((self._identity(u), self._identity(v)) for u, v in self.pending_alias)
-        )
-        return (node_states, anc_sig, self._bypass_identities(), thread_states, pending)
+        pending = tuple(sorted((identities[u], identities[v]) for u, v in self.pending_alias))
+        return (node_states, anc_sig, self._bypass_identities(identities), thread_states, pending)
 
     def loadstore_key(self) -> tuple:
         """The paper's Load–Store-graph comparison key (§4.1): memory
@@ -664,7 +665,8 @@ class Execution:
         canonical-rank ancestor bitsets, like :meth:`state_key`)."""
         graph = self.graph
         nodes = graph.nodes
-        order, _ = self._canonical_ranks()
+        identities = self._identities()
+        order, _ = self._canonical_ranks(identities)
         memory_order = [nid for nid in order if nodes[nid].is_memory]
         memory_mask = 0
         memory_rank = [0] * len(nodes)
@@ -679,15 +681,14 @@ class Execution:
                 node.addr,
                 node.value if node.reads_memory else None,
                 node.stored if node.writes else None,
-                self._identity(node.source) if node.source is not None else None,
+                identities[node.source] if node.source is not None else None,
             )
             for node in (nodes[nid] for nid in memory_order)
         )
         projected = tuple(
-            remap_mask(graph.ancestors_mask(nid) & memory_mask, memory_rank)
-            for nid in memory_order
+            remap_mask(graph._anc[nid] & memory_mask, memory_rank) for nid in memory_order
         )
-        return (descriptors, projected, self._bypass_identities())
+        return (descriptors, projected, self._bypass_identities(identities))
 
     def describe(self) -> str:
         lines = [f"Execution of {self.program.name!r} under {self.model.name}:"]

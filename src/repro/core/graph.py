@@ -15,8 +15,12 @@ carry kinds mirroring the paper's Figure 2:
 
 Reachability (the ``⊑`` relation) is maintained incrementally with
 per-node ancestor/descendant bitsets stored as Python ints, giving cheap
-edge insertion with immediate cycle detection.  Litmus-scale graphs have
-tens of nodes, so quadratic closure passes are inexpensive.
+edge insertion with immediate cycle detection.  The Store Atomicity
+closure (:mod:`repro.core.atomicity`) reads those bitsets directly:
+rules a and b become per-load mask expressions over the visible stores
+at the load's address, and a load with no candidate stores is skipped
+exactly.  Engine code reads ``_anc``/``_desc``/``nodes`` without bounds
+checks; the public query methods keep them.
 """
 
 from __future__ import annotations
@@ -205,6 +209,8 @@ class ExecutionGraph:
 
     def edge_kinds(self, u: int, v: int) -> EdgeKind | None:
         """The kind mask of the explicit edge u -> v, or None."""
+        self._check(u)
+        self._check(v)
         kinds = self._succ[u].get(v)
         if (u, v) in self._bypass:
             kinds = (kinds | EdgeKind.BYPASS) if kinds is not None else EdgeKind.BYPASS

@@ -90,6 +90,17 @@ class TestBasicEdges:
         with pytest.raises(GraphError):
             graph.before(0, 9)
 
+    def test_edge_kinds_rejects_unknown_nodes(self):
+        """A negative id must not wrap around to the last node, and an id
+        past the end must raise GraphError, not IndexError."""
+        graph = graph_with(3)
+        graph.add_edge(2, 0, EdgeKind.PROGRAM)
+        for u, v in ((-1, 0), (5, 0), (0, -1), (0, 5)):
+            with pytest.raises(GraphError):
+                graph.edge_kinds(u, v)
+        assert graph.edge_kinds(2, 0) == EdgeKind.PROGRAM
+        assert graph.edge_kinds(0, 2) is None
+
 
 class TestBypassEdges:
     def test_bypass_does_not_order(self):
