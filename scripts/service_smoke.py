@@ -70,18 +70,23 @@ def start_server(wal_dir, slice_behaviors, slice_delay=0.0):
         stderr=subprocess.STDOUT,
         env=env,
         text=True,
+        start_new_session=True,  # so stop() can kill the worker pool too
     )
     line = process.stdout.readline()
     match = re.search(r"http://[\d.]+:(\d+)", line)
     if not match:
-        process.kill()
+        stop(process)
         raise SystemExit(f"FAIL: server did not announce its port: {line!r}")
     return process, f"http://127.0.0.1:{match.group(1)}"
 
 
 def stop(process):
-    if process.poll() is None:
-        process.kill()
+    """SIGKILL the server and its session: pool workers outlive a
+    SIGKILLed server."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
     process.wait(timeout=10)
     process.stdout.close()
 

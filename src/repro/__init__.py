@@ -27,7 +27,6 @@ from repro.core import (
     EnumerationResult,
     ExhaustionReason,
     Execution,
-    ParallelEnumerationConfig,
     check_store_atomicity,
     close_store_atomicity,
     enumerate_behaviors,
@@ -58,7 +57,6 @@ __all__ = [
     "EnumerationResult",
     "ExhaustionReason",
     "Execution",
-    "ParallelEnumerationConfig",
     "resume_enumeration",
     "check_store_atomicity",
     "close_store_atomicity",

@@ -8,7 +8,6 @@ Usage examples::
     python -m repro run my_test.litmus -m weak  # ... or a file
     python -m repro run SB -m weak --dot sb.dot # emit a Graphviz graph
     python -m repro enumerate MP -m weak --graphs 2
-    python -m repro enumerate IRIW -m weak --workers 4  # parallel engine
     python -m repro enumerate --library -m weak --jobs 4
     python -m repro matrix --models sc,tso,weak
     python -m repro wellsync MP -m weak --sync flag
@@ -37,7 +36,6 @@ from repro.analysis.wellsync import check_well_synchronized
 from repro.core.enumerate import (
     EnumerationCheckpoint,
     EnumerationLimits,
-    ParallelEnumerationConfig,
     enumerate_behaviors,
     resume_enumeration,
 )
@@ -93,24 +91,18 @@ def _strict(args: argparse.Namespace) -> bool:
     return bool(getattr(args, "strict", False))
 
 
-def _parallel(args: argparse.Namespace) -> ParallelEnumerationConfig | None:
-    workers = getattr(args, "workers", 0)
-    return ParallelEnumerationConfig(workers=workers) if workers else None
-
-
 def _enumerate_pair(task: tuple) -> tuple:
     """Process-pool work unit for ``enumerate --library``: one (test,
     model) cell, returned as a rendered summary row."""
-    name, model_name, limits, workers, cache_dir = task
+    name, model_name, limits, cache_dir = task
     test = get_test(name)
-    parallel = ParallelEnumerationConfig(workers=workers) if workers else None
     cache = None
     if cache_dir:
         from repro.cache import BehaviorCache
 
         cache = BehaviorCache.shared(cache_dir)
     result = enumerate_behaviors(
-        test.program, get_model(model_name), limits, parallel=parallel, cache=cache
+        test.program, get_model(model_name), limits, cache=cache
     )
     status = result.status + (" cached" if result.cached else "")
     return (name, model_name, len(result), result.stats.explored, status)
@@ -316,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.library:
         tasks = [
-            (test.name, model_name, _limits(args), args.workers, args.cache_dir)
+            (test.name, model_name, _limits(args), args.cache_dir)
             for test in all_tests()
             for model_name in args.model
         ]
@@ -336,9 +328,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # flags are given) — counting budgets are cumulative, so the
         # defaults let an exhausted search make progress.
         checkpoint = EnumerationCheckpoint.load(args.resume)
-        result = resume_enumeration(
-            checkpoint, _limits(args), strict=_strict(args), parallel=_parallel(args)
-        )
+        result = resume_enumeration(checkpoint, _limits(args), strict=_strict(args))
         name = checkpoint.program.name
         model_name = checkpoint.model.name
     else:
@@ -353,7 +343,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             get_model(model_name),
             _limits(args),
             strict=_strict(args),
-            parallel=_parallel(args),
             cache=_cache(args),
         )
     print(
@@ -1011,14 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="with --library, fan (test, model) pairs across N worker processes",
-    )
-    p_enum.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="use the sharded parallel engine with N worker processes "
-        "for each enumeration (0 = sequential)",
     )
     p_enum.add_argument(
         "--max-behaviors", type=int, default=None, help="behavior-exploration budget"

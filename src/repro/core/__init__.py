@@ -9,7 +9,6 @@ from repro.core.enumerate import (
     EnumerationResult,
     EnumerationStats,
     ExhaustionReason,
-    ParallelEnumerationConfig,
     enumerate_behaviors,
     resume_enumeration,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "EnumerationResult",
     "EnumerationStats",
     "ExhaustionReason",
-    "ParallelEnumerationConfig",
     "enumerate_behaviors",
     "resume_enumeration",
     "Execution",

@@ -359,7 +359,6 @@ def enumerate_behaviors(
     token: CancellationToken | None = None,
     facts: "StaticFacts | None" = None,
     dedup_exact: bool = False,
-    parallel: "ParallelEnumerationConfig | None" = None,
     cache: "BehaviorCache | None" = None,
 ) -> EnumerationResult:
     """Enumerate all distinct executions of ``program`` under ``model``.
@@ -384,13 +383,6 @@ def enumerate_behaviors(
 
     ``dedup_exact=True`` stores full canonical state keys in the dedup
     set instead of 128-bit digests (see :func:`_dedup_key`).
-
-    ``parallel`` switches to the sharded multi-process engine
-    (:class:`ParallelEnumerationConfig`): a brief sequential warm-up
-    expands the frontier, worker processes search disjoint shards of it,
-    and the driver merges the completed Load–Store graphs — the final
-    execution set and outcomes are identical to the sequential engine's,
-    regardless of worker count.
 
     ``cache`` memoizes the call in a persistent
     :class:`~repro.cache.store.BehaviorCache`: the request's canonical
@@ -425,16 +417,12 @@ def enumerate_behaviors(
     # the same (program, model) — typically with a larger budget —
     # resumes instead of re-exploring every seen state.  Engaged only
     # for the plain configuration the checkpoint actually captures:
-    # sequential, digest-dedup, no static-facts pruning.  Counting
-    # budgets are cumulative across resumes, so a same-budget retry
-    # stops exactly where a fresh run would — verdicts never depend on
-    # whether a checkpoint was found.
+    # digest-dedup, no static-facts pruning.  Counting budgets are
+    # cumulative across resumes, so a same-budget retry stops exactly
+    # where a fresh run would — verdicts never depend on whether a
+    # checkpoint was found.
     partial_eligible = (
-        cache is not None
-        and facts is None
-        and parallel is None
-        and dedup
-        and not dedup_exact
+        cache is not None and facts is None and dedup and not dedup_exact
     )
     checkpoint = None
     if partial_eligible:
@@ -452,35 +440,19 @@ def enumerate_behaviors(
         initial = Execution.initial(program, model, limits.max_nodes_per_thread, facts)
         worklist: list[Execution] = [initial]
         seen_states: set = {_dedup_key(initial, dedup_exact)}
-        if parallel is not None:
-            result = _parallel_search(
-                program,
-                model,
-                limits,
-                dedup,
-                strict,
-                token,
-                worklist,
-                seen_states,
-                finished={},
-                stats=EnumerationStats(),
-                dedup_exact=dedup_exact,
-                config=parallel,
-            )
-        else:
-            result = _search(
-                program,
-                model,
-                limits,
-                dedup,
-                strict,
-                token,
-                worklist,
-                seen_states,
-                finished={},
-                stats=EnumerationStats(),
-                dedup_exact=dedup_exact,
-            )
+        result = _search(
+            program,
+            model,
+            limits,
+            dedup,
+            strict,
+            token,
+            worklist,
+            seen_states,
+            finished={},
+            stats=EnumerationStats(),
+            dedup_exact=dedup_exact,
+        )
     if cache is not None and cache_key is not None and result.complete:
         cache.store(
             cache_key, program, model, limits, result.executions, result.stats
@@ -516,7 +488,6 @@ def resume_enumeration(
     *,
     strict: bool = False,
     token: CancellationToken | None = None,
-    parallel: "ParallelEnumerationConfig | None" = None,
 ) -> EnumerationResult:
     """Continue an interrupted search from a checkpoint.
 
@@ -528,28 +499,9 @@ def resume_enumeration(
     Counting budgets are cumulative across resumes: ``stats`` carries
     over, so ``max_behaviors=N`` bounds the *total* behaviors explored
     by the original run plus every resume.
-
-    ``parallel`` resumes on the sharded multi-process engine — a
-    sequential checkpoint can be resumed in parallel and vice versa
-    (the work unit is the same worklist either way).
     """
     limits = limits or checkpoint.limits
     dedup_exact = getattr(checkpoint, "dedup_exact", False)
-    if parallel is not None:
-        return _parallel_search(
-            checkpoint.program,
-            checkpoint.model,
-            limits,
-            checkpoint.dedup,
-            strict,
-            token,
-            list(checkpoint.worklist),
-            set(checkpoint.seen_states),
-            finished=dict(checkpoint.finished),
-            stats=replace(checkpoint.stats),
-            dedup_exact=dedup_exact,
-            config=parallel,
-        )
     return _search(
         checkpoint.program,
         checkpoint.model,
@@ -565,422 +517,6 @@ def resume_enumeration(
     )
 
 
-# ----------------------------------------------------------------------
-# the parallel engine
-
-
-@dataclass(frozen=True)
-class ParallelEnumerationConfig:
-    """Configuration for the sharded multi-process enumeration engine.
-
-    The driver runs a brief sequential *warm-up* (a tiny search is
-    cheaper to finish in-process than to ship to workers), then iterates
-    **synchronized rounds**: the frontier is split round-robin into a
-    *fixed* number of shards (independent of ``workers``, so the merged
-    result is deterministic regardless of parallelism), worker processes
-    run the ordinary ``_search`` loop on each shard for at most
-    ``round_behaviors`` pops, and the driver merges the results —
-    completed executions by Load–Store graph key, stats by summing, and
-    the returned frontiers through the *global* dedup set.
-
-    The round structure is what keeps parallel work close to sequential
-    work: the Load-Resolution state space is a DAG, not a tree, so
-    disjoint sub-searches rediscover each other's states.  Workers dedup
-    only locally within a round; every newly discovered frontier state
-    is checked against the global seen set at the round barrier, in
-    shard-index order.  Duplicated exploration is thereby bounded by the
-    round length instead of growing with the whole search.
-
-    Budget semantics in parallel mode:
-
-    * ``max_behaviors`` stays an exact upper bound — each round's pop
-      quotas are divided across shards so they sum to the remainder;
-    * ``max_executions`` is checked by the driver at round barriers (a
-      round may briefly overshoot; the result is still an honest subset);
-    * ``max_memory_mb`` is divided across ``workers`` (only that many
-      shards are in flight at once);
-    * ``deadline_seconds`` and the :class:`CancellationToken` bound wall
-      clock: workers self-enforce the remaining deadline, and the driver
-      polls the token between rounds and between shard completions,
-      cancelling unstarted shards (their worklists return in the
-      checkpoint).
-
-    ``executor`` optionally reuses an existing
-    :class:`concurrent.futures.ProcessPoolExecutor` across calls (batch
-    sweeps amortize pool start-up); its worker count then takes
-    precedence over ``workers``.
-    """
-
-    workers: int = 0  #: worker processes; 0 → ``os.cpu_count()``
-    warmup_behaviors: int = 64  #: sequential frontier-expansion budget
-    shards: int = 16  #: fixed shard count (determinism across worker counts)
-    round_behaviors: int = 8  #: initial per-shard pop quota per round
-    executor: object | None = field(default=None, compare=False, repr=False)
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
-
-
-#: Merge order when several shards stop for different reasons: the most
-#: urgent reason labels the merged result.
-_REASON_PRIORITY = (
-    ExhaustionReason.CANCELLED,
-    ExhaustionReason.DEADLINE,
-    ExhaustionReason.MEMORY,
-    ExhaustionReason.EXECUTION_BUDGET,
-    ExhaustionReason.BEHAVIOR_BUDGET,
-)
-
-_STAT_FIELDS = tuple(EnumerationStats.__dataclass_fields__)
-
-
-def _merge_stats(into: EnumerationStats, extra: EnumerationStats) -> None:
-    for name in _STAT_FIELDS:
-        setattr(into, name, getattr(into, name) + getattr(extra, name))
-
-
-def _run_shard(payload: tuple) -> tuple:
-    """One worker's unit of work: an ordinary sequential search over a
-    shard of the frontier, bounded by the round's pop quota.  Runs in a
-    worker process (or inline when ``workers=1``); must stay a
-    module-level function so it pickles.
-
-    The worker seeds its dedup set from the driver's seen snapshot (so
-    states merged in earlier rounds are never re-explored) but sees no
-    updates from shards running concurrently; the driver reconciles the
-    returned frontier against the live global seen set at the round
-    barrier.  Returns ``(index, finished, seen_additions,
-    leftover_originals, leftover_new, stats, reason)``;
-    ``seen_additions`` are just the new digests (not the whole set) and
-    ``leftover_new`` pairs each newly discovered frontier child with its
-    dedup key so the driver does not recompute it.
-    """
-    (index, program, model, limits, dedup, dedup_exact, worklist, seen) = payload
-    worklist = list(worklist)
-    # Strong references to the dispatched items keep the id()-based
-    # original/new classification below sound (no id reuse mid-round).
-    originals = list(worklist)
-    original_ids = {id(item) for item in originals}
-    seen_states = set(seen)
-    finished: dict = {}
-    stats = EnumerationStats()
-    result = _search(
-        program,
-        model,
-        limits,
-        dedup,
-        False,
-        None,
-        worklist,
-        seen_states,
-        finished,
-        stats,
-        dedup_exact,
-        warn_stuck=False,
-    )
-    leftover_originals = [item for item in worklist if id(item) in original_ids]
-    leftover_new = [
-        (_dedup_key(item, dedup_exact) if dedup else None, item)
-        for item in worklist
-        if id(item) not in original_ids
-    ]
-    del originals
-    return (
-        index,
-        finished,
-        seen_states.difference(seen),
-        leftover_originals,
-        leftover_new,
-        stats,
-        result.reason,
-    )
-
-
-def _warn_if_stuck(stats: EnumerationStats, program: Program, model: MemoryModel) -> None:
-    if stats.stuck > 0:
-        warnings.warn(
-            StuckBehaviorWarning(
-                f"{stats.stuck} behavior(s) of {program.name!r} under "
-                f"{model.name} got stuck with no eligible load — this "
-                f"indicates an enumeration-engine bug"
-            ),
-            stacklevel=3,
-        )
-
-
-def _parallel_search(
-    program: Program,
-    model: MemoryModel,
-    limits: EnumerationLimits,
-    dedup: bool,
-    strict: bool,
-    token: CancellationToken | None,
-    worklist: list[Execution],
-    seen_states: set,
-    finished: dict,
-    stats: EnumerationStats,
-    dedup_exact: bool,
-    config: ParallelEnumerationConfig,
-) -> EnumerationResult:
-    """The sharded multi-process search driver (see
-    :class:`ParallelEnumerationConfig` for the phase structure)."""
-    from concurrent.futures import ProcessPoolExecutor, wait as _wait_futures
-
-    start = time.monotonic()
-    workers = config.resolved_workers()
-    nshards = max(config.shards, 1)
-
-    # Phase 1: sequential warm-up.  The cap is expressed in cumulative
-    # explored behaviors so resumed stats keep their meaning.
-    warm_cap = min(limits.max_behaviors, stats.explored + max(config.warmup_behaviors, 1))
-    warm = _search(
-        program,
-        model,
-        replace(limits, max_behaviors=warm_cap),
-        dedup,
-        False,
-        token,
-        worklist,
-        seen_states,
-        finished,
-        stats,
-        dedup_exact,
-        warn_stuck=False,
-    )
-    if warm.complete:
-        _warn_if_stuck(stats, program, model)
-        return warm
-    warmup_only = warm.reason is ExhaustionReason.BEHAVIOR_BUDGET and (
-        stats.explored < limits.max_behaviors
-    )
-    if not warmup_only:
-        # A real budget (not the artificial warm-up cap) stopped the
-        # search before any parallelism began.
-        if strict:
-            raise _strict_error(warm.reason, program, model, limits)
-        _warn_if_stuck(stats, program, model)
-        return _partial_result(
-            program, model, limits, dedup, dedup_exact,
-            list(worklist), seen_states, finished, stats, warm.reason,
-        )
-
-    # Phases 2+3: synchronized rounds.  Each round dispatches the tail
-    # of the frontier (what depth-first search would pop next) across
-    # the fixed shard count, bounds every shard to ``round_behaviors``
-    # pops, and merges the returned frontiers through the global seen
-    # set — the sequential engine's dedup applied at round boundaries.
-    # The Load-Resolution state space is a DAG, so without the barrier
-    # disjoint shards re-explore each other's states and parallel work
-    # inflates several-fold; with it, duplication is bounded by the
-    # round length.
-    frontier = list(worklist)
-    worklist.clear()
-    per_round = max(config.round_behaviors, 1)
-    inline = workers <= 1 and config.executor is None
-    executor = None
-    owns_executor = False
-    if not inline:
-        executor = config.executor or ProcessPoolExecutor(max_workers=workers)
-        owns_executor = config.executor is None
-
-    reason: ExhaustionReason | None = None
-    token_fired = False
-    try:
-        while frontier:
-            # Between-round budget checks: the driver owns the *real*
-            # budgets; the per-shard budgets below are round slices.
-            if token is not None and token.cancelled:
-                reason = ExhaustionReason.CANCELLED
-                break
-            remaining = limits.max_behaviors - stats.explored
-            if remaining <= 0:
-                reason = ExhaustionReason.BEHAVIOR_BUDGET
-                break
-            if len(finished) >= limits.max_executions:
-                reason = ExhaustionReason.EXECUTION_BUDGET
-                break
-            deadline_left: float | None = None
-            if limits.deadline_seconds is not None:
-                deadline_left = limits.deadline_seconds - (time.monotonic() - start)
-                if deadline_left <= 0:
-                    reason = ExhaustionReason.DEADLINE
-                    break
-
-            # Deterministic dispatch: take the frontier tail (what
-            # depth-first search would pop next), split it across the
-            # fixed shard count, park the rest in the driver (parked
-            # items are never pickled).  The round length grows with the
-            # search — a constant fraction of the behaviors explored so
-            # far — so duplication stays a bounded fraction of the work
-            # while the number of barriers (each re-ships the seen
-            # snapshot) stays logarithmic.
-            target = max(nshards * per_round, stats.explored // 4)
-            take = min(len(frontier), target)
-            parked, dispatch = frontier[:-take], frontier[-take:]
-            # Contiguous blocks, not round-robin: adjacent frontier
-            # items are usually siblings whose subtrees reconverge, so
-            # keeping them in one shard lets that shard's local dedup
-            # absorb the overlap instead of exploring it twice.
-            chunk, rest = divmod(len(dispatch), nshards)
-            shards = []
-            position = 0
-            for index in range(nshards):
-                width = chunk + (1 if index < rest else 0)
-                shards.append(dispatch[position:position + width])
-                position += width
-            live = [index for index, shard in enumerate(shards) if shard]
-            # Pop quotas sum to at most the remaining global budget, so
-            # ``max_behaviors`` stays an exact upper bound; a zero-quota
-            # shard is not submitted (its items stay in the frontier).
-            round_total = min(remaining, target)
-            base_quota, spare = divmod(round_total, len(live))
-            seen_snapshot = frozenset(seen_states)
-            payloads = []
-            for rank, index in enumerate(live):
-                quota = base_quota + (1 if rank < spare else 0)
-                if quota == 0:
-                    continue
-                shard_limits = replace(
-                    limits,
-                    max_behaviors=quota,
-                    deadline_seconds=deadline_left,
-                    max_memory_mb=(
-                        limits.max_memory_mb / workers
-                        if limits.max_memory_mb is not None
-                        else None
-                    ),
-                )
-                payloads.append(
-                    (index, program, model, shard_limits, dedup, dedup_exact,
-                     shards[index], seen_snapshot)
-                )
-
-            results: list[tuple | None] = [None] * nshards
-            if inline:
-                for payload in payloads:
-                    if token is not None and token.cancelled:
-                        token_fired = True
-                        break
-                    outcome = _run_shard(payload)
-                    results[outcome[0]] = outcome
-            else:
-                futures = {
-                    executor.submit(_run_shard, payload): payload[0]
-                    for payload in payloads
-                }
-                pending = set(futures)
-                while pending:
-                    done, pending = _wait_futures(pending, timeout=0.05)
-                    for future in done:
-                        if not future.cancelled():
-                            outcome = future.result()
-                            results[outcome[0]] = outcome
-                    if pending and token is not None and token.cancelled:
-                        token_fired = True
-                        for future in pending:
-                            future.cancel()
-                        # Already-running shards finish (bounded by their
-                        # round quotas); cancelled ones return their
-                        # items through the merged checkpoint.
-                        done, _ = _wait_futures(pending)
-                        for future in done:
-                            if not future.cancelled():
-                                outcome = future.result()
-                                results[outcome[0]] = outcome
-                        pending = set()
-
-            # Merge in shard-index order (deterministic representative
-            # choice).  Original frontier items are kept unconditionally
-            # (their keys entered the seen set when first admitted);
-            # newly discovered children pass through the global dedup.
-            next_frontier: list[Execution] = list(parked)
-            shard_reasons: list[ExhaustionReason] = []
-            for index, shard in enumerate(shards):
-                outcome = results[index]
-                if outcome is None:
-                    # Never ran (cancelled or zero quota).
-                    next_frontier.extend(shard)
-                    continue
-                (_, shard_finished, seen_additions, leftover_originals,
-                 leftover_new, shard_stats, shard_reason) = outcome
-                for key, execution in shard_finished.items():
-                    finished.setdefault(key, execution)
-                _merge_stats(stats, shard_stats)
-                next_frontier.extend(leftover_originals)
-                for key, child in leftover_new:
-                    if dedup and key in seen_states:
-                        stats.duplicates += 1
-                        continue
-                    if dedup:
-                        seen_states.add(key)
-                    next_frontier.append(child)
-                if dedup:
-                    # Keys of states the shard explored *within* the
-                    # round: recording them stops later rounds from
-                    # re-exploring the same states via other branches.
-                    seen_states |= seen_additions
-                if (
-                    shard_reason is not None
-                    and shard_reason is not ExhaustionReason.BEHAVIOR_BUDGET
-                ):
-                    # A shard's behavior budget is the artificial round
-                    # quota (the loop continues); anything else is a
-                    # real fault or limit.
-                    shard_reasons.append(shard_reason)
-
-            frontier = next_frontier
-            if token_fired:
-                reason = ExhaustionReason.CANCELLED
-                break
-            if shard_reasons:
-                reason = next(r for r in _REASON_PRIORITY if r in shard_reasons)
-                break
-    finally:
-        if owns_executor:
-            executor.shutdown(wait=True)
-
-    _warn_if_stuck(stats, program, model)
-    if reason is not None:
-        if strict:
-            raise _strict_error(reason, program, model, limits)
-        return _partial_result(
-            program, model, limits, dedup, dedup_exact,
-            frontier, seen_states, finished, stats, reason,
-        )
-    executions = sorted(finished.values(), key=lambda e: repr(e.loadstore_key()))
-    return EnumerationResult(program, model, executions, stats)
-
-
-def _partial_result(
-    program: Program,
-    model: MemoryModel,
-    limits: EnumerationLimits,
-    dedup: bool,
-    dedup_exact: bool,
-    worklist: list[Execution],
-    seen_states: set,
-    finished: dict,
-    stats: EnumerationStats,
-    reason: ExhaustionReason,
-) -> EnumerationResult:
-    """Assemble a resumable partial result from merged parallel state."""
-    checkpoint = EnumerationCheckpoint(
-        program=program,
-        model=model,
-        limits=limits,
-        dedup=dedup,
-        worklist=list(worklist),
-        seen_states=set(seen_states),
-        finished=dict(finished),
-        stats=replace(stats),
-        dedup_exact=dedup_exact,
-    )
-    executions = sorted(finished.values(), key=lambda e: repr(e.loadstore_key()))
-    return EnumerationResult(
-        program, model, executions, stats, False, reason, checkpoint
-    )
-
-
 def _search(
     program: Program,
     model: MemoryModel,
@@ -993,7 +529,6 @@ def _search(
     finished: dict,
     stats: EnumerationStats,
     dedup_exact: bool = False,
-    warn_stuck: bool = True,
 ) -> EnumerationResult:
     start = time.monotonic()
     accountant = _MemoryAccountant(limits.max_memory_mb)
@@ -1054,7 +589,7 @@ def _search(
                 raise _strict_error(reason, program, model, limits)
             break
 
-    if warn_stuck and stats.stuck > 0:
+    if stats.stuck > 0:
         warnings.warn(
             StuckBehaviorWarning(
                 f"{stats.stuck} behavior(s) of {program.name!r} under "

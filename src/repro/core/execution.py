@@ -622,7 +622,8 @@ class Execution:
         identities, without materializing the O(n²) pair set.  The key
         contains only tuples/ints/strings/bools/None, so its ``repr`` is
         deterministic across processes (no set iteration order) — the
-        property the digest-based dedup and the parallel engine rely on.
+        property the digest-based dedup relies on when a checkpoint is
+        resumed in another process.
         """
         graph = self.graph
         nodes = graph.nodes

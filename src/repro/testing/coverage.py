@@ -9,7 +9,7 @@ into a campaign that **learns** and **accumulates**:
   kinds are syntactic features of the program (adjacent memory-op pairs
   like ``St.rel>Ld``, fence flavors, register-addressed accesses);
   the model axis is the coverage label of each enumeration variant an
-  oracle ran (``weak``, ``weak+par``, ``tso+pruned``, …); the reason
+  oracle ran (``weak``, ``tso+pruned``, …); the reason
   axis is ``complete`` or the :class:`~repro.core.enumerate.ExhaustionReason`;
   the outcome axis is ``<oracle>:<ok|skip|fail>``.
 * **Guided generation** — programs that hit *new* grid cells enter a

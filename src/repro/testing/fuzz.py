@@ -35,10 +35,9 @@ from repro.testing.mutants import MUTANTS, Mutant
 from repro.testing.oracles import FUZZ_LIMITS, Discrepancy, run_oracles
 from repro.testing.shrink import ShrinkResult, shrink
 
-#: Oracles used during mutation campaigns: the parallel engine runs in
-#: subprocesses that cannot see a monkeypatched mutant, so its oracle is
-#: excluded (it could only produce *spurious* kills via a mutated
-#: in-process warm-up).
+#: Oracles used during mutation campaigns.  Every seeded mutant is
+#: killed by one of these; the costlier solver and fence-repair oracles
+#: would add enumeration time without adding kills.
 KILL_ORACLES: tuple[str, ...] = (
     "axiomatic-vs-sc",
     "axiomatic-vs-tso",

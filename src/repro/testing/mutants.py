@@ -17,9 +17,8 @@ Design rules (learned the hard way):
   hardware-style and never consult the table.  Weak-model mutants attack
   enumerator-only internals (closure, candidate filters) or machine-only
   internals (store-buffer forwarding) instead.
-* Patches are process-local.  The parallel engine's subprocess workers
-  do not see them, which is fine — the mutation campaign runs with
-  ``jobs=1`` so every oracle observes the mutated code.
+* Patches are process-local, so the mutation campaign runs with
+  ``jobs=1``: every oracle then observes the mutated code.
 
 The patch/restore discipline follows ``testing/faults.py``.
 """

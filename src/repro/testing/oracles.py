@@ -3,8 +3,8 @@
 For one program the repository has many independent answers to "what can
 happen": the axiomatic enumerator (per model), the SC interleaver, the
 TSO/PSO store-buffer machines, the ≺-linearization dataflow machine, the
-parallel enumeration engine, the dataflow-pruned enumeration, and the
-static analyses.  Each :class:`Oracle` here checks one agreement that is
+dataflow-pruned enumeration, the constraint solver, and the static
+analyses.  Each :class:`Oracle` here checks one agreement that is
 a *theorem* of the codebase; a :class:`Discrepancy` therefore always
 means a bug (in an implementation — or, during mutation testing, the
 seeded mutant doing its job).
@@ -27,7 +27,6 @@ from typing import Callable
 from repro.core.enumerate import (
     EnumerationLimits,
     EnumerationResult,
-    ParallelEnumerationConfig,
     enumerate_behaviors,
 )
 from repro.errors import ReproError
@@ -63,37 +62,28 @@ class Discrepancy:
 @dataclass
 class OracleContext:
     """Shared per-program cache: axiomatic enumerations are memoized by
-    (model, parallel, pruned) so oracles can overlap their inputs."""
+    (model, pruned) so oracles can overlap their inputs."""
 
     program: Program
     limits: EnumerationLimits = FUZZ_LIMITS
     #: optional :class:`~repro.cache.store.BehaviorCache` shared across
-    #: oracles, programs and campaigns.  Only the plain sequential
-    #: enumeration goes through it: the parallel- and pruned-engine
-    #: variants exist to *cross-check* those engines, and serving them
-    #: from a memo store would quietly turn the N-way comparison into
-    #: cached-result == cached-result.
+    #: oracles, programs and campaigns.  Only the plain enumeration goes
+    #: through it: the pruned variant exists to *cross-check* the pruned
+    #: engine, and serving it from a memo store would quietly turn the
+    #: N-way comparison into cached-result == cached-result.
     cache: object = None
     _results: dict = field(default_factory=dict)
     _facts: object = None
 
-    def result(
-        self, model_name: str, *, parallel: bool = False, pruned: bool = False
-    ) -> EnumerationResult:
-        key = (model_name, parallel, pruned)
+    def result(self, model_name: str, *, pruned: bool = False) -> EnumerationResult:
+        key = (model_name, pruned)
         if key not in self._results:
-            facts = None
-            if pruned:
-                facts = self.facts()
-            config = ParallelEnumerationConfig(workers=2) if parallel else None
-            cache = self.cache if not parallel and not pruned else None
             self._results[key] = enumerate_behaviors(
                 self.program,
                 get_model(model_name),
                 self.limits,
-                facts=facts,
-                parallel=config,
-                cache=cache,
+                facts=self.facts() if pruned else None,
+                cache=None if pruned else self.cache,
             )
         return self._results[key]
 
@@ -115,19 +105,14 @@ class OracleContext:
 
     def enumeration_reasons(self) -> dict[str, str]:
         """Per-variant enumeration status, keyed by the *coverage label*
-        of each memoized run: the model name plus ``+par`` / ``+pruned``
-        engine suffixes (``"weak"``, ``"weak+par"``, ``"tso+pruned"``,
-        …).  The value is ``"complete"`` or the
-        :class:`~repro.core.enumerate.ExhaustionReason` value of a
-        partial run — one axis of the coverage grid
+        of each memoized run: the model name plus a ``+pruned`` engine
+        suffix (``"weak"``, ``"tso+pruned"``, …).  The value is
+        ``"complete"`` or the :class:`~repro.core.enumerate.ExhaustionReason`
+        value of a partial run — one axis of the coverage grid
         (:mod:`repro.testing.coverage`)."""
         reasons: dict[str, str] = {}
-        for (model_name, parallel, pruned), result in self._results.items():
-            label = model_name
-            if parallel:
-                label += "+par"
-            if pruned:
-                label += "+pruned"
+        for (model_name, pruned), result in self._results.items():
+            label = model_name + ("+pruned" if pruned else "")
             reasons[label] = (
                 "complete" if result.complete else result.reason.value
             )
@@ -211,29 +196,6 @@ def _check_dataflow(ctx: OracleContext) -> list[Discrepancy]:
 
 # ---------------------------------------------------------------------------
 # engine-vs-engine
-
-
-def _check_parallel(ctx: OracleContext) -> list[Discrepancy]:
-    """PR 4's theorem: the sharded parallel engine is byte-identical to
-    the sequential engine for any worker count."""
-    sequential = ctx.result("weak")
-    parallel = ctx.result("weak", parallel=True)
-    if not sequential.complete or not parallel.complete:
-        raise OracleSkip("enumeration exhausted its budget")
-    problems = []
-    if sequential.register_outcomes() != parallel.register_outcomes():
-        problems.append(_diff(parallel.register_outcomes(),
-                              sequential.register_outcomes(),
-                              "parallel", "sequential"))
-    elif len(sequential.executions) != len(parallel.executions):
-        problems.append(
-            f"execution sets differ: {len(parallel.executions)} parallel "
-            f"vs {len(sequential.executions)} sequential"
-        )
-    return [
-        Discrepancy("sequential-vs-parallel", ctx.program.name, detail, "weak")
-        for detail in problems
-    ]
 
 
 def _check_solver(ctx: OracleContext) -> list[Discrepancy]:
@@ -574,9 +536,6 @@ ORACLES: tuple[Oracle, ...] = (
            "(branch-free programs)", _check_dataflow,
            applicable=lambda program: not program.has_branches(),
            touches=("weak",)),
-    Oracle("sequential-vs-parallel",
-           "sequential engine == sharded parallel engine (workers=2)",
-           _check_parallel, touches=("weak", "weak+par")),
     Oracle("pruned-vs-unpruned",
            "dataflow-pruned enumeration == plain enumeration", _check_pruned,
            touches=("weak", "weak+pruned")),

@@ -9,9 +9,27 @@ from repro.core.enumerate import (
     enumerate_behaviors,
 )
 from repro.isa.dsl import ProgramBuilder
+from repro.litmus.library import all_tests
 from repro.models.registry import get_model
 
 from tests.conftest import build_loop
+
+
+def assert_identical(expected, result):
+    assert result.complete, result.status
+    assert [e.loadstore_key() for e in result.executions] == [
+        e.loadstore_key() for e in expected.executions
+    ]
+    assert result.register_outcomes() == expected.register_outcomes()
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    """Default (digest-dedup) results for the whole library under weak."""
+    return {
+        (test.name, "weak"): enumerate_behaviors(test.program, get_model("weak"))
+        for test in all_tests()
+    }
 
 
 class TestBasicEnumeration:
@@ -70,6 +88,15 @@ class TestDeduplication:
         }
         # all four combinations: WEAK reorders same-address loads
         assert values == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_digest_dedup_matches_exact_dedup(self, baseline):
+        """The blake2b-digest dedup set admits exactly the same behavior
+        set as full canonical keys (no collisions on the library)."""
+        for test in all_tests():
+            exact = enumerate_behaviors(
+                test.program, get_model("weak"), dedup_exact=True
+            )
+            assert_identical(baseline[(test.name, "weak")], exact)
 
 
 class TestLimits:

@@ -12,7 +12,6 @@ from repro.experiments import (
     fig89,
     fig1011,
     litmus_matrix,
-    parallel_exp,
     scaling,
     staticrace_exp,
     wellsync_exp,
@@ -37,7 +36,6 @@ _SLOW_MODULES = {
     "TAB-COHERENCE": coherence_exp,
     "TAB-SCALE": scaling,
     "TAB-STATIC": staticrace_exp,
-    "TAB-PARALLEL": parallel_exp,
 }
 
 

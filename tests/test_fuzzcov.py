@@ -42,7 +42,7 @@ from repro.testing.fuzzgen import MIXED_ORDER, generate_program, get_profile
 from repro.testing.oracles import ORACLES, OracleContext, oracle_table
 
 #: The cheap oracle pair campaign tests run with (single-model
-#: axiomatic comparisons; no parallel engine, no solver).
+#: axiomatic comparisons; no solver).
 FAST_ORACLES = ("axiomatic-vs-sc", "axiomatic-vs-tso")
 
 CORPUS_DIR = Path(__file__).parent / "corpus"

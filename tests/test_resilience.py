@@ -39,6 +39,22 @@ def build_heavy3():
     return builder.build()
 
 
+class _CancelAfterPolls(CancellationToken):
+    """Fault injector: reports cancelled after a fixed number of polls,
+    simulating a supervisor that pulls the plug mid-search."""
+
+    def __init__(self, polls: int) -> None:
+        super().__init__()
+        self._polls = polls
+
+    @property
+    def cancelled(self) -> bool:
+        if self._polls > 0:
+            self._polls -= 1
+            return False
+        return True
+
+
 class TestGracefulDegradation:
     def test_oversized_three_thread_program_degrades(self):
         """The ISSUE acceptance case: a 3-thread litmus under a
@@ -128,6 +144,27 @@ class TestCheckpointResume:
         assert result.register_outcomes() == full.register_outcomes()
         assert len(result) == len(full)
         assert result.stats.explored == full.stats.explored
+
+    def test_mid_search_cancel_then_resume(self):
+        """The token fires after a few pops: the partial result must be
+        a resumable checkpoint that reaches the unbudgeted run's exact
+        execution set."""
+        program = build_heavy3()
+        weak = get_model("weak")
+        full = enumerate_behaviors(program, weak)
+
+        result = enumerate_behaviors(program, weak, token=_CancelAfterPolls(polls=6))
+        assert result.complete is False
+        assert result.reason is ExhaustionReason.CANCELLED
+        assert result.checkpoint is not None
+        assert result.checkpoint.worklist
+        assert result.stats.explored > 0
+
+        resumed = resume_enumeration(result.checkpoint, EnumerationLimits())
+        assert resumed.complete
+        assert [e.loadstore_key() for e in resumed.executions] == [
+            e.loadstore_key() for e in full.executions
+        ]
 
     def test_checkpoint_round_trips_through_disk(self, tmp_path):
         program = build_heavy3()

@@ -48,7 +48,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def start_server(wal_dir: Path, *, slice_behaviors: int, slice_delay: float = 0.0):
-    """Launch ``repro serve`` on an ephemeral port; return (process, url)."""
+    """Launch ``repro serve`` on an ephemeral port; return (process, url).
+
+    The server leads its own session, so :func:`stop_server` can kill its
+    worker pool too: pool workers outlive a SIGKILLed server."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["PYTHONUNBUFFERED"] = "1"
@@ -65,18 +68,22 @@ def start_server(wal_dir: Path, *, slice_behaviors: int, slice_delay: float = 0.
         stderr=subprocess.STDOUT,
         env=env,
         text=True,
+        start_new_session=True,
     )
     line = process.stdout.readline()
     match = re.search(r"http://[\d.]+:(\d+)", line)
     if not match:
-        process.kill()
+        stop_server(process)
         pytest.fail(f"server did not announce its port: {line!r}")
     return process, f"http://127.0.0.1:{match.group(1)}"
 
 
 def stop_server(process) -> None:
-    if process.poll() is None:
-        process.kill()
+    """SIGKILL the server and every process of its session."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
     process.wait(timeout=10)
     process.stdout.close()
 

@@ -8,14 +8,13 @@ classic hardware-style machines.
 
 import pytest
 
-from repro.core.enumerate import ParallelEnumerationConfig, enumerate_behaviors
+from repro.core.enumerate import enumerate_behaviors
 from repro.litmus.library import all_tests
 from repro.models.registry import get_model
 from repro.operational.sc import run_sc
 from repro.operational.storebuffer import run_pso, run_tso
 
 _TESTS = all_tests()
-_PARALLEL = ParallelEnumerationConfig(workers=2)
 
 
 @pytest.mark.parametrize("test", _TESTS, ids=[t.name for t in _TESTS])
@@ -34,18 +33,6 @@ def test_tso_equivalence(test):
 def test_pso_equivalence(test):
     axiomatic = enumerate_behaviors(test.program, get_model("pso")).register_outcomes()
     assert axiomatic == run_pso(test.program).outcomes
-
-
-@pytest.mark.parametrize("test", _TESTS, ids=[t.name for t in _TESTS])
-def test_parallel_engine_vs_operational(test):
-    """The PR-4 parallel engine agrees with the *operational* machines
-    directly (not just with the sequential enumerator): sharding the
-    search must not lose or invent hardware-observable outcomes."""
-    for model_name, machine in (("sc", run_sc), ("tso", run_tso), ("pso", run_pso)):
-        parallel = enumerate_behaviors(
-            test.program, get_model(model_name), parallel=_PARALLEL
-        ).register_outcomes()
-        assert parallel == machine(test.program).outcomes, model_name
 
 
 @pytest.mark.parametrize("test", _TESTS, ids=[t.name for t in _TESTS])
