@@ -8,8 +8,9 @@ BENCH json (the perf trajectory):
   Load–Store graph key sets are recorded.
 * **Warm sweep**: a *new* :class:`~repro.cache.store.BehaviorCache`
   instance on the same directory (so the in-process LRU starts empty
-  and every hit is served from disk through the bloom filter and
-  segment index).
+  and every hit is served from disk: one open, one read, one unpickle).
+* **Novel-key probes**: lookups of keys the store has never seen — the
+  common case in a fuzz campaign.  Their median latency is recorded.
 
 Four gates, all enforced on both the full and the ``--quick`` run:
 
@@ -20,9 +21,7 @@ Four gates, all enforced on both the full and the ``--quick`` run:
 * **Byte-identical results**: the sorted ``loadstore_key`` set of every
   warm cell must equal its cold counterpart exactly — a cache that is
   fast but wrong fails the build.
-* **Bloom false-positive rate**: probing the warm cache with novel
-  random keys must answer "definitely absent" (no disk touch) for
-  >99% of them.
+* **No false hits**: every novel-key probe must miss.
 
 Exits nonzero when any gate fails.  The CI smoke job runs this with
 ``--quick`` (a model subset; the gates still bite).
@@ -38,7 +37,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -50,16 +52,13 @@ from repro.litmus.library import all_tests
 from repro.models.registry import available_models, get_model
 
 #: Acceptance floor for the warm-over-cold wall-clock speedup.  A disk
-#: hit (bloom + index + one pread + pickle) must beat re-enumeration by
-#: a wide margin even on the library's smallest tests.
+#: hit (one open + read + unpickle) must beat re-enumeration by a wide
+#: margin even on the library's smallest tests.
 MIN_WARM_SPEEDUP = 5.0
 #: Acceptance floor for the warm-sweep hit rate.
 MIN_HIT_RATE = 0.99
-#: Acceptance ceiling for the bloom filter's measured false-positive
-#: rate on novel keys (the store sizes its filter for 0.5%).
-MAX_BLOOM_FPR = 0.01
-#: Novel-key probes for the false-positive measurement.
-BLOOM_PROBES = 20000
+#: Novel-key lookups timed (and required to miss).
+NOVEL_PROBES = 20000
 
 
 def sweep_cells(quick: bool) -> list[tuple]:
@@ -90,19 +89,22 @@ def run_sweep(cells: list[tuple], cache: BehaviorCache) -> tuple[float, list[dic
     return time.perf_counter() - start, rows
 
 
-def measure_bloom_fpr(cache: BehaviorCache, probes: int) -> float:
-    """Fraction of novel keys the bloom filter fails to reject.
+def probe_novel_keys(cache: BehaviorCache, probes: int) -> tuple[float, int]:
+    """(median lookup seconds, false hits) over ``probes`` novel keys.
 
     The probe keys are deterministic (hash of a counter) so the
     benchmark is reproducible; they cannot collide with real cache keys
     except by blake2b accident.
     """
-    before = cache.counters.bloom_negatives
+    latencies = []
+    false_hits = 0
     for index in range(probes):
-        key = hashlib.blake2b(b"bloom-probe-%d" % index, digest_size=16).digest()
-        cache.lookup(key)
-    rejected = cache.counters.bloom_negatives - before
-    return (probes - rejected) / probes
+        key = hashlib.blake2b(b"novel-probe-%d" % index, digest_size=16).digest()
+        start = time.perf_counter()
+        entry = cache.lookup(key)
+        latencies.append(time.perf_counter() - start)
+        false_hits += entry is not None
+    return statistics.median(latencies), false_hits
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         # so every warm hit exercises the full disk path.
         warm_cache = BehaviorCache(cache_dir)
         warm_seconds, warm_rows = run_sweep(cells, warm_cache)
-        bloom_fpr = measure_bloom_fpr(warm_cache, BLOOM_PROBES)
+        novel_median_s, false_hits = probe_novel_keys(warm_cache, NOVEL_PROBES)
         store_stats = warm_cache.stats()
         warm_cache.close()
     finally:
@@ -160,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     result = {
         "benchmark": "behavior-cache",
         "quick": args.quick,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "cells": len(cells),
         "models": sorted({model for _, model in cells}),
         "cold_seconds": cold_seconds,
@@ -169,9 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         "hit_rate": hit_rate,
         "hit_rate_floor": MIN_HIT_RATE,
         "results_identical": identical,
-        "bloom_fpr_measured": bloom_fpr,
-        "bloom_probes": BLOOM_PROBES,
-        "bloom_fpr_ceiling": MAX_BLOOM_FPR,
+        "novel_probes": NOVEL_PROBES,
+        "novel_lookup_median_us": novel_median_s * 1e6,
+        "novel_false_hits": false_hits,
         "store": store_stats,
         "cold": strip(cold_rows),
         "warm": strip(warm_rows),
@@ -185,11 +189,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"BENCH cold={cold_seconds:.2f}s warm={warm_seconds:.2f}s "
         f"speedup={speedup:.1f}x  hit rate={hit_rate:.1%}  "
-        f"bloom FPR={bloom_fpr:.3%} ({BLOOM_PROBES} probes)"
+        f"novel lookup median={novel_median_s * 1e6:.1f}us "
+        f"({NOVEL_PROBES} probes, {false_hits} false hits)"
     )
     print(
-        f"BENCH store: {store_stats['live_entries']} entries in "
-        f"{store_stats['segments']} segment(s), "
+        f"BENCH store: {store_stats['live_entries']} entries, "
         f"{store_stats['disk_bytes']} bytes"
     )
     print(f"BENCH json written to {args.out}")
@@ -215,10 +219,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         status = 1
-    if bloom_fpr > MAX_BLOOM_FPR:
+    if false_hits:
         print(
-            f"FAIL: bloom false-positive rate {bloom_fpr:.3%} > "
-            f"{MAX_BLOOM_FPR:.0%}",
+            f"FAIL: {false_hits} of {NOVEL_PROBES} novel keys answered as hits",
             file=sys.stderr,
         )
         status = 1

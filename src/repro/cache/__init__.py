@@ -2,11 +2,11 @@
 
 Behaviors are a pure function of ``(program, model, limits)``, so a
 finished enumeration can be stored once and replayed forever — see
-:class:`~repro.cache.store.BehaviorCache` for the architecture (LRU
-front, bloom-filtered negative lookups, append-only checksummed
-segments) and the safety model, and
+:class:`~repro.cache.store.BehaviorCache` for the layout (an LRU in
+front of one checksummed file per entry) and the safety model, and
 :func:`~repro.core.serialization.behavior_cache_key` for the canonical
-digest the store is keyed by.
+digest the store is keyed by.  :class:`~repro.cache.bloom.BloomFilter`
+serves coverage campaigns' program dedup.
 """
 
 from repro.cache.bloom import BloomFilter

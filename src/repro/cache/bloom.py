@@ -1,11 +1,10 @@
-"""Bloom filter fronting the behavior cache's negative lookups.
+"""Bloom filter behind coverage campaigns' program dedup.
 
-A fuzz campaign asks the cache about thousands of *novel* programs for
-every repeat it ever sees, so the common lookup outcome is a miss.  The
-filter answers those from a few kilobytes of memory — no segment scan,
-no index build, no disk touch — while guaranteeing **no false
-negatives**: a key that was ever added always answers "maybe", so a
-bloom "no" is a definite miss.
+A guided campaign (:mod:`repro.testing.coverage`) draws thousands of
+programs and must skip the ones it has already checked without keeping
+every digest in its checkpoint.  The filter answers "seen before?" from
+a few kilobytes of memory while guaranteeing **no false negatives**: a
+key that was ever added always answers "maybe".
 
 The filter is the classic k-hash bit array with Kirsch–Mitzenmacher
 double hashing: two 64-bit lanes are carved out of one ``blake2b``
@@ -14,10 +13,9 @@ Sizing follows the standard formulas — ``m = -n·ln(p)/ln(2)²`` bits and
 ``k = (m/n)·ln(2)`` hashes for ``n`` expected keys at false-positive
 rate ``p``.
 
-``encode``/``decode`` give a checksummed byte serialization for the
-``bloom.filter`` sidecar file; a damaged sidecar decodes to ``None`` and
-the cache rebuilds the filter from the segments instead of trusting it
-(a stale or corrupt bloom could otherwise manufacture false negatives).
+``encode``/``decode`` give the checksummed byte serialization stored in
+the campaign's ``state.json``; damaged bytes decode to ``None`` rather
+than to a filter that could manufacture false negatives.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import hashlib
 import math
 import struct
 
-_MAGIC = b"RBLM"  #: sidecar magic ("repro bloom")
+_MAGIC = b"RBLM"  #: encoding magic ("repro bloom")
 _VERSION = 1
 #: magic, version, hash count, bit count, key count
 _HEADER = struct.Struct("!4sBBQQ")
@@ -87,7 +85,7 @@ class BloomFilter:
     @property
     def saturated(self) -> bool:
         """Whether the filter has grown past its design point (measured
-        FPR above 1%) and should be rebuilt larger at the next compaction."""
+        FPR above 1%) and should be rebuilt larger."""
         return self.estimated_fpr() > 0.01
 
     def encode(self) -> bytes:

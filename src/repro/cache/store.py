@@ -4,92 +4,76 @@ Behaviors are a pure function of ``(program, model, limits)`` — the
 paper's enumeration has no other inputs — so a finished enumeration can
 be memoized under the canonical
 :func:`~repro.core.serialization.behavior_cache_key` digest and replayed
-forever.  :class:`BehaviorCache` is that memo store, layered for the
-access patterns of this repository's consumers:
+forever.  An entry is written once and never updated, so
+:class:`BehaviorCache` keeps one file per key, ``<dir>/<key hex>.bin``,
+fronted by a per-process LRU of decoded results (repeat hits inside one
+process pay a dict lookup, not an unpickle).  Entry layout::
 
-1. an **LRU front** of decoded results (repeat hits inside one process
-   pay a dict lookup, not an unpickle);
-2. a :class:`~repro.cache.bloom.BloomFilter` answering negative lookups
-   from memory — in a fuzz campaign nearly every program is novel, and
-   the bloom keeps those lookups from ever building the index or
-   touching a segment;
-3. LSM-style append-only **segments**
-   (:mod:`~repro.cache.segments`) shared safely by concurrent workers,
-   folded together by :meth:`compact`.
+    magic[4] = b"RBEH"  version[1]  blake2b-8(payload)[8]  payload
+
+where ``payload`` is the pickled result.  Entries are written with
+:func:`~repro.storage.atomic_write`, so concurrent workers sharing a
+directory and a ``kill -9`` mid-put can only ever leave a complete entry
+or none; a put whose entry file already exists is skipped.  A miss is
+one failed ``open`` — no lookup or store lists the directory.
 
 Safety model
 ------------
 
 * only **complete** results are ever stored (the enumerator enforces
   it), so a hit can never silently truncate a behavior set;
-* hits are **verified-decodable**: the payload checksum, the pickle
-  decode, and the recomputed cache key must all agree before a cached
-  result is returned — anything less degrades to a miss with a
-  :class:`~repro.errors.CacheIntegrityWarning`;
+* hits are **verified-decodable**: the header, the payload checksum,
+  the pickle decode, the payload version and the recomputed cache key
+  must all agree before a cached result is returned — anything less
+  degrades to a miss with a :class:`~repro.errors.CacheIntegrityWarning`
+  and deletes the entry, so the re-enumeration that follows repairs it;
 * ``validate=True`` makes every hit re-enumerate and assert
   byte-identical ``loadstore_key`` sets — the paranoid mode for
   qualifying a cache directory of unknown provenance.
-
-The ``bloom.json`` and ``index.json`` sidecars are pure accelerators,
-rebuilt from the segments whenever stale or missing; a *hard-corrupt*
-index (unparseable, checksum-mismatched) raises
-:class:`~repro.errors.CacheError` instead of being silently trusted or
-discarded — delete the file to rebuild.
 """
 
 from __future__ import annotations
 
-import atexit
-import base64
 import hashlib
-import json
 import os
 import pickle
-import tempfile
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.cache.bloom import BloomFilter
-from repro.cache.segments import (
-    TOMBSTONE,
-    VALUE,
-    SegmentRecord,
-    SegmentWriter,
-    create_segment,
-    encode_record,
-    list_segments,
-    read_payload,
-    scan_segment,
-)
 from repro.core.enumerate import EnumerationStats
 from repro.core.serialization import behavior_cache_key
 from repro.errors import CacheError, CacheIntegrityWarning
+from repro.storage import atomic_write
 
 #: Version stamped into every pickled payload; unknown versions decode
 #: to misses (a cache directory is shareable across builds, not a
 #: compatibility contract).
 CACHE_PAYLOAD_VERSION = 1
 
-_BLOOM_FILE = "bloom.json"
-_INDEX_FILE = "index.json"
+_ENTRY_SUFFIX = ".bin"
+_HEADER = b"RBEH\x01"  #: magic ("repro behaviors") + entry format version
+_CHECKSUM_SIZE = 8
 _PARTIAL_SUBDIR = "partial"
-_INDEX_CRC_SIZE = 8
+_LRU_SIZE = 128  #: decoded entries kept per process
+
+
+def _payload_checksum(payload: bytes) -> bytes:
+    return hashlib.blake2b(payload, digest_size=_CHECKSUM_SIZE).digest()
 
 
 @dataclass
 class CacheCounters:
     """Per-instance lookup/store accounting (process-local, not persisted)."""
 
-    hits: int = 0  #: lookups answered from the store (any layer)
+    hits: int = 0  #: lookups answered from the store (LRU or disk)
     misses: int = 0  #: lookups that found nothing usable
-    bloom_negatives: int = 0  #: of the misses, answered by the bloom alone
-    puts: int = 0  #: complete results appended
-    duplicate_puts: int = 0  #: puts skipped because the key was already live
-    decode_failures: int = 0  #: hits degraded to misses by damage
+    puts: int = 0  #: complete results written
+    duplicate_puts: int = 0  #: puts skipped because the entry already exists
+    decode_failures: int = 0  #: entries degraded to misses by damage
     validations: int = 0  #: hits re-enumerated under ``validate=True``
-    invalidations: int = 0  #: tombstones written
+    invalidations: int = 0  #: entries deleted by :meth:`BehaviorCache.invalidate`
     partial_hits: int = 0  #: budget-exhausted searches resumed from a checkpoint
     partial_misses: int = 0  #: partial lookups with no (usable) checkpoint
     partial_puts: int = 0  #: partial-search checkpoints persisted
@@ -110,55 +94,21 @@ class CachedBehaviors:
     stats: EnumerationStats
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def _index_crc(body: dict) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode(), digest_size=_INDEX_CRC_SIZE).hexdigest()
-
-
 class BehaviorCache:
     """A persistent, content-addressed memo store for enumeration results.
 
     Open it on a directory and pass it to
     ``enumerate_behaviors(..., cache=...)`` (or any of the CLI/fuzz/
     service surfaces that accept ``--cache-dir``).  Instances are cheap:
-    nothing is read from disk until the first lookup, and the first
-    lookup reads only the bloom sidecar plus headers of segments the
-    sidecar does not cover yet.
+    nothing touches the disk until the first lookup or store, and the
+    directory is created by the first store.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        validate: bool = False,
-        fsync: bool = False,
-        lru_size: int = 128,
-    ) -> None:
+    def __init__(self, directory: str | Path, *, validate: bool = False) -> None:
         self.directory = Path(directory)
         self.validate = validate
-        self.lru_size = max(1, lru_size)
         self.counters = CacheCounters()
-        self._writer = SegmentWriter(self.directory, fsync=fsync)
         self._lru: OrderedDict[bytes, CachedBehaviors] = OrderedDict()
-        self._bloom: BloomFilter | None = None
-        self._bloom_covered: dict[str, int] = {}
-        self._scanned: dict[str, list[SegmentRecord]] = {}
-        self._index: dict[bytes, SegmentRecord] | None = None
-        self._dirty = False
 
     # -- process-shared instances --------------------------------------
 
@@ -167,14 +117,12 @@ class BehaviorCache:
     @classmethod
     def shared(cls, directory: str | Path, **kwargs) -> "BehaviorCache":
         """One instance per (process, directory) — what long-lived batch
-        workers use so the bloom/index load once, with sidecars flushed
-        at interpreter exit."""
+        workers use so their LRU survives across calls."""
         key = str(Path(directory).resolve())
         cache = cls._SHARED.get(key)
         if cache is None:
             cache = cls(directory, **kwargs)
             cls._SHARED[key] = cache
-            atexit.register(cache.close)
         return cache
 
     # -- key derivation -------------------------------------------------
@@ -183,127 +131,8 @@ class BehaviorCache:
     def key_for(program, model, limits) -> bytes:
         return behavior_cache_key(program, model, limits)
 
-    # -- lazy state -----------------------------------------------------
-
-    def _segment_sizes(self) -> dict[str, int]:
-        sizes = {}
-        for path in list_segments(self.directory):
-            try:
-                sizes[path.name] = path.stat().st_size
-            except OSError:
-                continue
-        return sizes
-
-    def _ensure_bloom(self) -> BloomFilter:
-        if self._bloom is not None:
-            self._refresh_uncovered()
-            return self._bloom
-        bloom = None
-        covered: dict[str, int] = {}
-        bloom_path = self.directory / _BLOOM_FILE
-        if bloom_path.exists():
-            try:
-                payload = json.loads(bloom_path.read_text(encoding="utf-8"))
-                bloom = BloomFilter.decode(base64.b64decode(payload["bloom"]))
-                covered = {str(k): int(v) for k, v in payload["segments"].items()}
-            except (OSError, ValueError, KeyError, TypeError):
-                bloom = None
-            if bloom is None:
-                warnings.warn(
-                    CacheIntegrityWarning(
-                        f"bloom sidecar {bloom_path} is unreadable; rebuilding "
-                        f"from the segments"
-                    ),
-                    stacklevel=3,
-                )
-                covered = {}
-        if bloom is None:
-            bloom = BloomFilter.sized_for(max(4096, 2 * self._estimate_records()))
-        self._bloom = bloom
-        self._bloom_covered = covered
-        self._refresh_uncovered()
-        return self._bloom
-
-    def _estimate_records(self) -> int:
-        # ~200 bytes of framing+index per record is a safe *under*estimate
-        # of real record size, so the bloom is sized generously.
-        return sum(self._segment_sizes().values()) // 200
-
-    def _refresh_uncovered(self) -> None:
-        """Fold keys of segments (or segment tails) the bloom sidecar has
-        not seen into the in-memory filter — the no-false-negative
-        repair for sidecars that lag the append-only segments."""
-        for name, size in self._segment_sizes().items():
-            if self._bloom_covered.get(name) == size:
-                continue
-            records = self._scan(name)
-            for record in records:
-                self._bloom.add(record.key)
-            self._bloom_covered[name] = size
-            self._dirty = True
-
-    def _scan(self, name: str) -> list[SegmentRecord]:
-        if name not in self._scanned:
-            self._scanned[name] = scan_segment(self.directory / name)
-        return self._scanned[name]
-
-    def _load_index_file(self) -> dict[str, dict]:
-        """The persisted index, validated; ``{}`` when absent.  Raises
-        :class:`CacheError` on hard corruption — a damaged index must
-        never be silently trusted *or* silently discarded."""
-        index_path = self.directory / _INDEX_FILE
-        if not index_path.exists():
-            return {}
-        try:
-            payload = json.loads(index_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CacheError(
-                f"cache index {index_path} is corrupt ({exc}); delete it to "
-                f"rebuild from the segments"
-            ) from exc
-        try:
-            body = {"format": payload["format"], "segments": payload["segments"]}
-            crc = payload["crc"]
-        except (KeyError, TypeError) as exc:
-            raise CacheError(
-                f"cache index {index_path} is malformed (missing {exc}); "
-                f"delete it to rebuild from the segments"
-            ) from exc
-        if body["format"] != 1 or _index_crc(body) != crc:
-            raise CacheError(
-                f"cache index {index_path} failed its checksum; delete it to "
-                f"rebuild from the segments"
-            )
-        return body["segments"]
-
-    def _ensure_index(self) -> dict[bytes, SegmentRecord]:
-        if self._index is not None:
-            return self._index
-        persisted = self._load_index_file()
-        index: dict[bytes, SegmentRecord] = {}
-        for name, size in sorted(self._segment_sizes().items()):
-            entry = persisted.get(name)
-            if entry is not None and entry.get("size") == size:
-                records = [
-                    SegmentRecord(
-                        key=bytes.fromhex(keyhex),
-                        rtype=rtype,
-                        gen=gen,
-                        path=self.directory / name,
-                        payload_offset=offset,
-                        payload_length=length,
-                    )
-                    for keyhex, rtype, gen, offset, length in entry["records"]
-                ]
-                self._scanned.setdefault(name, records)
-            else:
-                records = self._scan(name)
-            for record in records:
-                current = index.get(record.key)
-                if current is None or record.order > current.order:
-                    index[record.key] = record
-        self._index = index
-        return index
+    def _entry_path(self, key: bytes) -> Path:
+        return self.directory / f"{key.hex()}{_ENTRY_SUFFIX}"
 
     # -- the read path --------------------------------------------------
 
@@ -315,28 +144,43 @@ class BehaviorCache:
             self._lru.move_to_end(key)
             self.counters.hits += 1
             return entry
-        bloom = self._ensure_bloom()
-        if key not in bloom:
-            self.counters.bloom_negatives += 1
+        path = self._entry_path(key)
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
             self.counters.misses += 1
             return None
-        record = self._ensure_index().get(key)
-        if record is None or record.rtype == TOMBSTONE:
-            self.counters.misses += 1
-            return None
-        entry = self._decode(key, record)
+        except OSError as exc:
+            entry = self._damaged(key, f"is unreadable ({exc})")
+        else:
+            entry = self._decode(key, raw)
         if entry is None:
-            self.counters.decode_failures += 1
+            # Delete the damaged entry so the caller's re-enumeration
+            # stores a good one in its place.
+            _unlink(path)
             self.counters.misses += 1
             return None
         self._remember(key, entry)
         self.counters.hits += 1
         return entry
 
-    def _decode(self, key: bytes, record: SegmentRecord) -> CachedBehaviors | None:
-        payload = read_payload(record)
-        if payload is None:
-            return None
+    def _damaged(self, key: bytes, problem: str) -> None:
+        self.counters.decode_failures += 1
+        warnings.warn(
+            CacheIntegrityWarning(
+                f"cache entry {key.hex()} {problem}; treating it as a miss"
+            ),
+            stacklevel=4,
+        )
+
+    def _decode(self, key: bytes, raw: bytes) -> CachedBehaviors | None:
+        checksum_end = len(_HEADER) + _CHECKSUM_SIZE
+        if raw[: len(_HEADER)] != _HEADER:
+            return self._damaged(key, "has an unrecognized header")
+        payload = raw[checksum_end:]
+        if _payload_checksum(payload) != raw[len(_HEADER) : checksum_end]:
+            return self._damaged(key, "failed its checksum")
         try:
             decoded = pickle.loads(payload)
             version = decoded["version"]
@@ -346,27 +190,20 @@ class BehaviorCache:
             executions = tuple(decoded["executions"])
             stats = decoded["stats"]
         except Exception as exc:  # noqa: BLE001 — pickle raises anything
-            warnings.warn(
-                CacheIntegrityWarning(
-                    f"cache record {key.hex()} does not decode ({exc}); "
-                    f"treating it as a miss"
-                ),
-                stacklevel=3,
-            )
-            return None
+            return self._damaged(key, f"does not decode ({exc})")
         if version != CACHE_PAYLOAD_VERSION:
-            return None
+            return self._damaged(
+                key,
+                f"has payload version {version!r} (this build reads "
+                f"{CACHE_PAYLOAD_VERSION})",
+            )
         # Verified-decodable: the payload must hash back to its own key,
         # binding the stored result to the request that produced it.
         if behavior_cache_key(program, model, limits) != key:
-            warnings.warn(
-                CacheIntegrityWarning(
-                    f"cache record {key.hex()} fails key verification "
-                    f"(payload is for a different request); treating it as a miss"
-                ),
-                stacklevel=3,
+            return self._damaged(
+                key,
+                "fails key verification (payload is for a different request)",
             )
-            return None
         return CachedBehaviors(
             program=program,
             model=model,
@@ -378,20 +215,17 @@ class BehaviorCache:
     def _remember(self, key: bytes, entry: CachedBehaviors) -> None:
         self._lru[key] = entry
         self._lru.move_to_end(key)
-        while len(self._lru) > self.lru_size:
+        while len(self._lru) > _LRU_SIZE:
             self._lru.popitem(last=False)
 
     # -- the write path -------------------------------------------------
 
     def store(self, key: bytes, program, model, limits, executions, stats) -> bool:
-        """Append one complete result.  Returns False when the key is
-        already live (nothing written) — re-putting is cheap and safe,
-        it just wastes a segment record until compaction."""
-        if key in self._lru or (
-            self._index is not None
-            and key in self._index
-            and self._index[key].rtype == VALUE
-        ):
+        """Write one complete result.  Returns False when the entry
+        already exists (nothing written): behaviors never change, so the
+        first write stands."""
+        path = self._entry_path(key)
+        if key in self._lru or path.exists():
             self.counters.duplicate_puts += 1
             return False
         payload = pickle.dumps(
@@ -404,13 +238,15 @@ class BehaviorCache:
                 "stats": stats,
             }
         )
-        record = self._writer.append(key, VALUE, payload)
-        bloom = self._ensure_bloom()
-        bloom.add(key)
-        self._bloom_covered[record.path.name] = record.payload_offset + record.payload_length + 8
-        if self._index is not None:
-            self._index[key] = record
-        self._scanned.pop(record.path.name, None)
+        data = _HEADER + _payload_checksum(payload) + payload
+        try:
+            try:
+                atomic_write(path, data, fsync=False)
+            except FileNotFoundError:  # first store: no directory yet
+                self.directory.mkdir(parents=True, exist_ok=True)
+                atomic_write(path, data, fsync=False)
+        except OSError as exc:
+            raise CacheError(f"cache write to {path} failed: {exc}") from exc
         self._remember(
             key,
             CachedBehaviors(
@@ -421,22 +257,21 @@ class BehaviorCache:
                 stats=replace(stats),
             ),
         )
-        self._dirty = True
         self.counters.puts += 1
         return True
 
     def invalidate(self, key: bytes) -> None:
-        """Tombstone a key (e.g. after a failed validation); compaction
-        physically drops the dead records."""
-        self._writer.append(key, TOMBSTONE, b"")
+        """Delete an entry (e.g. after a failed validation)."""
         self._lru.pop(key, None)
-        if self._index is not None:
-            self._index.pop(key, None)
-        if self._writer.path is not None:
-            self._scanned.pop(self._writer.path.name, None)
-            self._bloom_covered.pop(self._writer.path.name, None)
-        self._dirty = True
+        _unlink(self._entry_path(key))
         self.counters.invalidations += 1
+
+    def flush(self) -> None:
+        """No-op: each put is a complete entry file when :meth:`store`
+        returns."""
+
+    def close(self) -> None:
+        """No-op: the cache holds no open files."""
 
     # -- partial-search checkpoints -------------------------------------
 
@@ -463,10 +298,7 @@ class BehaviorCache:
         try:
             checkpoint = EnumerationCheckpoint.load(path)
         except EnumerationError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            _unlink(path)
             self.counters.decode_failures += 1
             self.counters.partial_misses += 1
             return None
@@ -493,105 +325,48 @@ class BehaviorCache:
         self.counters.partial_drops += 1
         return True
 
-    def _partial_count(self) -> int:
-        directory = self.directory / _PARTIAL_SUBDIR
-        if not directory.is_dir():
-            return 0
-        return sum(1 for _ in directory.glob("*.ckpt"))
-
-    # -- sidecar persistence --------------------------------------------
-
-    def flush(self) -> None:
-        """Write the bloom/index sidecars if anything changed.  Purely an
-        accelerator for the *next* open — correctness never depends on
-        sidecars being current."""
-        if not self._dirty:
-            return
-        if self._bloom is not None:
-            # Cover exactly what the filter has folded in, at the sizes
-            # observed; appended tails are re-scanned by the next open.
-            covered = dict(self._bloom_covered)
-            sizes = self._segment_sizes()
-            covered = {
-                name: min(size, sizes.get(name, 0))
-                for name, size in covered.items()
-                if name in sizes
-            }
-            body = {
-                "bloom": base64.b64encode(self._bloom.encode()).decode("ascii"),
-                "segments": covered,
-            }
-            self.directory.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
-                self.directory / _BLOOM_FILE,
-                json.dumps(body, sort_keys=True).encode("utf-8"),
-            )
-        if self._index is not None:
-            self._save_index()
-        self._dirty = False
-
-    def _save_index(self) -> None:
-        segments: dict[str, dict] = {}
-        sizes = self._segment_sizes()
-        for name in sizes:
-            records = self._scanned.get(name)
-            if records is None:
-                records = self._scan(name)
-            segments[name] = {
-                "size": sizes[name],
-                "records": [
-                    [r.key.hex(), r.rtype, r.gen, r.payload_offset, r.payload_length]
-                    for r in records
-                ],
-            }
-        body = {"format": 1, "segments": segments}
-        body_with_crc = dict(body)
-        body_with_crc["crc"] = _index_crc(body)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self.directory / _INDEX_FILE,
-            json.dumps(body_with_crc, sort_keys=True).encode("utf-8"),
-        )
-
-    def close(self) -> None:
-        try:
-            self.flush()
-        finally:
-            self._writer.close()
-
     # -- maintenance ----------------------------------------------------
+
+    def _entries(self) -> list[tuple[bytes, Path]]:
+        """Every ``(key, path)`` entry on disk, sorted by key."""
+        entries = []
+        for path in sorted(self.directory.glob(f"*{_ENTRY_SUFFIX}")):
+            try:
+                entries.append((bytes.fromhex(path.stem), path))
+            except ValueError:
+                continue  # not an entry this cache wrote
+        return entries
 
     def stats(self) -> dict:
         """Store-level accounting plus this instance's counters."""
-        index = self._ensure_index()
-        sizes = self._segment_sizes()
-        total_records = sum(len(self._scan(name)) for name in sizes)
-        live = [r for r in index.values() if r.rtype == VALUE]
+        disk_bytes = 0
+        entries = self._entries()
+        for _, path in entries:
+            try:
+                disk_bytes += path.stat().st_size
+            except OSError:
+                continue  # invalidated concurrently
+        partial = self.directory / _PARTIAL_SUBDIR
         return {
             "directory": str(self.directory),
-            "segments": len(sizes),
-            "disk_bytes": sum(sizes.values()),
-            "records": total_records,
-            "live_entries": len(live),
-            "tombstoned": sum(1 for r in index.values() if r.rtype == TOMBSTONE),
-            "redundant_records": total_records - len(index),
-            "partial_checkpoints": self._partial_count(),
-            "bloom_fpr_estimate": self._ensure_bloom().estimated_fpr(),
+            "live_entries": len(entries),
+            "disk_bytes": disk_bytes,
+            "partial_checkpoints": sum(1 for _ in partial.glob("*.ckpt")),
             "counters": self.counters.as_dict(),
         }
 
     def verify(self, full: bool = False) -> dict:
-        """Decode-verify every live entry; with ``full=True`` also
+        """Decode-verify every entry; with ``full=True`` also
         re-enumerate each and compare ``loadstore_key`` sets (slow —
         this re-pays the whole store's worth of enumeration)."""
-        index = self._ensure_index()
         checked = ok = 0
         bad: list[str] = []
-        for key, record in sorted(index.items()):
-            if record.rtype != VALUE:
-                continue
+        for key, path in self._entries():
             checked += 1
-            entry = self._decode(key, record)
+            try:
+                entry = self._decode(key, path.read_bytes())
+            except OSError as exc:
+                entry = self._damaged(key, f"is unreadable ({exc})")
             if entry is None:
                 bad.append(key.hex())
                 continue
@@ -607,57 +382,12 @@ class BehaviorCache:
             ok += 1
         return {"checked": checked, "ok": ok, "bad": bad, "full": full}
 
-    def compact(self) -> dict:
-        """Fold every segment into one: newest record per key, tombstoned
-        and superseded records dropped, sidecars rebuilt.  Run it from a
-        quiescent store (the CLI's ``repro cache compact``) — a campaign
-        writing concurrently would keep appending to a deleted file.
-        """
-        index = self._ensure_index()
-        sizes_before = self._segment_sizes()
-        records_before = sum(len(self._scan(name)) for name in sizes_before)
-        live = sorted(
-            (record for record in index.values() if record.rtype == VALUE),
-            key=lambda r: r.key,
-        )
-        self._writer.close()
-        self._writer = SegmentWriter(self.directory, fsync=self._writer.fsync)
 
-        new_path = create_segment(self.directory)
-        kept = 0
-        with open(new_path, "ab") as handle:
-            for record in live:
-                payload = read_payload(record)
-                if payload is None:
-                    continue  # damaged: drop it, the entry degrades to a miss
-                handle.write(encode_record(record.key, VALUE, payload, gen=record.gen))
-                kept += 1
-            handle.flush()
-            os.fsync(handle.fileno())
-
-        for name in sizes_before:
-            try:
-                os.unlink(self.directory / name)
-            except OSError:
-                pass
-
-        # Rebuild every derived structure from the compacted reality.
-        self._scanned.clear()
-        self._index = None
-        self._lru.clear()
-        self._bloom = BloomFilter.sized_for(max(4096, 2 * kept))
-        self._bloom_covered = {}
-        self._refresh_uncovered()
-        self._ensure_index()
-        self._dirty = True
-        self.flush()
-        return {
-            "segments_before": len(sizes_before),
-            "records_before": records_before,
-            "live_entries": kept,
-            "bytes_before": sum(sizes_before.values()),
-            "bytes_after": sum(self._segment_sizes().values()),
-        }
+def _unlink(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass  # already gone, or not ours to delete
 
 
 def _loadstore_set(executions) -> frozenset:

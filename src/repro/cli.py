@@ -767,35 +767,20 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "stats":
         stats = cache.stats()
         print(f"cache {stats['directory']}")
-        print(f"  segments          : {stats['segments']}")
-        print(f"  disk bytes        : {stats['disk_bytes']}")
-        print(f"  records           : {stats['records']}")
         print(f"  live entries      : {stats['live_entries']}")
-        print(f"  tombstoned        : {stats['tombstoned']}")
-        print(f"  redundant records : {stats['redundant_records']}")
-        print(f"  bloom FPR estimate: {stats['bloom_fpr_estimate']:.2e}")
+        print(f"  disk bytes        : {stats['disk_bytes']}")
+        print(f"  checkpoints       : {stats['partial_checkpoints']}")
         return 0
 
-    if args.action == "verify":
-        report = cache.verify(full=args.full)
-        mode = "re-enumerated" if args.full else "decode-checked"
-        print(
-            f"verified {report['checked']} entries ({mode}): "
-            f"{report['ok']} ok, {len(report['bad'])} bad"
-        )
-        for keyhex in report["bad"]:
-            print(f"  BAD {keyhex}")
-        return 1 if report["bad"] else 0
-
-    report = cache.compact()
-    cache.close()
+    report = cache.verify(full=args.full)
+    mode = "re-enumerated" if args.full else "decode-checked"
     print(
-        f"compacted {report['segments_before']} segments "
-        f"({report['records_before']} records, {report['bytes_before']} bytes) "
-        f"-> 1 segment ({report['live_entries']} live entries, "
-        f"{report['bytes_after']} bytes)"
+        f"verified {report['checked']} entries ({mode}): "
+        f"{report['ok']} ok, {len(report['bad'])} bad"
     )
-    return 0
+    for keyhex in report["bad"]:
+        print(f"  BAD {keyhex}")
+    return 1 if report["bad"] else 0
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -1371,10 +1356,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument(
         "action",
-        choices=("stats", "verify", "compact"),
+        choices=("stats", "verify"),
         help="stats: store accounting; verify: decode-check every entry "
-        "(--full also re-enumerates); compact: fold segments, drop "
-        "tombstoned/duplicate records",
+        "(--full also re-enumerates)",
     )
     p_cache.add_argument("dir", metavar="DIR", help="cache directory")
     p_cache.add_argument(

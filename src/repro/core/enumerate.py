@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import os
 import pickle
 import sys
-import tempfile
 import threading
 import time
 import warnings
@@ -55,6 +53,7 @@ from repro.core.candidates import candidate_stores
 from repro.core.execution import Execution
 from repro.isa.program import Program
 from repro.models.base import MemoryModel
+from repro.storage import atomic_write
 
 if TYPE_CHECKING:
     from repro.analysis.static.dataflow import StaticFacts
@@ -168,28 +167,11 @@ class EnumerationCheckpoint:
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
     def save(self, path: str | Path) -> None:
-        """Serialize the checkpoint to ``path`` (pickle format).
-
-        The write is atomic: the pickle goes to a temporary file in the
-        same directory, then replaces ``path`` with :func:`os.replace` —
-        a run killed mid-save can never leave a truncated checkpoint
-        behind (at worst the previous complete one survives).
-        """
-        path = Path(path)
-        directory = path.parent if str(path.parent) else Path(".")
-        fd, tmp_name = tempfile.mkstemp(
-            dir=directory, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(self, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Serialize the checkpoint to ``path`` (pickle format) with
+        :func:`~repro.storage.atomic_write`: a run killed mid-save can
+        never leave a truncated checkpoint behind (at worst the previous
+        complete one survives)."""
+        atomic_write(path, pickle.dumps(self), fsync=False)
 
     @staticmethod
     def load(path: str | Path) -> "EnumerationCheckpoint":

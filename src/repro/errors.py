@@ -112,18 +112,17 @@ class WALError(ServiceError):
 
 
 class CacheIntegrityWarning(RuntimeWarning):
-    """The behavior cache skipped damaged on-disk data — a torn segment
-    tail, a record with a flipped checksum, an undecodable payload, or a
-    stale bloom sidecar.  The affected entries degrade to cache misses;
-    the store stays usable."""
+    """The behavior cache skipped a damaged entry — a bad header, a
+    flipped checksum, an undecodable or unknown-version payload, or one
+    stored under the wrong key.  The entry degrades to a cache miss; the
+    store stays usable."""
 
 
 class CacheError(ReproError):
-    """The behavior cache's on-disk store is unusable (a hard-corrupt
-    index, an unwritable directory) or a validated cache hit disagreed
-    with a fresh enumeration.  Recoverable damage — a torn segment tail,
-    a flipped record checksum — is *not* an error: the store degrades
-    those records to misses (with a warning) instead of raising."""
+    """The behavior cache cannot write (an unwritable directory, a full
+    disk) or a validated cache hit disagreed with a fresh enumeration.
+    Damaged entries are *not* an error: the store degrades them to
+    misses (with a warning) instead of raising."""
 
 
 class ConditionError(ReproError):

@@ -124,7 +124,6 @@ def _run_slice(payload: dict) -> dict:
                 result.executions,
                 result.stats,
             )
-            cache.flush()
         return {
             "status": "done",
             "explored": explored,

@@ -14,30 +14,26 @@ transition was never acknowledged).  A bad record followed by good ones,
 or a sequence-number regression, means real corruption and raises
 :class:`~repro.errors.WALError`.
 
-:meth:`WriteAheadLog.rewrite` compacts the log atomically (temp file +
-``os.replace``), bounding disk growth across restarts.
+:meth:`WriteAheadLog.rewrite` compacts the log with
+:func:`repro.storage.atomic_write`, bounding disk growth across
+restarts.  This is the repository's one append log: coverage campaigns
+commit their batches through it too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WALError
-
-_CRC_SIZE = 8  #: digest bytes per record (collision-detection, not crypto)
+from repro.storage import atomic_write, checksum
 
 
 def _crc(seq: int, event: str, job_id: str, data: dict) -> str:
-    canonical = json.dumps(
-        [seq, event, job_id, data], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.blake2b(canonical.encode(), digest_size=_CRC_SIZE).hexdigest()
+    return checksum([seq, event, job_id, data])
 
 
 @dataclass(frozen=True)
@@ -159,27 +155,13 @@ class WriteAheadLog:
     def rewrite(self, records: list[WALRecord]) -> None:
         """Atomically replace the log with ``records`` (compaction).
         Sequence numbers are preserved so replay ordering survives."""
+        data = "".join(record.encode() + "\n" for record in records)
         with self._lock:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.path.parent, prefix=f".{self.path.name}.", suffix=".tmp"
-            )
+            self._handle.close()
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(record.encode() + "\n")
-                    handle.flush()
-                    if self.fsync:
-                        os.fsync(handle.fileno())
-                self._handle.close()
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
+                atomic_write(self.path, data.encode("utf-8"), fsync=self.fsync)
+            finally:
                 self._handle = open(self.path, "a", encoding="utf-8")
-                raise
-            self._handle = open(self.path, "a", encoding="utf-8")
             if records:
                 self._seq = max(self._seq, records[-1].seq)
 

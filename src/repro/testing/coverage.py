@@ -60,6 +60,7 @@ from repro.isa.instructions import Fence, FenceKind, Load, Rmw, Store
 from repro.isa.operands import Const, Reg
 from repro.isa.program import Program, Thread
 from repro.service.wal import WriteAheadLog, replay_wal
+from repro.storage import atomic_write, checksum
 from repro.testing.fuzzgen import (
     MIXED,
     MIXED_ORDER,
@@ -91,7 +92,6 @@ DEFAULT_MUTATE_RATE = 0.45
 DEFAULT_CORPUS_LIMIT = 256
 
 _STATE_FORMAT = 1
-_STATE_CRC_SIZE = 8
 _PLAN_ATTEMPTS = 6  #: dedup retries per slot before accepting a duplicate
 _MUTANT_ATTEMPTS = 3  #: of those, how many may draw from the corpus
 _CHECKPOINT_EVERY = 4  #: batches between state.json checkpoints
@@ -459,16 +459,11 @@ class CampaignState:
     profile_novelty: dict[str, int] = field(default_factory=dict)
 
 
-def _state_crc(body: dict) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode(), digest_size=_STATE_CRC_SIZE).hexdigest()
+_state_crc = checksum
 
 
 def save_state(state: CampaignState, campaign_dir: Path) -> Path:
     """Atomically checkpoint ``state`` to ``<dir>/state.json``."""
-    import os
-    import tempfile
-
     campaign_dir = Path(campaign_dir)
     campaign_dir.mkdir(parents=True, exist_ok=True)
     body = {
@@ -493,20 +488,7 @@ def save_state(state: CampaignState, campaign_dir: Path) -> Path:
     payload = dict(body)
     payload["crc"] = _state_crc(body)
     path = campaign_dir / STATE_FILE
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
-    fd, tmp_name = tempfile.mkstemp(dir=campaign_dir, prefix=f".{STATE_FILE}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"), fsync=True)
     return path
 
 

@@ -76,9 +76,9 @@ def fuzz_one(item: tuple) -> ProgramVerdict:
     if cache_dir is not None:
         from repro.cache import BehaviorCache
 
-        # One shared instance per worker process: each opens its own
-        # append segment (concurrent-writer safe) and flushes sidecars
-        # at exit, so enumeration budget accumulates across campaigns.
+        # One shared instance per worker process, so its LRU survives
+        # across programs; entries land on disk as they are stored, so
+        # enumeration budget accumulates across campaigns.
         cache = BehaviorCache.shared(cache_dir)
     program = generate_program(seed, get_profile(profile_name))
     discrepancies, skipped = run_oracles(

@@ -207,30 +207,6 @@ class TestCheckpointResume:
         with pytest.raises(EnumerationError):
             EnumerationCheckpoint.load(path)
 
-    def test_save_is_atomic(self, tmp_path, monkeypatch):
-        """A save that dies mid-write must leave the previous checkpoint
-        intact and no temporary debris behind."""
-        partial = enumerate_behaviors(
-            build_heavy3(), get_model("weak"), EnumerationLimits(max_behaviors=50)
-        )
-        path = tmp_path / "search.ckpt"
-        partial.checkpoint.save(path)
-        good = path.read_bytes()
-
-        import pickle
-
-        def explode(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(pickle, "dump", explode)
-        with pytest.raises(OSError):
-            partial.checkpoint.save(path)
-        monkeypatch.undo()
-
-        assert path.read_bytes() == good  # previous checkpoint survives
-        assert [p.name for p in tmp_path.iterdir()] == ["search.ckpt"]  # no debris
-        assert EnumerationCheckpoint.load(path) is not None
-
     def test_resume_with_original_limits_stops_again(self):
         partial = enumerate_behaviors(
             build_heavy3(), get_model("weak"), EnumerationLimits(max_behaviors=50)
