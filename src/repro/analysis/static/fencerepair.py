@@ -26,7 +26,7 @@ to full fences over the shared :func:`repro.analysis.sites.candidate_sites`
 vocabulary and minimizes *cardinality* — its solution list is
 byte-identical to ``synthesize_fences(..., target="robust")`` whenever
 the analysis is exact (gated on the whole litmus library by
-TAB-FENCEREPAIR and BENCH_fencesynth.json).  :func:`repair_upgrades`
+TAB-FENCEREPAIR and the fencesynth gate of ``benchmarks/gates.py``).  :func:`repair_upgrades`
 admits acquire/release upgrades and minimizes total table cost.
 
 The exact solver is a branch-and-bound on the uncovered element with

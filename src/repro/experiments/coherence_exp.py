@@ -17,12 +17,14 @@ from repro.litmus.library import all_tests
 from repro.operational.sc import run_sc
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-COHERENCE"
+
 SEEDS = tuple(range(25))
 
 
 def run(seeds: tuple[int, ...] = SEEDS) -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-COHERENCE", "MSI protocol runs satisfy Store Atomicity and SC"
+        EXPERIMENT_ID, "MSI protocol runs satisfy Store Atomicity and SC"
     )
     failures: list[str] = []
     runs = 0

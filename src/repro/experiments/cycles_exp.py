@@ -21,6 +21,8 @@ from repro.litmus.generator import generate, predict_verdict
 from repro.litmus.runner import run_litmus
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-CYCLES"
+
 CATALOGUE = {
     "gen-SB": [E.FRE, E.POD_WR, E.FRE, E.POD_WR],
     "gen-SB+ff": [E.FRE, E.FEN_WR, E.FRE, E.FEN_WR],
@@ -42,7 +44,7 @@ MODELS = ("sc", "tso", "pso", "weak")
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-CYCLES", "Critical-cycle synthesis with predicted verdicts"
+        EXPERIMENT_ID, "Critical-cycle synthesis with predicted verdicts"
     )
     mismatches = []
     lines = [f"{'cycle':<14}" + "".join(f"{m:>6}" for m in MODELS)]

@@ -41,6 +41,8 @@ from repro.isa.program import Program
 from repro.litmus.library import all_tests
 from repro.models.registry import get_model
 
+EXPERIMENT_ID = "TAB-DATAFLOW"
+
 _MODELS = ("sc", "tso", "pso", "weak", "weak-spec")
 
 
@@ -56,7 +58,7 @@ def uses_register_addresses(program: Program) -> bool:
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-DATAFLOW", "Dataflow facts: exact pruning, sharper verdicts, safe speculation"
+        EXPERIMENT_ID, "Dataflow facts: exact pruning, sharper verdicts, safe speculation"
     )
     tests = all_tests()
     programs = [test.program for test in tests]

@@ -24,6 +24,8 @@ from repro.litmus.library import all_tests, get_test
 from repro.errors import ProgramError
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-DELAYS"
+
 _CLASSIC_DELAYS = {
     "SB": 2,
     "MP": 2,
@@ -37,7 +39,7 @@ _CLASSIC_DELAYS = {
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-DELAYS", "Shasha–Snir delay sets vs the enumerator")
+    result = ExperimentResult(EXPERIMENT_ID, "Shasha–Snir delay sets vs the enumerator")
 
     counts = {}
     for name in _CLASSIC_DELAYS:

@@ -39,6 +39,8 @@ from repro.experiments.base import ExperimentResult
 from repro.litmus.library import all_tests, get_test
 from repro.models.registry import get_model
 
+EXPERIMENT_ID = "TAB-FENCEREPAIR"
+
 MODELS = ("sc", "tso", "naive-tso", "pso", "weak", "weak-spec", "weak-corr")
 
 #: Folklore minimal repairs, reproduced by the *static* path alone.
@@ -70,7 +72,7 @@ def _sc_robust_confirmed(program) -> bool:
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-FENCEREPAIR", "Static fence repair vs. enumerative synthesis"
+        EXPERIMENT_ID, "Static fence repair vs. enumerative synthesis"
     )
     tests = all_tests()
 

@@ -18,6 +18,8 @@ from repro.analysis.fencesynth import FenceSite, synthesize_fences
 from repro.litmus.library import get_test
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-FENCESYNTH"
+
 EXPECTED = {
     ("SB", "weak"): ((FenceSite("P0", 1), FenceSite("P1", 1)),),
     ("SB", "tso"): ((FenceSite("P0", 1), FenceSite("P1", 1)),),
@@ -30,7 +32,7 @@ EXPECTED = {
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-FENCESYNTH", "Minimal fence synthesis")
+    result = ExperimentResult(EXPERIMENT_ID, "Minimal fence synthesis")
     lines = []
     for (test_name, model_name), expected_solutions in EXPECTED.items():
         synthesis = synthesize_fences(get_test(test_name), model_name)

@@ -16,6 +16,8 @@ from repro.models.base import MemoryModel, OrderRequirement
 from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "FIG1"
+
 _COLUMNS = (OpClass.COMPUTE, OpClass.BRANCH, OpClass.LOAD, OpClass.STORE, OpClass.FENCE)
 _HEADINGS = {"compute": "+, etc.", "branch": "Branch", "load": "L x", "store": "S x,v", "fence": "Fence"}
 _ROW_HEADINGS = {"compute": "+, etc.", "branch": "Branch", "load": "L y", "store": "S y,w", "fence": "Fence"}
@@ -42,7 +44,7 @@ def render_table(model: MemoryModel) -> str:
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("FIG1", "Weak Reordering Axioms table")
+    result = ExperimentResult(EXPERIMENT_ID, "Weak Reordering Axioms table")
     weak = get_model("weak")
 
     same_address_entries = [

@@ -29,6 +29,8 @@ from repro.models.registry import get_model
 from repro.operational.storebuffer import run_tso
 from repro.experiments.base import ExperimentResult, executions_where, node_at
 
+EXPERIMENT_ID = "FIG10_11"
+
 
 def build_program():
     builder = ProgramBuilder("fig10")
@@ -57,7 +59,7 @@ S8, L9 = ("B", 2), ("B", 3)
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("FIG10_11", "TSO bypass: a non-atomic memory model")
+    result = ExperimentResult(EXPERIMENT_ID, "TSO bypass: a non-atomic memory model")
     program = build_program()
 
     weak = enumerate_behaviors(program, get_model("weak"))

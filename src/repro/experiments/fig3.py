@@ -20,6 +20,8 @@ from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult, executions_where, node_at
 from repro.viz.ascii import render
 
+EXPERIMENT_ID = "FIG3"
+
 
 def build_program():
     builder = ProgramBuilder("fig3")
@@ -42,7 +44,7 @@ S3, S4, L6 = ("B", 0), ("B", 2), ("B", 3)
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("FIG3", "Rule a: observed overwrite orders stores")
+    result = ExperimentResult(EXPERIMENT_ID, "Rule a: observed overwrite orders stores")
     enumeration = enumerate_behaviors(build_program(), get_model("weak"))
 
     observed_s3 = executions_where(enumeration, r5=3)

@@ -20,6 +20,8 @@ from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult, executions_where, node_at
 from repro.viz.ascii import render
 
+EXPERIMENT_ID = "FIG4"
+
 
 def build_program():
     builder = ProgramBuilder("fig4")
@@ -41,7 +43,7 @@ S3, S5, L6 = ("B", 0), ("B", 1), ("B", 3)
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("FIG4", "Rule b: observer precedes overwriting store")
+    result = ExperimentResult(EXPERIMENT_ID, "Rule b: observer precedes overwriting store")
     enumeration = enumerate_behaviors(build_program(), get_model("weak"))
 
     observed_s3 = executions_where(enumeration, r4=3)

@@ -21,6 +21,8 @@ from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult, executions_where, node_at
 from repro.viz.ascii import render
 
+EXPERIMENT_ID = "FIG5"
+
 
 def build_program():
     builder = ProgramBuilder("fig5")
@@ -49,7 +51,7 @@ S4, L7, S8, L9 = ("C", 0), ("C", 2), ("C", 4), ("C", 5)
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("FIG5", "Rule c: parallel observation pairs order outsiders")
+    result = ExperimentResult(EXPERIMENT_ID, "Rule c: parallel observation pairs order outsiders")
     enumeration = enumerate_behaviors(build_program(), get_model("weak"))
 
     pictured = executions_where(enumeration, r3=2, r5=4, r7=6)

@@ -22,6 +22,8 @@ from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult, executions_where, node_at
 from repro.viz.ascii import render
 
+EXPERIMENT_ID = "FIG7"
+
 
 def build_program():
     builder = ProgramBuilder("fig7")
@@ -45,7 +47,7 @@ S2 = ("C", 0)
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("FIG7", "Closure cascade across locations")
+    result = ExperimentResult(EXPERIMENT_ID, "Closure cascade across locations")
     enumeration = enumerate_behaviors(build_program(), get_model("weak"))
 
     pictured = executions_where(enumeration, r5=2, r6=4)

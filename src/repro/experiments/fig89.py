@@ -27,6 +27,8 @@ from repro.isa.operands import Reg
 from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult, executions_where, register_projection
 
+EXPERIMENT_ID = "FIG8_9"
+
 
 def build_program():
     builder = ProgramBuilder("fig8")
@@ -77,7 +79,7 @@ _REGS = ("r3", "r6", "r8")
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "FIG8_9", "Address-aliasing speculation introduces new behaviors"
+        EXPERIMENT_ID, "Address-aliasing speculation introduces new behaviors"
     )
     program = build_program()
     nonspec = enumerate_behaviors(program, get_model("weak"))

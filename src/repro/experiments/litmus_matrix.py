@@ -15,12 +15,14 @@ from repro.litmus.library import all_tests
 from repro.litmus.runner import format_matrix, run_matrix
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-LITMUS"
+
 MODELS = ("sc", "tso", "pso", "weak", "weak-corr")
 CHAIN = ("sc", "tso", "pso", "weak")
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-LITMUS", "Litmus-test × model outcome matrix")
+    result = ExperimentResult(EXPERIMENT_ID, "Litmus-test × model outcome matrix")
     tests = all_tests()
     verdicts = run_matrix(tests, MODELS)
 

@@ -26,6 +26,8 @@ from repro.multibyte import MultibyteBuilder
 from repro.tm import enumerate_transactional
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-MIXEDSIZE"
+
 
 def build_tearing():
     builder = MultibyteBuilder("tear")
@@ -56,7 +58,7 @@ def _wide_values(executions, register=("R", "r9")):
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-MIXEDSIZE", "Mixed-size accesses: tearing and multi-source loads"
+        EXPERIMENT_ID, "Mixed-size accesses: tearing and multi-source loads"
     )
 
     program, blocks = build_tearing()

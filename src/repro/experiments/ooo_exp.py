@@ -28,6 +28,8 @@ from repro.models.registry import get_model
 from repro.ooo import run_ooo
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-OOO"
+
 TESTS = ("SB", "MP", "LB", "CoRR", "IRIW", "R", "dekker-nofence", "CAS-lock")
 SEEDS = 120
 #: IRIW has 15 distinct outcomes across 4 threads; full coverage needs a
@@ -36,7 +38,7 @@ _EXTRA_SEEDS = {"IRIW": 400}
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-OOO", "Out-of-order core conformance to TSO")
+    result = ExperimentResult(EXPERIMENT_ID, "Out-of-order core conformance to TSO")
 
     violations = []
     coverage_gaps = []

@@ -24,11 +24,13 @@ from repro.models.registry import get_model
 from repro.operational.storebuffer import run_pso, run_tso
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-RELACQ"
+
 MODELS = ("sc", "tso", "pso", "weak")
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-RELACQ", "Acquire/release annotations")
+    result = ExperimentResult(EXPERIMENT_ID, "Acquire/release annotations")
 
     mp_ra = get_test("MP+ra")
     result.claim(

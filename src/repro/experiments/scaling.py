@@ -18,6 +18,8 @@ from repro.isa.program import Program
 from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-SCALE"
+
 
 @dataclass(frozen=True)
 class ScalePoint:
@@ -78,7 +80,7 @@ def measure(program: Program, model_name: str = "weak") -> ScalePoint:
 def run(max_fanout: int = 4, max_pairs: int = 2) -> ExperimentResult:
     from repro.litmus.families import mp_chain, sb_ring
 
-    result = ExperimentResult("TAB-SCALE", "Enumeration cost scaling")
+    result = ExperimentResult(EXPERIMENT_ID, "Enumeration cost scaling")
     points = []
     for threads in range(1, max_fanout + 1):
         points.append(measure(chain_program(threads)))

@@ -23,6 +23,8 @@ from repro.experiments.base import ExperimentResult
 from repro.litmus.library import all_tests, get_test
 from repro.models.registry import get_model
 
+EXPERIMENT_ID = "TAB-SOLVER"
+
 _MODELS = ("sc", "tso", "pso", "weak")
 
 #: (test, model, paper verdict) — the canonical explainer checks.
@@ -38,7 +40,7 @@ _EXPLAIN_CASES = (
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-SOLVER", "SAT/AllSAT constraint solver vs axiomatic enumeration"
+        EXPERIMENT_ID, "SAT/AllSAT constraint solver vs axiomatic enumeration"
     )
     tests = all_tests()
     lines = []

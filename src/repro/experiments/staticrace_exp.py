@@ -29,12 +29,14 @@ from repro.experiments.fencesynth_exp import EXPECTED as FENCE_EXPECTED
 from repro.isa.lint import LintLevel
 from repro.litmus.library import all_tests
 
+EXPERIMENT_ID = "TAB-STATIC"
+
 #: Models for the fence-soundness sweep (SC needs no fences anywhere).
 _FENCE_MODELS = ("tso", "pso", "weak")
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-STATIC", "Static delay-set analysis, cross-validated")
+    result = ExperimentResult(EXPERIMENT_ID, "Static delay-set analysis, cross-validated")
     tests = all_tests()
 
     # --- model linter: only the Figure 11 strawman errors -------------

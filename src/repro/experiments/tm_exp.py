@@ -24,6 +24,8 @@ from repro.models.registry import get_model
 from repro.tm import AtomicBlock, enumerate_transactional
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-TM"
+
 
 def build_counter():
     """Two unprotected load-add-store increments of a shared counter."""
@@ -63,7 +65,7 @@ def _counter_finals(executions):
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-TM", "Transactions as atomic groups of memory ops")
+    result = ExperimentResult(EXPERIMENT_ID, "Transactions as atomic groups of memory ops")
     counter = build_counter()
 
     plain = enumerate_behaviors(counter, get_model("sc"))

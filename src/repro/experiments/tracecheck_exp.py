@@ -38,6 +38,8 @@ from repro.isa.dsl import ProgramBuilder
 from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-TRACECHECK"
+
 S, L, F = TraceOp.store, TraceOp.load, TraceOp.fence
 
 
@@ -103,7 +105,7 @@ def _sb_program():
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-TRACECHECK", "Trace checking and the TSOtool gap")
+    result = ExperimentResult(EXPERIMENT_ID, "Trace checking and the TSOtool gap")
 
     relaxed = sb_trace(0, 0)
     result.claim(

@@ -26,13 +26,15 @@ from repro.litmus.library import get_test
 from repro.models.registry import get_model
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-VALUESPEC"
+
 _PROGRAMS = ("SB", "MP", "LB", "CoRR")
 _MODELS = ("sc", "weak")
 
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-VALUESPEC", "Value speculation: validated is safe, naive violates SC"
+        EXPERIMENT_ID, "Value speculation: validated is safe, naive violates SC"
     )
 
     mismatches = []

@@ -20,6 +20,8 @@ from repro.isa.dsl import ProgramBuilder
 from repro.litmus.library import get_test
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-WSYNC"
+
 
 def build_guarded_mp(reader_fence: bool):
     """MP whose reader only touches x after seeing flag=1 (and, optionally,
@@ -41,7 +43,7 @@ def build_guarded_mp(reader_fence: bool):
 
 
 def run() -> ExperimentResult:
-    result = ExperimentResult("TAB-WSYNC", "Well-synchronization discipline")
+    result = ExperimentResult(EXPERIMENT_ID, "Well-synchronization discipline")
     sync = {"flag"}
 
     racy = check_well_synchronized(get_test("MP").program, "weak", sync)

@@ -27,6 +27,8 @@ from repro.operational.sc import run_sc
 from repro.operational.storebuffer import run_pso, run_tso
 from repro.experiments.base import ExperimentResult
 
+EXPERIMENT_ID = "TAB-XVAL"
+
 _PAIRS = (
     ("sc", run_sc, False),
     ("tso", run_tso, False),
@@ -38,7 +40,7 @@ _PAIRS = (
 
 def run() -> ExperimentResult:
     result = ExperimentResult(
-        "TAB-XVAL", "Axiomatic vs operational model equivalence"
+        EXPERIMENT_ID, "Axiomatic vs operational model equivalence"
     )
     tests = all_tests()
     lines = []

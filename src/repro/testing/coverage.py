@@ -25,7 +25,7 @@ into a campaign that **learns** and **accumulates**:
   campaign resumes exactly where it stopped and budget accumulates
   across runs instead of restarting.
 
-Determinism contract (what the tests and ``bench_fuzzcov.py`` pin):
+Determinism contract (what the tests and the fuzzcov benchmark gate pin):
 
 * feedback folds in only at **batch boundaries**, and planning a batch
   is a pure function of the committed state — so verdicts, the grid,
@@ -994,10 +994,10 @@ def blind_grid(
     oracle_names: tuple[str, ...] | None = None,
     profile: str = MIXED,
 ) -> CoverageGrid:
-    """The coverage grid of the *stateless* PR 5 stream — exactly the
+    """The coverage grid of the *stateless* fuzz stream — exactly the
     programs ``repro fuzz --seed S --budget N`` checks, scored on the
-    same grid.  ``bench_fuzzcov.py`` gates guided coverage strictly
-    above this at equal budget."""
+    same grid.  The fuzzcov gate in ``benchmarks/gates.py`` requires
+    guided coverage strictly above this at equal budget."""
     grid = CoverageGrid()
     for index in range(budget):
         resolved = profile_for_index(profile, index)

@@ -163,6 +163,15 @@ class TestFixpoint:
         close_store_atomicity(graph)
         assert close_store_atomicity(graph) == 0
 
+        # Every complete execution of Figure 5 (the largest figure
+        # program) is already a fixpoint too.
+        from repro.core.enumerate import enumerate_behaviors
+        from repro.experiments.fig5 import build_program
+        from repro.models.registry import get_model
+
+        for execution in enumerate_behaviors(build_program(), get_model("weak")).executions:
+            assert close_store_atomicity(execution.graph) == 0
+
 
 class TestRmwSelfExclusion:
     def test_rmw_node_not_compared_with_itself(self):

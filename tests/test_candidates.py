@@ -3,6 +3,7 @@
 from repro.core.candidates import candidate_stores
 from repro.core.execution import Execution
 from repro.isa.dsl import ProgramBuilder
+from repro.litmus.library import get_test
 from repro.models.registry import get_model
 
 
@@ -48,9 +49,10 @@ class TestBasicCandidates:
         assert values(execution, load) == [2]
 
     def test_never_empty_for_eligible_loads(self, mp_program):
-        execution = initial(mp_program)
-        for load in execution.eligible_loads():
-            assert candidate_stores(execution, load)
+        for program in (mp_program, get_test("IRIW").program):
+            execution = initial(program)
+            for load in execution.eligible_loads():
+                assert candidate_stores(execution, load)
 
 
 class TestEligibility:

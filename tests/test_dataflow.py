@@ -33,6 +33,10 @@ class TestEquivalenceOnClassics:
         axiomatic = enumerate_behaviors(program, get_model(model_name)).register_outcomes()
         assert run_dataflow(program, model_name).outcomes == axiomatic
 
+    @pytest.mark.parametrize("test_name, count", [("SB", 4), ("IRIW", 16)])
+    def test_weak_outcome_counts(self, test_name, count):
+        assert len(run_dataflow(get_test(test_name).program, "weak").outcomes) == count
+
     def test_sc_table_reduces_to_interleaving(self, sb_program):
         assert run_dataflow(sb_program, "sc").outcomes == run_sc(sb_program).outcomes
 

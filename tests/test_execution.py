@@ -238,6 +238,7 @@ class TestCopySemantics:
     def test_copy_isolates_state(self, sb_program):
         execution = initial(sb_program)
         duplicate = execution.copy()
+        assert duplicate.state_key() == execution.state_key()
         (load, *_) = duplicate.eligible_loads()
         duplicate.resolve_load(load.nid, duplicate.init_nodes[load.addr])
         original_node = execution.graph.node(load.nid)

@@ -2,56 +2,42 @@
 
 import pytest
 
-from repro.experiments import (
-    coherence_exp,
-    fig1,
-    fig3,
-    fig4,
-    fig5,
-    fig7,
-    fig89,
-    fig1011,
-    litmus_matrix,
-    scaling,
-    staticrace_exp,
-    wellsync_exp,
-    xval,
-)
 from repro.experiments.base import Claim, ExperimentResult
+from repro.experiments.report import ALL_EXPERIMENTS
 
-_FAST_MODULES = {
-    "FIG1": fig1,
-    "FIG3": fig3,
-    "FIG4": fig4,
-    "FIG5": fig5,
-    "FIG7": fig7,
-    "FIG8_9": fig89,
-    "FIG10_11": fig1011,
-    "TAB-WSYNC": wellsync_exp,
-}
-
-_SLOW_MODULES = {
-    "TAB-LITMUS": litmus_matrix,
-    "TAB-XVAL": xval,
-    "TAB-COHERENCE": coherence_exp,
-    "TAB-SCALE": scaling,
-    "TAB-STATIC": staticrace_exp,
-}
+_BY_ID = {module.EXPERIMENT_ID: module for module in ALL_EXPERIMENTS}
 
 
-@pytest.mark.parametrize("experiment_id", sorted(_FAST_MODULES))
-def test_figure_experiment_passes(experiment_id):
-    result = _FAST_MODULES[experiment_id].run()
+def _assert_passes(experiment_id):
+    result = _BY_ID[experiment_id].run()
     assert result.experiment_id == experiment_id
     failing = [claim for claim in result.claims if not claim.holds]
     assert not failing, "\n".join(str(claim) for claim in failing)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(_SLOW_MODULES))
+def test_every_experiment_has_a_unique_id():
+    assert len(_BY_ID) == len(ALL_EXPERIMENTS) == 25
+
+
+@pytest.mark.parametrize("experiment_id", sorted(i for i in _BY_ID if i.startswith("FIG")))
+def test_figure_experiment_passes(experiment_id):
+    _assert_passes(experiment_id)
+
+
+@pytest.mark.parametrize(
+    "experiment_id", sorted(i for i in _BY_ID if not i.startswith("FIG"))
+)
 def test_table_experiment_passes(experiment_id):
-    result = _SLOW_MODULES[experiment_id].run()
-    failing = [claim for claim in result.claims if not claim.holds]
-    assert not failing, "\n".join(str(claim) for claim in failing)
+    _assert_passes(experiment_id)
+
+
+def test_fig1_table_renders_for_every_model():
+    from repro.experiments import fig1
+    from repro.models.registry import available_models, get_model
+
+    assert "x != y" in fig1.run().details
+    tables = [fig1.render_table(get_model(name)) for name in available_models()]
+    assert len(tables) >= 7 and all(tables)
 
 
 class TestExperimentInfra:

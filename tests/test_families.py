@@ -79,3 +79,33 @@ class TestIndependentWriters:
     def test_expectations(self, readers, model_name):
         verdict = run_litmus(independent_writers(readers), model_name)
         assert verdict.matches_expectation, (readers, model_name)
+
+
+class TestScalingFamilies:
+    """The program families the TAB-SCALE sweep measures."""
+
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_sb_chain_has_four_to_the_pairs_behaviors(self, pairs):
+        from repro.experiments.scaling import sb_chain
+
+        result = enumerate_behaviors(sb_chain(pairs), get_model("weak"))
+        assert result.complete and len(result) == 4**pairs
+
+    def test_every_family_member_has_behaviors(self):
+        from repro.experiments.scaling import chain_program
+
+        cases = [(chain_program(writers), "weak") for writers in (1, 2, 3, 4)]
+        cases += [(chain_program(3), name) for name in MODELS]
+        cases += [(sb_ring(n).program, "tso") for n in (2, 3)]
+        cases += [(mp_chain(hops).program, "weak") for hops in (1, 2)]
+        for program, model_name in cases:
+            result = enumerate_behaviors(program, get_model(model_name))
+            assert result.complete and len(result) >= 1, (program.name, model_name)
+
+    def test_sc_admits_fewer_figure5_behaviors_than_weak(self):
+        """SC's eager orderings shrink the behavior set (§4.2)."""
+        from repro.experiments.fig5 import build_program
+
+        sc = enumerate_behaviors(build_program(), get_model("sc"))
+        weak = enumerate_behaviors(build_program(), get_model("weak"))
+        assert len(sc) < len(weak)

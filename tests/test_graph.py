@@ -51,6 +51,15 @@ class TestBasicEdges:
         graph.add_edge(1, 2, EdgeKind.DATA)
         assert graph.before(0, 2)
 
+    @pytest.mark.parametrize("n, dense", [(64, False), (32, True)])
+    def test_first_node_precedes_last_in_chain_and_dense_dag(self, n, dense):
+        graph = graph_with(n)
+        for v in range(1, n):
+            for u in range(0 if dense else v - 1, v):
+                graph.add_edge(u, v, EdgeKind.PROGRAM)
+        assert graph.before(0, n - 1)
+        assert graph.copy().before(0, n - 1)
+
     def test_redundant_edge_returns_false(self):
         graph = graph_with(3)
         graph.add_edge(0, 1, EdgeKind.PROGRAM)

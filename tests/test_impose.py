@@ -66,3 +66,5 @@ class TestDedupAblation:
         without = enumerate_behaviors(program, weak, dedup=False)
         assert without.stats.explored > with_dedup.stats.explored
         assert with_dedup.register_outcomes() == without.register_outcomes()
+        assert with_dedup.stats.duplicates > 0
+        assert without.stats.duplicates == 0

@@ -92,22 +92,20 @@ class TestTearing:
         builder.thread("W").wide_store("x", 0x0101, 2)
         builder.thread("R").wide_load("r9", "x", 2)
         program, _ = builder.build()
-        values = {
-            execution.final_registers()[("R", "r9")]
-            for execution in enumerate_behaviors(program, get_model("sc")).executions
-        }
+        result = enumerate_behaviors(program, get_model("sc"))
+        values = {execution.final_registers()[("R", "r9")] for execution in result.executions}
         assert values == {0x0000, 0x0001, 0x0100, 0x0101}
+        assert len(result) == 4
 
     def test_atomic_blocks_restore_single_copy(self):
         builder = MultibyteBuilder("tear")
         builder.thread("W").wide_store("x", 0x0101, 2)
         builder.thread("R").wide_load("r9", "x", 2)
         program, blocks = builder.build()
-        values = {
-            execution.final_registers()[("R", "r9")]
-            for execution in enumerate_transactional(program, blocks, "sc").executions
-        }
+        result = enumerate_transactional(program, blocks, "sc")
+        values = {execution.final_registers()[("R", "r9")] for execution in result.executions}
         assert values == {0x0000, 0x0101}
+        assert result.rejected > 0
 
     def test_byte_store_merges_into_wide_load(self):
         builder = MultibyteBuilder("merge")

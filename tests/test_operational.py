@@ -67,6 +67,7 @@ class TestStoreBufferMachine:
     def test_sb_allows_both_zero_under_tso(self, sb_program):
         outcomes = outcome_set(run_tso(sb_program))
         assert (("P0:r1", 0), ("P1:r2", 0)) in outcomes
+        assert len(outcomes) == 4
 
     def test_fence_restores_sc_on_sb(self):
         builder = ProgramBuilder("SB+f")
@@ -128,3 +129,30 @@ class TestStoreBufferMachine:
 
     def test_generic_entry_point(self, sb_program):
         assert run_store_buffer(sb_program, fifo=True).outcomes == run_tso(sb_program).outcomes
+
+
+class TestEveryMachineRuns:
+    """Each operational machine reaches a final state on the classic
+    programs (the machines TAB-XVAL, TAB-COHERENCE and TAB-OOO compare)."""
+
+    def test_exhaustive_machines_reach_terminal_states(self, mp_program):
+        from repro.litmus.library import get_test
+        from repro.operational.dataflow import run_dataflow
+
+        assert run_sc(mp_program).terminal_states > 0
+        assert run_tso(mp_program).terminal_states > 0
+        assert run_pso(mp_program).terminal_states > 0
+        assert run_dataflow(mp_program, "weak").terminal_states > 0
+        assert run_sc(get_test("IRIW").program).terminal_states > 0
+
+    def test_single_run_machines_make_progress(self, mp_program):
+        from repro.coherence import run_coherent
+        from repro.litmus.library import get_test
+        from repro.ooo import run_ooo
+
+        for seed in (5, 7):
+            assert run_coherent(mp_program, seed=seed).transactions > 0
+        assert run_ooo(mp_program, seed=5).steps > 0
+        for name in ("SB", "IRIW", "dekker-nofence"):
+            assert run_ooo(get_test(name).program, seed=7).steps > 0
+        assert run_ooo(get_test("IRIW").program, 7, replay_enabled=False).steps > 0

@@ -161,6 +161,11 @@ class TestReleaseAcquireLitmus:
                 assert flat["r2"] == 42
         assert acquired > 0
 
+        from repro.litmus.library import get_test
+
+        library = enumerate_behaviors(get_test("lock-handoff").program, get_model("weak"))
+        assert library.complete and len(library) > 0
+
 
 class TestOperationalConsistency:
     def test_mp_ra_axiomatic_equals_operational(self):

@@ -41,12 +41,15 @@ def _check_witness(execution, witness):
 class TestWitnessSearch:
     @pytest.mark.parametrize("model_name", ["sc", "weak", "pso", "weak-corr"])
     def test_every_enumerated_execution_serializable(self, sb_program, model_name):
-        result = enumerate_behaviors(sb_program, get_model(model_name))
-        assert result.executions
-        for execution in result.executions:
-            witness = find_serialization(execution)
-            assert witness is not None
-            _check_witness(execution, witness)
+        from repro.experiments.fig5 import build_program
+
+        for program in (sb_program, build_program()):
+            result = enumerate_behaviors(program, get_model(model_name))
+            assert result.executions
+            for execution in result.executions:
+                witness = find_serialization(execution)
+                assert witness is not None
+                _check_witness(execution, witness)
 
     def test_mp_executions_serializable(self, mp_program, weak):
         for execution in enumerate_behaviors(mp_program, weak).executions:

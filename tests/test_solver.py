@@ -235,6 +235,19 @@ def test_solver_stats_consistent():
     assert result.stats.consistent()
 
 
+def test_wide_program_has_exactly_one_behavior():
+    """t threads each store a private location and load a shared,
+    never-written one: one behavior, found by a single SAT proposal."""
+    from repro.isa.assembler import assemble_program
+
+    lines = ["test wide-10"]
+    for i in range(10):
+        lines += [f"thread P{i}", f"    S y{i}, 1", f"    r{i} = L x"]
+    solved, stats = solve_behaviors_with_stats(assemble_program("\n".join(lines)), "sc")
+    assert solved.complete and len(solved.executions) == 1
+    assert stats.proposals == 1
+
+
 def test_solver_respects_behavior_budget():
     limits = EnumerationLimits(max_behaviors=2, max_executions=50_000)
     result = solve_behaviors(get_test("SB").program, "weak", limits)

@@ -26,6 +26,9 @@ class TestSafeSpeculation:
         ).register_outcomes()
         assert standard == speculated
 
+    def test_mp_under_sc_has_three_behaviors(self, mp_program):
+        assert len(enumerate_value_speculation(mp_program, "sc", validate=True)) == 3
+
     def test_equals_standard_on_rmw_program(self):
         program = get_test("INC+INC").program
         standard = enumerate_behaviors(program, get_model("sc")).register_outcomes()
@@ -48,6 +51,7 @@ class TestNaiveSpeculation:
     def test_sb_both_zero_flagged(self, sb_program):
         naive = enumerate_value_speculation(sb_program, "sc", validate=False)
         assert BOTH_ZERO_SB in naive.violating_outcomes()
+        assert naive.stats.unvalidated > 0
 
     def test_legal_outcomes_equal_standard(self, mp_program):
         naive = enumerate_value_speculation(mp_program, "sc", validate=False)
