@@ -266,31 +266,61 @@ def encode_program(
             )
             add(made, [order[(a.nid, b.nid)]])
 
+    # The structural groups below are never guarded, so their clauses go
+    # straight to the solver: transitivity alone is cubic in the memory
+    # operations.
+    add_clause = solver.add_clause
+
     # -- group 2: ⊑ is a strict partial order (structural, never guarded)
-    laws = group(GROUP_PARTIAL_ORDER, "⊑ is a strict partial order", guarded=False)
+    group(GROUP_PARTIAL_ORDER, "⊑ is a strict partial order", guarded=False)
     nids = [node.nid for node in memory_nodes]
-    for i, a in enumerate(nids):
-        for b in nids[i + 1 :]:
-            add(laws, [-order[(a, b)], -order[(b, a)]])
-    for a in nids:
-        for b in nids:
-            if b == a:
-                continue
-            for c in nids:
-                if c == a or c == b:
-                    continue
-                add(laws, [-order[(a, b)], -order[(b, c)], order[(a, c)]])
+    #: row i, column j: the var of "nids[i] ⊑ nids[j]" (0 on the diagonal)
+    rows = [[order[(a, b)] if a != b else 0 for b in nids] for a in nids]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(nids)):
+            add_clause([-row[j], -rows[j][i]])
+    # Transitivity, (a ⊑ b) ∧ (b ⊑ c) → (a ⊑ c).  A clause holding a
+    # root-true literal is a no-op for add_clause, so it is not built.
+    # Root values are only ever added, so masks of the columns known
+    # true or false now stay valid for skipping; whatever they miss
+    # add_clause drops itself, and the clause database comes out the
+    # same.  Each mask also covers its own diagonal column.
+    true_columns = []
+    false_columns = []
+    for i, row in enumerate(rows):
+        true_mask = false_mask = 1 << i
+        for j, var in enumerate(row):
+            if j != i:
+                value = solver.fixed(var)
+                if value:
+                    true_mask |= 1 << j
+                elif value is False:
+                    false_mask |= 1 << j
+        true_columns.append(true_mask)
+        false_columns.append(false_mask)
+    every_column = (1 << len(nids)) - 1
+    for i, row_a in enumerate(rows):
+        for j, row_b in enumerate(rows):
+            not_a_b = -row_a[j]
+            if j == i or solver.fixed(not_a_b):
+                continue  # every clause of this (a, b) is satisfied
+            open_columns = every_column & ~(true_columns[i] | false_columns[j])
+            while open_columns:  # ascending c, as a scan over nids would
+                low = open_columns & -open_columns
+                open_columns ^= low
+                k = low.bit_length() - 1
+                add_clause([not_a_b, -row_b[k], row_a[k]])
 
     # -- group 3: every load reads exactly one source (structural) ------
-    choice = group(GROUP_RF_CHOICE, "every load reads exactly one store", guarded=False)
+    group(GROUP_RF_CHOICE, "every load reads exactly one store", guarded=False)
     for load in loads:
         options = [encoding.rf_var[(load.nid, s)] for s in encoding.candidates[load.nid]]
         if has_extension:
             options.append(encoding.ext_var[load.nid])
-        add(choice, list(options))
+        add_clause(options)
         for i, first in enumerate(options):
             for second in options[i + 1 :]:
-                add(choice, [-first, -second])
+                add_clause([-first, -second])
 
     # -- group 4: a load is ⊑-after its source (unless forwarded) -------
     def forwardable(load: Node, store: Node) -> bool:

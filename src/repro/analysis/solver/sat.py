@@ -10,8 +10,22 @@ violated-axiom sets.
 
 Literals follow the DIMACS convention at the API boundary: variable
 ``v`` (a positive int from :meth:`SatSolver.new_var`) appears as ``v``
-or ``-v``.  Internally a literal is ``2*var + sign`` with ``sign = 1``
-for negation, so negation is ``lit ^ 1``.
+or ``-v``; ``0`` (the DIMACS clause terminator) and unknown variables
+are rejected with :class:`ValueError`.  Internally a literal is
+``2*var + sign`` with ``sign = 1`` for negation, so negation is
+``lit ^ 1``.
+
+Decisions come from MiniSat's *order heap*, kept lazily: a binary heap
+of ``(-activity, var)`` entries with an entry pushed whenever a
+variable's activity grows while it is unassigned and whenever
+backtracking unassigns it.  An entry is stale once its variable is
+assigned or its stored activity is no longer current, and stale entries
+are skipped on pop (the heap is rebuilt from the unassigned variables
+after the activity rescale, and whenever stale entries outnumber the
+variables).  The top valid entry is therefore exactly what a linear
+scan would pick — the unassigned variable of highest activity, lowest
+index on ties — so decisions, conflicts and learnt clauses do not
+depend on the heap.
 
 There is no clause-database reduction or preprocessing — the encodings
 in this package stay small (thousands of variables, tens of thousands
@@ -20,6 +34,7 @@ of clauses), and learnt clauses are simply kept.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 _UNDEF = -1
@@ -46,6 +61,10 @@ class SatSolver:
         self._level: list[int] = []  # var -> decision level
         self._reason: list[int] = []  # var -> clause id or _UNDEF
         self._activity: list[float] = []
+        self._order: list[tuple[float, int]] = []  # lazy (-activity, var) heap
+        # external literal -> internal literal; also the literal check,
+        # and every clause shares its int objects
+        self._internal_of: dict[int, int] = {}
         self._trail: list[int] = []  # assigned internal literals, in order
         self._trail_lim: list[int] = []  # trail length at each decision
         self._queue_head = 0
@@ -69,20 +88,21 @@ class SatSolver:
         self._activity.append(0.0)
         self._watches.append([])
         self._watches.append([])
-        return len(self._assign)  # 1-based externally
+        var = len(self._assign) - 1
+        heappush(self._order, (-0.0, var))
+        self._internal_of[var + 1] = 2 * var
+        self._internal_of[-var - 1] = 2 * var + 1
+        return var + 1  # 1-based externally
 
     def _internal(self, lit: int) -> int:
-        var = abs(lit) - 1
-        if var >= len(self._assign):
-            raise ValueError(f"unknown variable {abs(lit)}")
-        return 2 * var + (1 if lit < 0 else 0)
-
-    def _value(self, ilit: int) -> int:
-        """_UNDEF, or the truth value (0/1) of an internal literal."""
-        assigned = self._assign[ilit >> 1]
-        if assigned == _UNDEF:
-            return _UNDEF
-        return assigned ^ (ilit & 1)
+        """The internal literal of external ``lit``; ``ValueError`` for
+        ``0`` and for variables :meth:`new_var` never returned."""
+        try:
+            return self._internal_of[lit]
+        except KeyError:
+            if lit == 0:
+                raise ValueError("literal 0 is the DIMACS terminator, not a literal") from None
+            raise ValueError(f"unknown variable {abs(lit)}") from None
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause (external literals).  Returns False when the
@@ -90,21 +110,31 @@ class SatSolver:
         if not self._ok:
             return False
         assert not self._trail_lim, "clauses must be added at the root level"
-        seen: set[int] = set()
-        clause: list[int] = []
+        # The literal conversion and root values are read inline: this
+        # loop runs once per literal of every encoded clause.  Every
+        # literal is checked, even after the clause is known to be
+        # satisfied.
+        assign = self._assign
+        internal_of = self._internal_of
+        clause: list[int] = []  # short: membership tests scan it
+        satisfied = False
         for lit in lits:
-            ilit = self._internal(lit)
-            if ilit ^ 1 in seen:
-                return True  # tautology
-            if ilit in seen:
+            ilit = internal_of.get(lit)
+            if ilit is None:
+                ilit = self._internal(lit)  # raises the ValueError
+            if satisfied:
                 continue
-            value = self._value(ilit)
-            if value == 1:
-                return True  # already satisfied at the root
-            if value == 0:
-                continue  # root-falsified literal drops out
-            seen.add(ilit)
-            clause.append(ilit)
+            value = assign[ilit >> 1]
+            if value != _UNDEF:
+                # Root-satisfied: the clause is dropped; root-falsified:
+                # the literal is.
+                satisfied = value ^ (ilit & 1) == 1
+            elif ilit ^ 1 in clause:
+                satisfied = True  # tautology
+            elif ilit not in clause:
+                clause.append(ilit)
+        if satisfied:
+            return True
         if not clause:
             self._ok = False
             return False
@@ -130,54 +160,77 @@ class SatSolver:
 
     def _propagate(self) -> int:
         """Exhaust unit propagation; returns a conflicting clause id or
-        ``_UNDEF``."""
-        while self._queue_head < len(self._trail):
-            ilit = self._trail[self._queue_head]
-            self._queue_head += 1
+        ``_UNDEF``.
+
+        A literal's value is read inline as ``assign[var] ^ sign``: 1 is
+        true, 0 false, and the negative results of ``_UNDEF ^ sign``
+        unassigned."""
+        trail = self._trail
+        clauses = self._clauses
+        watches = self._watches
+        assign = self._assign
+        phase = self._phase
+        level_of = self._level
+        reason_of = self._reason
+        level = len(self._trail_lim)
+        head = self._queue_head
+        while head < len(trail):
+            ilit = trail[head]
+            head += 1
             self.propagations += 1
             # ``ilit`` is now true, so ``ilit ^ 1`` is the falsified
             # literal; clauses watching it are filed under ``ilit``
             # (watches are indexed by the watched literal's negation).
             falsified = ilit ^ 1
-            watching = self._watches[ilit]
+            watching = watches[ilit]
             kept: list[int] = []
-            conflict = _UNDEF
             for position, cid in enumerate(watching):
-                clause = self._clauses[cid]
+                clause = clauses[cid]
                 # Normalize: the falsified literal sits at clause[1].
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                first_value = assign[first >> 1] ^ (first & 1)
+                if first_value == 1:
                     kept.append(cid)
                     continue
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1] ^ 1].append(cid)
+                    other = clause[k]
+                    if assign[other >> 1] ^ (other & 1):
+                        clause[1], clause[k] = other, clause[1]
+                        watches[other ^ 1].append(cid)
                         break
                 else:
                     kept.append(cid)
-                    if self._value(first) == 0:
-                        conflict = cid
+                    if first_value == 0:
                         kept.extend(watching[position + 1:])
-                        break
-                    self._enqueue(first, cid)
-            self._watches[ilit] = kept
-            if conflict != _UNDEF:
-                self._queue_head = len(self._trail)
-                return conflict
+                        watches[ilit] = kept
+                        self._queue_head = len(trail)
+                        return cid
+                    # self._enqueue(first, cid), inline
+                    var = first >> 1
+                    assign[var] = phase[var] = 1 - (first & 1)
+                    level_of[var] = level
+                    reason_of[var] = cid
+                    trail.append(first)
+            watches[ilit] = kept
+        self._queue_head = head
         return _UNDEF
 
     # -- conflict analysis ---------------------------------------------
 
     def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             inverse = 1e-100
-            for index in range(len(self._activity)):
-                self._activity[index] *= inverse
+            for index in range(len(activity)):
+                activity[index] *= inverse
             self._var_inc *= inverse
+            self._rebuild_order()
+        elif self._assign[var] == _UNDEF:
+            heappush(self._order, (-activity[var], var))
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP learning: returns (learnt clause, backtrack level);
@@ -225,13 +278,20 @@ class SatSolver:
         if len(self._trail_lim) <= target_level:
             return
         bound = self._trail_lim[target_level]
+        assign = self._assign
+        reason = self._reason
+        activity = self._activity
+        order = self._order
         for ilit in reversed(self._trail[bound:]):
             var = ilit >> 1
-            self._assign[var] = _UNDEF
-            self._reason[var] = _UNDEF
+            assign[var] = _UNDEF
+            reason[var] = _UNDEF
+            heappush(order, (-activity[var], var))
         del self._trail[bound:]
         del self._trail_lim[target_level:]
         self._queue_head = len(self._trail)
+        if len(order) > 2 * len(assign):
+            self._rebuild_order()  # mostly stale entries: compact
 
     def _record_learnt(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
@@ -245,16 +305,28 @@ class SatSolver:
 
     # -- decisions ------------------------------------------------------
 
+    def _rebuild_order(self) -> None:
+        """The order heap from scratch: one current entry per unassigned
+        variable."""
+        activity = self._activity
+        self._order = [
+            (-activity[var], var)
+            for var, assigned in enumerate(self._assign)
+            if assigned == _UNDEF
+        ]
+        heapify(self._order)
+
     def _decide(self) -> int:
-        best = _UNDEF
-        best_activity = -1.0
-        for var, assigned in enumerate(self._assign):
-            if assigned == _UNDEF and self._activity[var] > best_activity:
-                best = var
-                best_activity = self._activity[var]
-        if best == _UNDEF:
-            return _UNDEF
-        return 2 * best + (1 - self._phase[best])
+        """The unassigned variable of highest activity (lowest index on
+        ties), in its saved phase; ``_UNDEF`` when all are assigned."""
+        order = self._order
+        assign = self._assign
+        activity = self._activity
+        while order:
+            negated, var = heappop(order)
+            if assign[var] == _UNDEF and -negated == activity[var]:
+                return 2 * var + (1 - self._phase[var])
+        return _UNDEF
 
     # -- assumptions and cores -----------------------------------------
 
@@ -324,7 +396,9 @@ class SatSolver:
                 continue
             if len(self._trail_lim) < len(assumed):
                 next_assumption = assumed[len(self._trail_lim)]
-                value = self._value(next_assumption)
+                value = self._assign[next_assumption >> 1]
+                if value != _UNDEF:
+                    value ^= next_assumption & 1
                 if value == 0:
                     self._analyze_final(next_assumption)
                     return False
@@ -340,11 +414,22 @@ class SatSolver:
             self._trail_lim.append(len(self._trail))
             self._enqueue(decision, _UNDEF)
 
+    def fixed(self, lit: int) -> bool | None:
+        """The root-level value of an external literal, ``None`` while
+        unassigned (between :meth:`solve` calls every assignment is at
+        the root).  Root assignments are permanent, so a clause holding
+        a root-true literal is a no-op for :meth:`add_clause` — callers
+        may skip building it."""
+        value = self._assign[self._internal(lit) >> 1]
+        if value == _UNDEF:
+            return None
+        return bool(value ^ (lit < 0))
+
     # -- results ---------------------------------------------------------
 
     def value(self, lit: int) -> bool:
         """Truth value of an external literal in the last SAT model."""
-        var = abs(lit) - 1
+        var = self._internal(lit) >> 1
         assigned = self._model[var]
         if assigned == _UNDEF:
             assigned = 0  # unconstrained variables default to false

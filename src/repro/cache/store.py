@@ -49,8 +49,10 @@ from repro.storage import atomic_write
 
 #: Version stamped into every pickled payload; unknown versions decode
 #: to misses (a cache directory is shareable across builds, not a
-#: compatibility contract).
-CACHE_PAYLOAD_VERSION = 1
+#: compatibility contract).  Version 2: ``Node`` carries its class
+#: predicates as slots set at construction, which a version-1 pickle
+#: lacks (its nodes would unpickle, then fail on first use).
+CACHE_PAYLOAD_VERSION = 2
 
 _ENTRY_SUFFIX = ".bin"
 _HEADER = b"RBEH\x01"  #: magic ("repro behaviors") + entry format version

@@ -29,7 +29,6 @@ were scanned and how many the static filter rejected.
 from __future__ import annotations
 
 from repro.core.execution import Execution
-from repro.core.graph import iter_bits
 from repro.core.node import INIT_TID, Node
 
 
@@ -54,14 +53,28 @@ def _static_reject(execution: Execution, load: Node, store: Node) -> bool:
 def candidate_stores(
     execution: Execution, load: Node, stats=None
 ) -> list[Node]:
-    """All stores the given (eligible, unresolved) load may observe."""
+    """All stores the given (eligible, unresolved) load may observe.
+
+    Both conditions are read off the graph's reachability bitsets:
+    condition 1 is ``anc[S] & unexecuted_memory == 0`` and condition 2 is
+    ``desc[S] & visible & anc[L] == 0``, where ``visible`` is the mask of
+    the visible same-address stores (the load excluded) and
+    ``unexecuted_memory`` that of the memory operations not yet
+    executed, both built once per call."""
     graph = execution.graph
     address = load.addr
     assert address is not None, "candidates require a resolved load address"
+    load_nid = load.nid
 
     visible = []
+    visible_mask = 0
+    unexecuted_memory = 0
     for node in graph.nodes:
-        if not node.is_visible_store or node.nid == load.nid:
+        if not node.executed:
+            if node.is_memory:
+                unexecuted_memory |= 1 << node.nid
+            continue
+        if not node.writes or node.nid == load_nid:
             continue
         if stats is not None:
             stats.candidates_scanned += 1
@@ -71,41 +84,22 @@ def candidate_stores(
             continue
         if node.addr == address:
             visible.append(node)
+            visible_mask |= 1 << node.nid
 
-    result = []
-    for store in visible:
-        if not _priors_resolved(execution, store):
-            continue
-        if _overwritten(execution, store, load, visible):
-            continue
-        result.append(store)
+    anc = graph._anc
+    desc = graph._desc
+    # Condition 2 for every store at once: stores ⊑-before the load.
+    overwriting = visible_mask & anc[load_nid]
+    result = [
+        store
+        for store in visible
+        if not anc[store.nid] & unexecuted_memory
+        and not desc[store.nid] & overwriting
+    ]
 
     if execution.model.store_load_bypass:
         result = _filter_bypass(execution, load, result)
     return result
-
-
-def _priors_resolved(execution: Execution, store: Node) -> bool:
-    """Condition 1: every memory operation ⊑-before the store is resolved."""
-    graph = execution.graph
-    for prior in iter_bits(graph.ancestors_mask(store.nid)):
-        node = graph.node(prior)
-        if node.is_memory and not node.executed:
-            return False
-    return True
-
-
-def _overwritten(
-    execution: Execution, store: Node, load: Node, visible: list[Node]
-) -> bool:
-    """Condition 2: ∃ S' =a L with S ⊑ S' ⊑ L."""
-    graph = execution.graph
-    for other in visible:
-        if other.nid == store.nid:
-            continue
-        if graph.before(store.nid, other.nid) and graph.before(other.nid, load.nid):
-            return True
-    return False
 
 
 def _filter_bypass(execution: Execution, load: Node, stores: list[Node]) -> list[Node]:

@@ -133,8 +133,9 @@ class EnumerationStats:
 
 #: Version stamped into every saved checkpoint.  Bump it whenever the
 #: pickled layout changes incompatibly; :meth:`EnumerationCheckpoint.load`
-#: rejects anything it does not positively recognize.
-CHECKPOINT_FORMAT_VERSION = 1
+#: rejects anything it does not positively recognize.  Version 2:
+#: ``Node`` gained construction-time slots that version-1 pickles lack.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Versions this build can still resume from.
 SUPPORTED_CHECKPOINT_VERSIONS = frozenset({CHECKPOINT_FORMAT_VERSION})
@@ -581,7 +582,8 @@ def _search(
             stacklevel=2,
         )
 
-    executions = sorted(finished.values(), key=lambda e: repr(e.loadstore_key()))
+    # ``finished`` already holds each execution's Load–Store key.
+    executions = [finished[key] for key in sorted(finished, key=repr)]
     complete = reason is None
     checkpoint = None
     if not complete:

@@ -154,7 +154,11 @@ class Execution:
         dicts are shared with the parent until first mutation.  This is
         safe because the engine only ever mutates unsettled nodes (which
         :meth:`ExecutionGraph.copy_on_write` clones eagerly) and all
-        edge insertion goes through ``add_edge``.
+        edge insertion goes through ``add_edge``.  Halted thread states
+        are shared too: a thread halts only after fetching its last
+        instruction, with every branch it fetched executed (each branch
+        blocks fetch until it executes), so nothing mutates its state
+        again.
         """
         dup = Execution.__new__(Execution)
         dup.program = self.program
@@ -162,7 +166,7 @@ class Execution:
         dup.max_nodes_per_thread = self.max_nodes_per_thread
         dup.facts = self.facts
         dup.graph = self.graph.copy_on_write()
-        dup.threads = [ts.copy() for ts in self.threads]
+        dup.threads = [ts if ts.halted else ts.copy() for ts in self.threads]
         dup.init_nodes = self.init_nodes  # write-once at construction
         dup.pending_alias = list(self.pending_alias)
         return dup
@@ -633,7 +637,7 @@ class Execution:
             (
                 node.tid,
                 node.index,
-                node.op_class.value,
+                node.op_class._value_,  # .value, minus the enum property
                 node.executed,
                 node.value,
                 node.addr,
@@ -678,7 +682,7 @@ class Execution:
             (
                 node.tid,
                 node.index,
-                node.op_class.value,
+                node.op_class._value_,  # .value, minus the enum property
                 node.addr,
                 node.value if node.reads_memory else None,
                 node.stored if node.writes else None,

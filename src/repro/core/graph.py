@@ -26,6 +26,7 @@ checks; the public query methods keep them.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterator
 
 from repro.errors import CycleError, GraphError
@@ -45,6 +46,7 @@ class EdgeKind(enum.IntFlag):
     IMPOSED = enum.auto()  #: extra edge imposed by a conservative system (§4.2)
     BYPASS = enum.auto()  #: TSO grey edge — NOT part of the ⊑ ordering (§6)
 
+    @functools.cache
     def pretty(self) -> str:
         return "|".join(kind.name.lower() for kind in EdgeKind if kind & self)
 

@@ -12,7 +12,7 @@ program are directly comparable node-by-node without graph isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.operands import Value
@@ -42,6 +42,15 @@ class Node:
         None for init stores).  Keys the node into the dataflow facts of
         :mod:`repro.analysis.static.dataflow`.
 
+    Derived (set at construction from ``tid`` and ``op_class``, which
+    never change; plain attributes because the engine's hot loops read
+    them on every node):
+      * ``is_init`` — an init store (the init pseudo-thread).
+      * ``reads_memory`` — a Load or an Rmw.
+      * ``writes_memory`` — whether the node *may* write memory (a Store
+        or an Rmw: class-level, not outcome).
+      * ``is_memory`` — reads or writes memory.
+
     Dynamic:
       * ``executed`` — value computed / load resolved / branch decided.
       * ``value`` — the register-visible result (load result, ALU result,
@@ -66,23 +75,17 @@ class Node:
     source: int | None = None
     writes: bool = False
     stored: Value | None = None
+    is_init: bool = field(init=False, repr=False, compare=False)
+    reads_memory: bool = field(init=False, repr=False, compare=False)
+    writes_memory: bool = field(init=False, repr=False, compare=False)
+    is_memory: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_init(self) -> bool:
-        return self.tid == INIT_TID
-
-    @property
-    def reads_memory(self) -> bool:
-        return self.op_class in (OpClass.LOAD, OpClass.RMW)
-
-    @property
-    def writes_memory(self) -> bool:
-        """Whether the node *may* write memory (class-level, not outcome)."""
-        return self.op_class in (OpClass.STORE, OpClass.RMW)
-
-    @property
-    def is_memory(self) -> bool:
-        return self.reads_memory or self.writes_memory
+    def __post_init__(self) -> None:
+        op_class = self.op_class
+        self.is_init = self.tid == INIT_TID
+        self.reads_memory = op_class is OpClass.LOAD or op_class is OpClass.RMW
+        self.writes_memory = op_class is OpClass.STORE or op_class is OpClass.RMW
+        self.is_memory = self.reads_memory or self.writes_memory
 
     @property
     def resolved(self) -> bool:
@@ -103,21 +106,50 @@ class Node:
         return self.executed and (self.addr is not None or not self.is_memory)
 
     def clone(self) -> "Node":
-        """A field-for-field copy (values are immutable, so shallow)."""
-        return Node(
-            nid=self.nid,
-            tid=self.tid,
-            index=self.index,
-            instruction=self.instruction,
-            op_class=self.op_class,
-            operand_sources=self.operand_sources,
-            static_index=self.static_index,
-            executed=self.executed,
-            value=self.value,
-            addr=self.addr,
-            source=self.source,
-            writes=self.writes,
-            stored=self.stored,
+        """A field-for-field copy (values are immutable, so shallow).
+        Slots are copied directly, derived ones included: this is the
+        copy-on-write hot path, and ``__init__`` would recompute them."""
+        dup = Node.__new__(Node)
+        dup.nid = self.nid
+        dup.tid = self.tid
+        dup.index = self.index
+        dup.instruction = self.instruction
+        dup.op_class = self.op_class
+        dup.operand_sources = self.operand_sources
+        dup.static_index = self.static_index
+        dup.executed = self.executed
+        dup.value = self.value
+        dup.addr = self.addr
+        dup.source = self.source
+        dup.writes = self.writes
+        dup.stored = self.stored
+        dup.is_init = self.is_init
+        dup.reads_memory = self.reads_memory
+        dup.writes_memory = self.writes_memory
+        dup.is_memory = self.is_memory
+        return dup
+
+    def __reduce__(self):
+        # Pickled as the constructor call: the derived slots are not
+        # stored but recomputed, and cached behaviours load faster than
+        # through the default per-slot state dict.
+        return (
+            Node,
+            (
+                self.nid,
+                self.tid,
+                self.index,
+                self.instruction,
+                self.op_class,
+                self.operand_sources,
+                self.static_index,
+                self.executed,
+                self.value,
+                self.addr,
+                self.source,
+                self.writes,
+                self.stored,
+            ),
         )
 
     def describe(self) -> str:

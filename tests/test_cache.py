@@ -23,6 +23,7 @@ from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
 from repro.litmus.library import all_tests, get_test
 from repro.models.registry import get_model
+from tests.conftest import version_1_dumps
 
 SB_SOURCE = """
 test SB
@@ -416,6 +417,29 @@ class TestCacheCorruption:
         assert fresh.counters.decode_failures == (1 if warns else 0)
         assert fresh.lookup(keys["MP"]) is not None  # the rest still hits
 
+        result = enumerate_behaviors(get_test("SB").program, get_model("weak"), cache=fresh)
+        assert not result.cached and result.complete
+        assert BehaviorCache(tmp_path).lookup(keys["SB"]) is not None
+
+    def test_version_1_entry_is_a_warned_miss(self, tmp_path):
+        """An entry written before ``Node`` gained its predicate slots
+        unpickles into nodes that fail on first use; its payload version
+        turns it into a warned miss instead, and the re-enumeration
+        repairs it."""
+        keys = populate(BehaviorCache(tmp_path))
+        path = entry_path(tmp_path, keys["SB"])
+        raw = path.read_bytes()
+        decoded = pickle.loads(raw[13:])
+        decoded["version"] = 1
+        path.write_bytes(reframe(raw, version_1_dumps(decoded)))
+        old_nodes = pickle.loads(path.read_bytes()[13:])["executions"][0].graph.nodes
+        with pytest.raises(AttributeError, match="is_memory"):
+            old_nodes[0].is_memory
+
+        fresh = BehaviorCache(tmp_path)
+        with pytest.warns(CacheIntegrityWarning, match="payload version 1"):
+            assert fresh.lookup(keys["SB"]) is None
+        assert fresh.counters.decode_failures == 1
         result = enumerate_behaviors(get_test("SB").program, get_model("weak"), cache=fresh)
         assert not result.cached and result.complete
         assert BehaviorCache(tmp_path).lookup(keys["SB"]) is not None

@@ -245,6 +245,25 @@ class TestCopySemantics:
         assert not original_node.executed
         assert execution.state_key() != duplicate.state_key()
 
+    def test_copy_shares_only_halted_thread_states(self):
+        """A halted thread never changes again, so copies share its state;
+        a thread blocked on a branch gets its own, and resolving the
+        branch in the copy leaves the original untouched."""
+        execution = initial(build_branchy())
+        halted, blocked = execution.threads
+        assert halted.halted and not blocked.halted
+        assert blocked.waiting_branch is not None
+        before = execution.state_key()
+        duplicate = execution.copy()
+        assert duplicate.threads[0] is halted
+        assert duplicate.threads[1] is not blocked
+        while not duplicate.completed():
+            load = duplicate.eligible_loads()[0]
+            duplicate.resolve_load(load.nid, duplicate.init_nodes[load.addr])
+        assert duplicate.threads[1].halted
+        assert execution.state_key() == before
+        assert blocked.waiting_branch is not None and not blocked.halted
+
     def test_loop_program_completes(self):
         execution = initial(build_loop())
         from repro.core.candidates import candidate_stores

@@ -47,6 +47,28 @@ class TestNode:
         clone.value = 7
         assert not node.executed and node.value is None
 
+    def test_clone_copies_every_slot(self):
+        node = Node(4, INIT_TID, 1, None, OpClass.STORE, executed=True, writes=True,
+                    addr="x", stored=0, value=0)
+        clone = node.clone()
+        assert clone == node and clone is not node
+        for name in Node.__slots__:
+            assert getattr(clone, name) == getattr(node, name), name
+
+    def test_class_predicates_are_construction_time_attributes(self):
+        expected = {
+            OpClass.LOAD: (True, False), OpClass.STORE: (False, True),
+            OpClass.RMW: (True, True), OpClass.COMPUTE: (False, False),
+            OpClass.FENCE: (False, False), OpClass.BRANCH: (False, False),
+        }
+        for op_class, (reads, writes) in expected.items():
+            node = Node(0, 0, 0, None, op_class)
+            assert (node.reads_memory, node.writes_memory) == (reads, writes)
+            assert node.is_memory == (reads or writes)
+            assert not node.is_init
+        assert "is_memory" in Node.__slots__
+        assert "is_memory" not in repr(node)  # derived: not part of repr or ==
+
     def test_describe_unresolved_marker(self):
         node = Node(0, 0, 0, Load(Reg("r1"), Const("x")), OpClass.LOAD)
         assert "[unresolved]" in node.describe()

@@ -19,7 +19,7 @@ from repro.isa.dsl import ProgramBuilder
 from repro.litmus.library import get_test
 from repro.models.registry import get_model
 
-from tests.conftest import build_sb
+from tests.conftest import build_sb, version_1_dumps
 
 
 def build_heavy3():
@@ -262,6 +262,42 @@ class TestCheckpointVersioning:
         with pytest.raises(EnumerationError) as info:
             EnumerationCheckpoint.load(path)
         assert "no format version" in str(info.value)
+
+    def _version_1_checkpoint(self) -> bytes:
+        """A checkpoint as the version-1 build pickled it: stamped 1, its
+        nodes without the predicate slots."""
+        checkpoint = self._partial_checkpoint()
+        checkpoint.format_version = 1
+        return version_1_dumps(checkpoint)
+
+    def test_load_rejects_version_1_checkpoint(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(self._version_1_checkpoint())
+        with pytest.raises(EnumerationError) as info:
+            EnumerationCheckpoint.load(path)
+        assert "version 1" in str(info.value)
+        assert "re-run the original enumeration" in str(info.value)
+
+    def test_cached_version_1_partial_is_dropped(self, tmp_path):
+        """A version-1 partial checkpoint in a cache directory is refused
+        by ``lookup_partial`` (deleted, counted as damage) and the search
+        starts afresh instead of resuming from unusable nodes."""
+        from repro.cache import BehaviorCache
+
+        program, model = build_heavy3(), get_model("weak")
+        cache = BehaviorCache(tmp_path)
+        path = cache._partial_path(program, model)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(self._version_1_checkpoint())
+        assert cache.lookup_partial(program, model) is None
+        assert cache.counters.decode_failures == 1 and not path.exists()
+
+        path.write_bytes(self._version_1_checkpoint())
+        limits = EnumerationLimits(max_behaviors=80)
+        cache = BehaviorCache(tmp_path)
+        result = enumerate_behaviors(program, model, limits, cache=cache)
+        assert cache.counters.partial_hits == 0 and cache.counters.decode_failures == 1
+        assert result.stats == enumerate_behaviors(program, model, limits).stats
 
 
 class TestStatsAccounting:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from repro.analysis.solver import (
     solve_behaviors,
     solve_behaviors_with_stats,
 )
-from repro.analysis.solver.sat import _luby
+from repro.analysis.solver.sat import _UNDEF, _luby
 from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
 from repro.litmus.library import all_tests, get_test
 from repro.litmus.runner import run_litmus
@@ -199,6 +200,165 @@ def test_allsat_model_counts_vs_brute_force():
             )
         }
         assert models == want, (trial, len(models), len(want))
+
+
+def test_literal_zero_and_unknown_variables_are_rejected():
+    # Literal 0 is the DIMACS terminator: it once mapped to variable -1,
+    # aliasing the last variable, so add_clause([0]) forced b true.
+    solver = SatSolver()
+    a, b = solver.new_var(), solver.new_var()
+    for clause in ([0], [a, 0], [3], [-3], [a, -a, 0]):
+        with pytest.raises(ValueError):
+            solver.add_clause(clause)
+    solver.add_clause([a])
+    with pytest.raises(ValueError):
+        solver.add_clause([a, 3])  # checked even though [a] satisfies it
+    for assumptions in ([0], [b, 0], [3]):
+        with pytest.raises(ValueError):
+            solver.solve(assumptions)
+    assert solver.solve([-b])  # no rejected clause left b forced
+    assert solver.value(a) and not solver.value(b) and solver.value(-b)
+    for lit in (0, 3, -3):
+        with pytest.raises(ValueError):
+            solver.value(lit)
+
+
+def test_fixed_reports_root_values():
+    solver = SatSolver()
+    a, b, c = (solver.new_var() for _ in range(3))
+    solver.add_clause([-a, b])
+    solver.add_clause([a])
+    assert solver.fixed(a) is True and solver.fixed(-a) is False
+    assert solver.fixed(b) is True and solver.fixed(c) is None
+    assert solver.solve([c])
+    assert solver.fixed(c) is None  # assumptions do not stick
+    with pytest.raises(ValueError):
+        solver.fixed(0)
+
+
+# ----------------------------------------------------------------------
+# the order heap against the linear decision scan
+#
+# ``_scan_decide`` is the solver's decision rule before the order heap,
+# verbatim: the unassigned variable of highest activity, lowest index on
+# ties.  The heap must reproduce it decision for decision, so two
+# solvers that differ only in ``_decide`` must agree on every decision,
+# conflict, model and core.
+
+
+def _scan_decide(self) -> int:
+    best = _UNDEF
+    best_activity = -1.0
+    for var, assigned in enumerate(self._assign):
+        if assigned == _UNDEF and self._activity[var] > best_activity:
+            best = var
+            best_activity = self._activity[var]
+    if best == _UNDEF:
+        return _UNDEF
+    return 2 * best + (1 - self._phase[best])
+
+
+class _Recording(SatSolver):
+    """The solver under test, logging every decision."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decided: list[int] = []
+
+    def _decide(self) -> int:
+        decision = super()._decide()
+        self.decided.append(decision)
+        return decision
+
+
+class _ScanOracle(_Recording):
+    def _decide(self) -> int:
+        decision = _scan_decide(self)
+        self.decided.append(decision)
+        return decision
+
+
+def _trace(solver: _Recording, n_vars: int, clauses, rounds) -> list:
+    """Feed ``clauses``, then solve once per assumption list in
+    ``rounds``, blocking each model found (AllSAT-style); returns every
+    observable outcome."""
+    outcomes: list = [[solver.add_clause(clause) for clause in clauses]]
+    for assumptions in rounds:
+        result = solver.solve(assumptions)
+        model = [solver.value(v) for v in range(1, n_vars + 1)] if result else None
+        outcomes.append((result, model, solver.core()))
+        if result:
+            solver.add_clause([-v if value else v for v, value in enumerate(model, 1)])
+    outcomes.append(
+        (solver.decided, solver.conflicts, solver.decisions, solver.propagations, solver.restarts)
+    )
+    return outcomes
+
+
+def _random_case(rng: random.Random):
+    n_vars = rng.randint(3, 40)
+    clauses = [
+        [rng.choice([1, -1]) * rng.randint(1, n_vars) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, int(4.5 * n_vars)))
+    ]
+    rounds = [
+        [rng.choice([1, -1]) * v for v in rng.sample(range(1, n_vars + 1), rng.randint(0, 3))]
+        for _ in range(rng.randint(1, 4))
+    ]
+    return n_vars, clauses, rounds
+
+
+def _run_both(n_vars, clauses, rounds, var_inc=1.0):
+    traces = []
+    solvers = []
+    for cls in (_Recording, _ScanOracle):
+        solver = cls()
+        for _ in range(n_vars):
+            solver.new_var()
+        solver._var_inc = var_inc
+        traces.append(_trace(solver, n_vars, clauses, rounds))
+        solvers.append(solver)
+    return traces, solvers
+
+
+def test_order_heap_matches_linear_scan_on_random_cnfs():
+    rng = random.Random(16)
+    decisions = 0
+    for trial in range(150):
+        n_vars, clauses, rounds = _random_case(rng)
+        (heap, scan), _ = _run_both(n_vars, clauses, rounds)
+        assert heap == scan, (trial, n_vars, clauses, rounds)
+        decisions += heap[-1][2]
+    assert decisions > 1000  # the comparison exercised the heap
+
+
+def test_order_heap_matches_linear_scan_across_activity_rescale():
+    # A huge initial increment makes the 1e100 rescale fire within a few
+    # conflicts; the heap is rebuilt there.
+    rng = random.Random(100)
+    rescaled = 0
+    for trial in range(40):
+        # Random 3-SAT near the 4.26 clause/variable threshold: hard
+        # enough to conflict dozens of times.
+        n_vars = rng.randint(30, 50)
+        clauses = [
+            [rng.choice([1, -1]) * v for v in rng.sample(range(1, n_vars + 1), 3)]
+            for _ in range(round(4.26 * n_vars))
+        ]
+        rounds = [[rng.choice([1, -1]) * rng.randint(1, n_vars)], []]
+        (heap, scan), (heap_solver, _) = _run_both(n_vars, clauses, rounds, var_inc=1e99)
+        assert heap == scan, (trial, n_vars, clauses, rounds)
+        rescaled += heap_solver._var_inc < 1e99
+    # Six pigeons, five holes: variable 5p+h+1 puts pigeon p in hole h.
+    pigeons = [[5 * p + h + 1 for h in range(5)] for p in range(6)] + [
+        [-(5 * p1 + h + 1), -(5 * p2 + h + 1)]
+        for h in range(5)
+        for p1, p2 in itertools.combinations(range(6), 2)
+    ]
+    (heap, scan), (heap_solver, _) = _run_both(30, pigeons, [[]], var_inc=1e99)
+    assert heap == scan
+    assert heap[1][0] is False and heap_solver._var_inc < 1e99
+    assert rescaled > 0
 
 
 # ----------------------------------------------------------------------
