@@ -110,62 +110,16 @@ def _conflicting(a: Access, b: Access) -> bool:
 
 def find_critical_cycles(program: Program) -> list[tuple[Access, ...]]:
     """All minimal critical cycles: simple cycles over po + conflict edges
-    with ≤2 events per thread (po-adjacent) and ≤2 per location
-    (conflict-adjacent), never immediately backtracking a conflict edge."""
-    accesses = _collect_accesses(program)
-    cycles: list[tuple[Access, ...]] = []
-    seen: set[frozenset[Access]] = set()
-    order = {access: position for position, access in enumerate(accesses)}
+    with ≤2 events per thread and ≤3 per location, never immediately
+    backtracking a conflict edge — the static layer's search
+    (:func:`repro.analysis.static.conflict.critical_cycle_search`),
+    uncapped, over exact addresses."""
+    from repro.analysis.static.conflict import critical_cycle_search
 
-    def successors(current: Access, came_by_conflict_from: Access | None):
-        for candidate in accesses:
-            if candidate is current:
-                continue
-            if candidate.thread == current.thread:
-                if candidate.index > current.index:
-                    yield candidate, "po"
-            elif _conflicting(current, candidate):
-                if came_by_conflict_from is not None and candidate is came_by_conflict_from:
-                    continue  # no immediate backtracking
-                yield candidate, "conflict"
-
-    def extend(path: list[Access], kinds: list[str], start: Access):
-        current = path[-1]
-        came_from = path[-2] if kinds and kinds[-1] == "conflict" else None
-        for nxt, kind in successors(current, came_from):
-            if nxt is start:
-                if len(path) >= 3 and "po" in kinds + [kind] and kind == "conflict":
-                    candidate = tuple(path)
-                    if _is_minimal(candidate, kinds + [kind]) and frozenset(
-                        candidate
-                    ) not in seen:
-                        seen.add(frozenset(candidate))
-                        cycles.append(candidate)
-                continue
-            if nxt in path:
-                continue
-            if order[nxt] < order[start]:
-                continue  # canonical start: smallest node first
-            extend(path + [nxt], kinds + [kind], start)
-
-    for start in accesses:
-        extend([start], [], start)
-    return cycles
-
-
-def _is_minimal(cycle: tuple[Access, ...], kinds: list[str]) -> bool:
-    """Shasha–Snir minimality: at most two accesses per thread, at most
-    three per location (IRIW's cycle touches each location three times)."""
-    per_thread: dict[str, int] = {}
-    per_location: dict[str, int] = {}
-    for access in cycle:
-        per_thread[access.thread] = per_thread.get(access.thread, 0) + 1
-        per_location[access.location] = per_location.get(access.location, 0) + 1
-    if any(count > 2 for count in per_thread.values()):
-        return False
-    if any(count > 3 for count in per_location.values()):
-        return False
-    return True
+    cycles, _truncated = critical_cycle_search(
+        _collect_accesses(program), _conflicting, max_cycles=None
+    )
+    return list(cycles)
 
 
 def delay_set(program: Program) -> DelayReport:

@@ -173,6 +173,9 @@ class StaticReport:
     fence_sites: tuple[SuggestedFence, ...]
     conservative: bool  #: some finding is over-approximated
     precise: bool = False  #: analysis ran on dataflow facts
+    #: the cycle search stopped at its cap: cycles, delay edges and
+    #: fence sites may be incomplete, so no robustness claim holds
+    truncated: bool = False
 
     def predicts_race(self, thread: str, location: str) -> bool:
         """Whether some predicted race could be the dynamic race observed
@@ -211,6 +214,11 @@ class StaticReport:
                 if self.conservative
                 else ""
             )
+        if self.truncated:
+            caveat += (
+                f" [cycle search stopped at {len(self.critical_cycles)} "
+                "cycles: delay edges may be incomplete]"
+            )
         lines = [
             f"{self.program_name} under {self.model_name}: "
             f"{len(self.critical_cycles)} critical cycle(s), "
@@ -233,7 +241,7 @@ class StaticReport:
                 "  suggested fences: "
                 + ", ".join(str(s) for s in self.fence_sites)
             )
-        else:
+        elif not self.truncated:
             lines.append("  no fences required")
         return "\n".join(lines)
 
@@ -428,6 +436,10 @@ def enforced_order(
     return matrix
 
 
+#: The default cap on recorded critical cycles.
+MAX_CYCLES = 10_000
+
+
 def _conflicting(a: StaticAccess, b: StaticAccess) -> bool:
     return a.thread != b.thread and a.may_alias(b) and (a.writes() or b.writes())
 
@@ -435,69 +447,109 @@ def _conflicting(a: StaticAccess, b: StaticAccess) -> bool:
 def find_critical_cycles(
     program: Program,
     accesses: tuple[StaticAccess, ...] | None = None,
-    max_cycles: int = 10_000,
+    max_cycles: int = MAX_CYCLES,
 ) -> tuple[tuple[StaticAccess, ...], ...]:
     """All minimal critical cycles of the conflict graph: simple cycles
     over program-order + conflict edges, at most two accesses per thread
     and three per location, never immediately backtracking a conflict
     edge.  Unlike :func:`repro.analysis.delays.find_critical_cycles`,
-    this handles branches and dynamic addresses conservatively."""
+    this handles branches and dynamic addresses conservatively.  The
+    search stops at ``max_cycles``; :func:`critical_cycle_search` also
+    says whether it did."""
     accesses = collect_accesses(program) if accesses is None else accesses
-    cycles: list[tuple[StaticAccess, ...]] = []
-    seen: set[frozenset[StaticAccess]] = set()
-    order = {access: position for position, access in enumerate(accesses)}
+    cycles, _truncated = critical_cycle_search(accesses, _conflicting, max_cycles)
+    return cycles
 
-    def successors(current: StaticAccess, came_by_conflict_from: StaticAccess | None):
-        for candidate in accesses:
+
+def critical_cycle_search(
+    accesses, conflicting, max_cycles: int | None = MAX_CYCLES
+) -> tuple[tuple, bool]:
+    """The shared Shasha–Snir cycle search: ``(cycles, truncated)``.
+
+    ``accesses`` are any objects with ``thread``, ``index`` and
+    ``location`` (None for an unknown address); ``conflicting(a, b)``
+    decides the conflict edges.  A depth-first search from each access
+    in turn walks simple paths whose accesses all come after the start,
+    and records a path when a conflict edge closes it back to the start
+    with at least three accesses and one program-order edge, once per
+    access set.  Shasha–Snir minimality allows at most two accesses per
+    thread and three per location key (IRIW touches each location three
+    times); the key is the location, or ``str(access)`` for an unknown
+    address.  ``truncated`` is True when the ``max_cycles`` cap (None =
+    no cap) cut some part of the search short, so more cycles may exist.
+
+    The static work is done once: each access's successor row holds
+    (position, is-conflict) pairs in access order, exactly the order a
+    scan of every access at each step would yield them, and the DFS
+    runs over positions with an on-path array.  A prefix holding a
+    third access of one thread or a fourth of one location key is
+    pruned: every cycle closed below it contains it, so fails
+    minimality and would never be recorded.  A pruned subtree therefore
+    holds no closures, the cycles come out in the same order as the
+    unpruned search, and the cap cuts at the same point.
+    """
+    size = len(accesses)
+    thread_ids: dict[str, int] = {}
+    key_ids: dict[str, int] = {}
+    thread_of = []
+    key_of = []
+    for access in accesses:
+        thread_of.append(thread_ids.setdefault(access.thread, len(thread_ids)))
+        key = access.location if access.location is not None else str(access)
+        key_of.append(key_ids.setdefault(key, len(key_ids)))
+    rows = []
+    for current in accesses:
+        row = []
+        for position, candidate in enumerate(accesses):
             if candidate is current:
                 continue
             if candidate.thread == current.thread:
                 if candidate.index > current.index:
-                    yield candidate, "po"
-            elif _conflicting(current, candidate):
-                if came_by_conflict_from is not None and candidate is came_by_conflict_from:
-                    continue  # no immediate backtracking
-                yield candidate, "conflict"
+                    row.append((position, False))
+            elif conflicting(current, candidate):
+                row.append((position, True))
+        rows.append(row)
 
-    def extend(path: list[StaticAccess], kinds: list[str], start: StaticAccess) -> None:
-        if len(cycles) >= max_cycles:
+    cycles: list[tuple] = []
+    seen: set[frozenset[int]] = set()
+    path: list[int] = []
+    on_path = [False] * size
+    per_thread = [0] * len(thread_ids)
+    per_key = [0] * len(key_ids)
+    truncated = False
+
+    def extend(current: int, came_from: int, po_edges: int) -> None:
+        nonlocal truncated
+        if max_cycles is not None and len(cycles) >= max_cycles:
+            truncated = True
             return
-        current = path[-1]
-        came_from = path[-2] if kinds and kinds[-1] == "conflict" else None
-        for nxt, kind in successors(current, came_from):
-            if nxt is start:
-                if len(path) >= 3 and "po" in kinds + [kind] and kind == "conflict":
-                    candidate = tuple(path)
-                    if _is_minimal(candidate) and frozenset(candidate) not in seen:
-                        seen.add(frozenset(candidate))
-                        cycles.append(candidate)
+        path.append(current)
+        on_path[current] = True
+        per_thread[thread_of[current]] += 1
+        per_key[key_of[current]] += 1
+        for nxt, conflict in rows[current]:
+            if conflict and nxt == came_from:
+                continue  # no immediate backtracking
+            if nxt == start:
+                if conflict and po_edges and len(path) >= 3:
+                    closed = frozenset(path)
+                    if closed not in seen:
+                        seen.add(closed)
+                        cycles.append(tuple(accesses[p] for p in path))
                 continue
-            if nxt in path:
-                continue
-            if order[nxt] < order[start]:
-                continue  # canonical start: smallest node first
-            extend(path + [nxt], kinds + [kind], start)
+            if on_path[nxt] or nxt < start:
+                continue  # simple paths; canonical start: smallest first
+            if per_thread[thread_of[nxt]] == 2 or per_key[key_of[nxt]] == 3:
+                continue  # no extension can be minimal
+            extend(nxt, current if conflict else -1, po_edges + (not conflict))
+        per_key[key_of[current]] -= 1
+        per_thread[thread_of[current]] -= 1
+        on_path[current] = False
+        path.pop()
 
-    for start in accesses:
-        extend([start], [], start)
-    return tuple(cycles)
-
-
-def _is_minimal(cycle: tuple[StaticAccess, ...]) -> bool:
-    """Shasha–Snir minimality: at most two accesses per thread, at most
-    three per location (IRIW touches each location three times).  A
-    dynamic address counts against every location, keyed by itself."""
-    per_thread: dict[str, int] = {}
-    per_location: dict[str, int] = {}
-    for access in cycle:
-        per_thread[access.thread] = per_thread.get(access.thread, 0) + 1
-        key = access.location if access.location is not None else str(access)
-        per_location[key] = per_location.get(key, 0) + 1
-    if any(count > 2 for count in per_thread.values()):
-        return False
-    if any(count > 3 for count in per_location.values()):
-        return False
-    return True
+    for start in range(size):
+        extend(start, -1, 0)
+    return tuple(cycles), truncated
 
 
 def _cycle_po_pairs(
@@ -588,7 +640,7 @@ def analyze_program(
     else:
         facts = None
     accesses = collect_accesses(program, facts)
-    cycles = find_critical_cycles(program, accesses)
+    cycles, truncated = critical_cycle_search(accesses, _conflicting)
     enforced = {
         thread.name: enforced_order(
             thread, model, facts, bypass_coherence=bypass_coherence
@@ -641,6 +693,7 @@ def analyze_program(
         fence_sites=tuple(sites),
         conservative=conservative,
         precise=facts is not None,
+        truncated=truncated,
     )
 
 
@@ -671,6 +724,7 @@ class SpeculationReport:
     program_name: str
     model_name: str
     loads: tuple[LoadSpeculationVerdict, ...]
+    truncated: bool = False  #: the cycle search stopped at its cap
 
     @property
     def all_safe(self) -> bool:
@@ -681,9 +735,10 @@ class SpeculationReport:
 
     def summary(self) -> str:
         unsafe = len(self.unsafe_loads())
+        caveat = " [cycle search stopped at its cap]" if self.truncated else ""
         lines = [
             f"{self.program_name} under {self.model_name}: "
-            f"{len(self.loads)} load(s), {unsafe} unsafe to alias-speculate"
+            f"{len(self.loads)} load(s), {unsafe} unsafe to alias-speculate{caveat}"
         ]
         lines.extend(f"  {load}" for load in self.loads)
         return "\n".join(lines)
@@ -717,7 +772,7 @@ def speculation_safety(
     if facts is None:
         facts = compute_static_facts(program)
     accesses = collect_accesses(program, facts)
-    cycles = find_critical_cycles(program, accesses)
+    cycles, truncated = critical_cycle_search(accesses, _conflicting)
 
     full = {
         thread.name: enforced_order(thread, baseline, facts)
@@ -804,6 +859,16 @@ def speculation_safety(
                 verdicts.append(
                     LoadSpeculationVerdict(thread.name, index, False, unsafe[key])
                 )
+            elif index in targets[thread.name] and truncated:
+                verdicts.append(
+                    LoadSpeculationVerdict(
+                        thread.name,
+                        index,
+                        False,
+                        "the critical-cycle search stopped at its cap before "
+                        "its address-resolution dependency was cleared",
+                    )
+                )
             elif index in targets[thread.name]:
                 verdicts.append(
                     LoadSpeculationVerdict(
@@ -827,4 +892,5 @@ def speculation_safety(
         program_name=program.name,
         model_name=model.name,
         loads=tuple(verdicts),
+        truncated=truncated,
     )

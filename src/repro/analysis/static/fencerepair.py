@@ -156,6 +156,8 @@ def _all_minimum_covers(
 # ---------------------------------------------------------------------------
 # full-fence repair (the mode cross-validated against enumeration)
 
+_TRUNCATED = " [cycle search stopped at its cap: delay edges may be incomplete]"
+
 
 @dataclass
 class FenceRepairResult:
@@ -193,6 +195,13 @@ class FenceRepairResult:
                 f"{self.program_name} under {self.model_name}: SC-robust, "
                 f"no fences needed{caveat}"
             )
+        if self.report.truncated:
+            caveat += _TRUNCATED
+            if not self.delays:
+                return (
+                    f"{self.program_name} under {self.model_name}: no delay "
+                    f"edge found, no robustness certified{caveat}"
+                )
         if not self.solutions:
             return (
                 f"{self.program_name} under {self.model_name}: "
@@ -238,15 +247,18 @@ def repair_fences(
     exact = all(delay.exact for delay in delays)
 
     if not delays:
+        # No-delay certificates are sound unconditionally, unless the
+        # cycle search was cut short: then nothing is certified.
         return FenceRepairResult(
             program_name=program.name,
             model_name=model.name,
             sites=sites,
             delays=delays,
             solutions=[],
-            already_robust=True,
-            exact=True,  # no-delay certificates are sound unconditionally
+            already_robust=not report.truncated,
+            exact=True,
             report=report,
+            complete=not report.truncated,
         )
 
     covers = [
@@ -280,7 +292,7 @@ def repair_fences(
         exact=exact,
         report=report,
         nodes_explored=nodes,
-        complete=complete,
+        complete=complete and not report.truncated,
         greedy=greedy,
     )
 
@@ -324,6 +336,7 @@ class UpgradeRepairResult:
     best_cost: int | None = None
     nodes_explored: int = 0
     complete: bool = True
+    truncated: bool = False  #: the cycle search stopped at its cap
 
     def summary(self) -> str:
         caveat = "" if self.exact else " [over-approximated provenance]"
@@ -332,6 +345,13 @@ class UpgradeRepairResult:
                 f"{self.program_name} under {self.model_name}: SC-robust, "
                 f"no repair needed{caveat}"
             )
+        if self.truncated:
+            caveat += _TRUNCATED
+            if not self.delays:
+                return (
+                    f"{self.program_name} under {self.model_name}: no delay "
+                    f"edge found, no robustness certified{caveat}"
+                )
         if not self.solutions:
             return (
                 f"{self.program_name} under {self.model_name}: "
@@ -428,9 +448,11 @@ def repair_upgrades(
             actions=actions,
             delays=delays,
             solutions=[],
-            already_robust=True,
+            already_robust=not report.truncated,
             exact=True,
-            best_cost=0,
+            best_cost=None if report.truncated else 0,
+            complete=not report.truncated,
+            truncated=report.truncated,
         )
     covers = [
         frozenset(
@@ -457,7 +479,8 @@ def repair_upgrades(
         exact=exact,
         best_cost=best,
         nodes_explored=nodes,
-        complete=complete,
+        complete=complete and not report.truncated,
+        truncated=report.truncated,
     )
 
 

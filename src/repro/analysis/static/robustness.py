@@ -13,7 +13,10 @@ the provenance rules of :mod:`repro.analysis.static.conflict`:
 * a **non-robust** verdict is definite only when some live cycle is
   exact (single certain addresses, unconditional paths); otherwise the
   program degrades to *possibly-not-robust* instead of being wrongly
-  certified either way.
+  certified either way;
+* a cycle search cut short by its cap (``StaticReport.truncated``)
+  certifies nothing: the missing cycles could be live, so the verdict
+  is at best *possibly-not-robust* (*possibly-not-portable*).
 
 :func:`check_portability` extends this across the SC ⊆ TSO ⊆ PSO ⊆
 WEAK lattice: "verified under TSO — is it safe under PSO?" means *does
@@ -40,11 +43,12 @@ from repro.analysis.static.conflict import (
     DelayEdge,
     StaticAccess,
     StaticReport,
+    _conflicting,
     _cycle_po_pairs,
     analyze_program,
     collect_accesses,
+    critical_cycle_search,
     enforced_order,
-    find_critical_cycles,
 )
 from repro.analysis.static.dataflow import StaticFacts, compute_static_facts
 from repro.analysis.static.fencerepair import (
@@ -81,6 +85,7 @@ class RobustnessCertificate:
     breaking_cycles: tuple[tuple[StaticAccess, ...], ...]
     repairs: list[tuple[FenceSite, ...]]  #: all minimal repairs (empty if robust)
     repair: FenceRepairResult | None = None
+    truncated: bool = False  #: the cycle search stopped at its cap
 
     @property
     def verdict(self) -> str:
@@ -100,6 +105,8 @@ class RobustnessCertificate:
                 for solution in self.repairs
             )
             lines.append(f"  minimal repair(s): {rendered}")
+        elif self.truncated:
+            lines.append("  the cycle search stopped at its cap: nothing certified")
         elif not self.robust:
             lines.append("  no full-fence repair covers every delay edge")
         return "\n".join(lines)
@@ -128,6 +135,7 @@ def certify_robustness(
         breaking_cycles=repair.report.live_cycles,
         repairs=list(repair.solutions),
         repair=repair,
+        truncated=repair.report.truncated,
     )
 
 
@@ -143,6 +151,7 @@ class PortabilityStep:
     new_cycles: tuple[tuple[StaticAccess, ...], ...]  #: woken by the target
     new_delays: tuple[DelayEdge, ...]  #: their relaxed po edges
     repairs: list[tuple[FenceSite, ...]]  #: minimal sets re-killing them
+    truncated: bool = False  #: the cycle search stopped at its cap
 
     @property
     def verdict(self) -> str:
@@ -152,6 +161,8 @@ class PortabilityStep:
 
     def summary(self) -> str:
         head = f"{self.source_model} -> {self.target_model}: {self.verdict}"
+        if self.truncated:
+            head += " [cycle search stopped at its cap]"
         if self.portable:
             return head
         lines = [head]
@@ -221,7 +232,7 @@ def check_portability(
         facts = compute_static_facts(program)
     source = get_model(verified_under)
     accesses = collect_accesses(program, facts)
-    cycles = find_critical_cycles(program, accesses)
+    cycles, truncated = critical_cycle_search(accesses, _conflicting)
     sites = candidate_sites(program)
 
     def relaxed_pairs(model: MemoryModel):
@@ -279,16 +290,17 @@ def check_portability(
             for solution in index_solutions
             if solution  # drop the empty cover of an empty universe
         ]
+        portable = not new_cycles and not truncated
         steps.append(
             PortabilityStep(
                 source_model=verified_under,
                 target_model=target_name,
-                portable=not new_cycles,
-                definite=(not new_cycles)
-                or any(_cycle_exact(cycle) for cycle in new_cycles),
+                portable=portable,
+                definite=portable or any(_cycle_exact(cycle) for cycle in new_cycles),
                 new_cycles=tuple(new_cycles),
                 new_delays=new_delays,
                 repairs=repairs,
+                truncated=truncated,
             )
         )
     return PortabilityReport(

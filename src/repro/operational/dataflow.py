@@ -21,49 +21,36 @@ the operational/axiomatic equivalence for the paper's own model class.
 Branches are not supported (weak models let loads speculate past
 branches, which an explicit-state machine cannot express without
 rollback machinery); use the axiomatic enumerator for branchy programs.
+
+Everything that depends only on the program and the table — operand
+producers, the earlier instructions ordered ALWAYS or SAME_ADDRESS
+before each instruction, its kind, the final writer of each register —
+is computed once per call into static rows.  A state is the per-thread
+results tuples (None = not executed) plus the memory values in sorted
+location order.  Both are in one-to-one correspondence with the plain
+encoding (per-instruction ``(value,)`` cells and ``(location, value)``
+pairs), and successors are still generated thread by thread and
+instruction by instruction.  So the depth-first order, the ``seen``
+set, the outcomes, ``states_explored``, ``terminal_states`` and the
+``max_states`` error are exactly those of evaluating the table per
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.execution import instruction_operands
 from repro.errors import EnumerationError, ReproError
-from repro.isa.instructions import Compute, Fence, Instruction, Load, Rmw, Store, alu_eval
+from repro.isa.instructions import Compute, Fence, Load, Rmw, Store, alu_eval
 from repro.isa.operands import Const, Reg, Value
-from repro.isa.program import Program
+from repro.isa.program import Program, Thread
 from repro.models.base import MemoryModel, OrderRequirement
 from repro.models.registry import get_model
 
-
-def _operands(instruction: Instruction):
-    if isinstance(instruction, Compute):
-        return instruction.args
-    if isinstance(instruction, Load):
-        return (instruction.addr,)
-    if isinstance(instruction, Store):
-        return (instruction.addr, instruction.value)
-    if isinstance(instruction, Rmw):
-        return (instruction.addr,) + instruction.args
-    return ()
-
-
-@dataclass(frozen=True)
-class _ThreadState:
-    """Immutable per-thread progress: per-instruction results.
-
-    ``results[i]`` is None while instruction i has not executed, else a
-    tuple ``(value,)`` (fences record ``(0,)``).
-    """
-
-    results: tuple[tuple[Value] | None, ...]
-
-    def executed(self, index: int) -> bool:
-        return self.results[index] is not None
-
-    def with_result(self, index: int, value: Value) -> "_ThreadState":
-        updated = list(self.results)
-        updated[index] = (value,)
-        return _ThreadState(tuple(updated))
+#: Instruction kinds of a static row.
+_FENCE, _COMPUTE, _LOAD, _STORE, _RMW = range(5)
+_KINDS = {Fence: _FENCE, Compute: _COMPUTE, Load: _LOAD, Store: _STORE, Rmw: _RMW}
 
 
 @dataclass
@@ -71,6 +58,61 @@ class DataflowResult:
     outcomes: frozenset
     states_explored: int = 0
     terminal_states: int = 0
+
+
+def _source(operand, last_writer: dict[str, int]) -> tuple[int, Value]:
+    """An operand as ``(producer, constant)``: its value is the
+    producer's result when ``producer >= 0``, else the constant (a
+    register no earlier instruction writes reads 0)."""
+    if isinstance(operand, Reg):
+        producer = last_writer.get(operand.name)
+        return (-1, 0) if producer is None else (producer, 0)
+    assert isinstance(operand, Const)
+    return -1, operand.value
+
+
+def _static_rows(thread: Thread, model: MemoryModel) -> tuple[tuple, dict[str, int]]:
+    """One row per instruction: ``(kind, sources, address, waits,
+    always, same_address, instruction)`` — the operand sources, the
+    address source (None for no address), the producers it waits on,
+    the earlier indices the model orders ALWAYS before it, the earlier
+    ``(index, address source)`` pairs it checks by address
+    (SAME_ADDRESS), and the instruction itself for its ALU op or RMW
+    rule.  Also the final writer of each register the thread writes."""
+    rows = []
+    addresses: list[tuple[int, Value] | None] = []
+    last_writer: dict[str, int] = {}
+    for index, instruction in enumerate(thread.code):
+        sources = tuple(
+            _source(operand, last_writer)
+            for operand in instruction_operands(instruction)
+        )
+        waits = tuple(sorted({producer for producer, _ in sources if producer >= 0}))
+        always = []
+        same_address = []
+        for earlier in range(index):
+            requirement = model.requirement(thread.code[earlier], instruction)
+            if requirement is OrderRequirement.ALWAYS:
+                always.append(earlier)
+            elif requirement is OrderRequirement.SAME_ADDRESS:
+                same_address.append((earlier, addresses[earlier]))
+        address = sources[0] if instruction.addr_operand() is not None else None
+        addresses.append(address)
+        rows.append(
+            (
+                _KINDS[type(instruction)],
+                sources,
+                address,
+                waits,
+                tuple(always),
+                tuple(same_address),
+                instruction,
+            )
+        )
+        destination = instruction.dest()
+        if destination is not None:
+            last_writer[destination.name] = index
+    return tuple(rows), last_writer
 
 
 def run_dataflow(
@@ -90,84 +132,60 @@ def run_dataflow(
         raise ReproError("the dataflow machine requires branch-free programs")
 
     threads = program.threads
-    # Precompute register producers: for thread t, instruction i, operand
-    # position p -> producing instruction index (or None for constants /
-    # unwritten registers).
-    producers: list[list[tuple[int | None, ...]]] = []
+    rows = []
+    #: per thread, ``((thread, register), final writer)`` pairs.
+    final_writers = []
     for thread in threads:
-        last_writer: dict[str, int] = {}
-        thread_producers = []
-        for index, instruction in enumerate(thread.code):
-            thread_producers.append(
-                tuple(
-                    last_writer.get(op.name) if isinstance(op, Reg) else None
-                    for op in _operands(instruction)
-                )
-            )
-            destination = instruction.dest()
-            if destination is not None:
-                last_writer[destination.name] = index
-        producers.append(thread_producers)
+        thread_rows, last_writer = _static_rows(thread, model)
+        rows.append(thread_rows)
+        final_writers.append(
+            tuple(((thread.name, register), index) for register, index in last_writer.items())
+        )
+    locations = sorted(program.locations())
+    slot = {location: position for position, location in enumerate(locations)}
 
-    initial_memory = tuple(
-        sorted((loc, program.initial_value(loc)) for loc in program.locations())
-    )
     initial = (
-        tuple(_ThreadState((None,) * len(thread.code)) for thread in threads),
-        initial_memory,
+        tuple((None,) * len(thread.code) for thread in threads),
+        tuple(program.initial_value(location) for location in locations),
     )
 
-    def operand_value(state: _ThreadState, tid: int, index: int, position: int):
-        operand = _operands(threads[tid].code[index])[position]
-        if isinstance(operand, Const):
-            return operand.value
-        producer = producers[tid][index][position]
-        if producer is None:
-            return 0
-        result = state.results[producer]
-        return None if result is None else result[0]
+    def value_of(results, source):
+        producer, constant = source
+        return constant if producer < 0 else results[producer]
 
-    def address_of(state: _ThreadState, tid: int, index: int):
-        instruction = threads[tid].code[index]
-        if instruction.addr_operand() is None:
-            return None
-        return operand_value(state, tid, index, 0)
-
-    def eligible(state: _ThreadState, tid: int, index: int) -> bool:
-        instruction = threads[tid].code[index]
-        if state.executed(index):
-            return False
-        for position in range(len(_operands(instruction))):
-            if operand_value(state, tid, index, position) is None:
+    def ready(results, row) -> bool:
+        """Whether a not-yet-executed instruction may execute now."""
+        _kind, _sources, address, waits, always, same_address, _instruction = row
+        for producer in waits:
+            if results[producer] is None:
                 return False
-        my_address = address_of(state, tid, index)
-        for earlier in range(index):
-            requirement = model.requirement(threads[tid].code[earlier], instruction)
-            if requirement is OrderRequirement.NONE:
-                continue
-            if requirement is OrderRequirement.ALWAYS:
-                if not state.executed(earlier):
+        for earlier in always:
+            if results[earlier] is None:
+                return False
+        if same_address:
+            # SAME_ADDRESS: the earlier address must be known to differ.
+            my_address = None if address is None else value_of(results, address)
+            for earlier, earlier_source in same_address:
+                if results[earlier] is not None:
+                    continue
+                if earlier_source is None:
                     return False
-                continue
-            # SAME_ADDRESS: must know the earlier address to decide.
-            if state.executed(earlier):
-                continue
-            earlier_address = address_of(state, tid, earlier)
-            if earlier_address is None or earlier_address == my_address:
-                return False
+                earlier_address = value_of(results, earlier_source)
+                if earlier_address is None or earlier_address == my_address:
+                    return False
         return True
 
     def read(memory, address):
-        for location, value in memory:
-            if location == address:
-                return value
-        raise EnumerationError(f"dataflow machine read unknown location {address!r}")
+        position = slot.get(address)
+        if position is None:
+            raise EnumerationError(f"dataflow machine read unknown location {address!r}")
+        return memory[position]
 
     def write(memory, address, value):
-        return tuple(
-            (location, value if location == address else old)
-            for location, old in memory
-        )
+        position = slot.get(address)
+        if position is None:
+            return memory
+        return memory[:position] + (value,) + memory[position + 1 :]
 
     stack = [initial]
     seen = {initial}
@@ -179,63 +197,51 @@ def run_dataflow(
         if len(seen) > max_states:
             raise EnumerationError(f"dataflow machine exceeded {max_states} states")
         progressed = False
-        for tid, state in enumerate(states):
-            for index, instruction in enumerate(threads[tid].code):
-                if not eligible(state, tid, index):
+        for tid, results in enumerate(states):
+            for index, row in enumerate(rows[tid]):
+                if results[index] is not None or not ready(results, row):
                     continue
                 progressed = True
+                kind, sources, address, _waits, _always, _same, instruction = row
                 successor_memory = memory
-                if isinstance(instruction, Fence):
+                if kind == _FENCE:
                     value: Value = 0
-                elif isinstance(instruction, Compute):
-                    args = tuple(
-                        operand_value(state, tid, index, position)
-                        for position in range(len(instruction.args))
+                elif kind == _COMPUTE:
+                    value = alu_eval(
+                        instruction.op, tuple(value_of(results, s) for s in sources)
                     )
-                    value = alu_eval(instruction.op, args)
-                elif isinstance(instruction, Load):
-                    value = read(memory, address_of(state, tid, index))
-                elif isinstance(instruction, Store):
-                    value = operand_value(state, tid, index, 1)
-                    successor_memory = write(memory, address_of(state, tid, index), value)
-                elif isinstance(instruction, Rmw):
-                    address = address_of(state, tid, index)
-                    old = read(memory, address)
-                    args = tuple(
-                        operand_value(state, tid, index, position)
-                        for position in range(1, 1 + len(instruction.args))
-                    )
+                elif kind == _LOAD:
+                    value = read(memory, value_of(results, address))
+                elif kind == _STORE:
+                    value = value_of(results, sources[1])
+                    successor_memory = write(memory, value_of(results, address), value)
+                else:
+                    location = value_of(results, address)
+                    old = read(memory, location)
+                    args = tuple(value_of(results, s) for s in sources[1:])
                     stored = instruction.stored_value(old, args)
                     if stored is not None:
-                        successor_memory = write(memory, address, stored)
+                        successor_memory = write(memory, location, stored)
                     value = old
-                else:  # pragma: no cover - exhaustive
-                    raise EnumerationError(f"cannot execute {instruction}")
-                next_states = tuple(
-                    state.with_result(index, value) if t == tid else other
-                    for t, other in enumerate(states)
+                next_state = (
+                    states[:tid]
+                    + (results[:index] + (value,) + results[index + 1 :],)
+                    + states[tid + 1 :],
+                    successor_memory,
                 )
-                next_state = (next_states, successor_memory)
-                if next_state not in seen:
-                    seen.add(next_state)
+                explored = len(seen)
+                seen.add(next_state)
+                if len(seen) > explored:  # new: one hash instead of two
                     stack.append(next_state)
         if not progressed:
             terminal += 1
-            outcomes.add(_final_registers(program, states, producers))
+            outcomes.add(
+                frozenset(
+                    (key, results[index])
+                    for writers, results in zip(final_writers, states)
+                    for key, index in writers
+                    if results[index] is not None
+                )
+            )
 
     return DataflowResult(frozenset(outcomes), len(seen), terminal)
-
-
-def _final_registers(program: Program, states, producers) -> frozenset:
-    items = []
-    for tid, thread in enumerate(program.threads):
-        last_writer: dict[str, int] = {}
-        for index, instruction in enumerate(thread.code):
-            destination = instruction.dest()
-            if destination is not None:
-                last_writer[destination.name] = index
-        for register, index in last_writer.items():
-            result = states[tid].results[index]
-            if result is not None:
-                items.append(((thread.name, register), result[0]))
-    return frozenset(items)

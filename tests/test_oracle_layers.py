@@ -1,0 +1,513 @@
+"""Differential tests of the critical-cycle search and the
+≺-linearization machine against their straightforward implementations.
+
+``reference_find_critical_cycles`` and ``reference_run_dataflow`` are
+the two layers as they were before their static work was hoisted out of
+the search loops (successor rows and pruning; static instruction rows),
+kept verbatim apart from their names.  The fast versions must agree with
+them exactly: the same cycle tuples in the same order at every cap, the
+same outcomes, ``states_explored`` and ``terminal_states``, and the same
+``max_states`` error.  Below them, the regression test for the silent
+cycle cap: a search cut short by ``max_cycles`` must never certify
+robustness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import pytest
+
+from repro.analysis.delays import _collect_accesses as delay_accesses
+from repro.analysis.delays import find_critical_cycles as delay_cycles
+from repro.analysis.static import (
+    analyze_program,
+    certify_robustness,
+    check_portability,
+    compute_static_facts,
+    conflict,
+    repair_fences,
+    speculation_safety,
+)
+from repro.analysis.static.conflict import (
+    MAX_CYCLES,
+    StaticAccess,
+    collect_accesses,
+    critical_cycle_search,
+    find_critical_cycles,
+)
+from repro.errors import EnumerationError, ProgramError, ReproError
+from repro.experiments.fig89 import build_program as build_fig8
+from repro.isa.dsl import ProgramBuilder
+from repro.isa.instructions import Compute, Fence, Instruction, Load, Rmw, Store, alu_eval
+from repro.isa.operands import Const, Reg, Value
+from repro.isa.program import Program
+from repro.litmus.library import all_tests
+from repro.models import MemoryModel, OrderRequirement, get_model
+from repro.operational.dataflow import DataflowResult, run_dataflow
+from repro.testing.fuzzgen import MIXED, derive_seed, generate_program, profile_for_index
+from repro.testing.oracles import OracleContext, OracleSkip, _check_static
+
+# ---------------------------------------------------------------------------
+# the critical-cycle search before successor rows and pruning, verbatim
+
+
+def _conflicting(a: StaticAccess, b: StaticAccess) -> bool:
+    return a.thread != b.thread and a.may_alias(b) and (a.writes() or b.writes())
+
+
+def reference_find_critical_cycles(
+    program: Program,
+    accesses: tuple[StaticAccess, ...] | None = None,
+    max_cycles: int = 10_000,
+) -> tuple[tuple[StaticAccess, ...], ...]:
+    """All minimal critical cycles of the conflict graph: simple cycles
+    over program-order + conflict edges, at most two accesses per thread
+    and three per location, never immediately backtracking a conflict
+    edge.  Unlike :func:`repro.analysis.delays.find_critical_cycles`,
+    this handles branches and dynamic addresses conservatively."""
+    accesses = collect_accesses(program) if accesses is None else accesses
+    cycles: list[tuple[StaticAccess, ...]] = []
+    seen: set[frozenset[StaticAccess]] = set()
+    order = {access: position for position, access in enumerate(accesses)}
+
+    def successors(current: StaticAccess, came_by_conflict_from: StaticAccess | None):
+        for candidate in accesses:
+            if candidate is current:
+                continue
+            if candidate.thread == current.thread:
+                if candidate.index > current.index:
+                    yield candidate, "po"
+            elif _conflicting(current, candidate):
+                if came_by_conflict_from is not None and candidate is came_by_conflict_from:
+                    continue  # no immediate backtracking
+                yield candidate, "conflict"
+
+    def extend(path: list[StaticAccess], kinds: list[str], start: StaticAccess) -> None:
+        if len(cycles) >= max_cycles:
+            return
+        current = path[-1]
+        came_from = path[-2] if kinds and kinds[-1] == "conflict" else None
+        for nxt, kind in successors(current, came_from):
+            if nxt is start:
+                if len(path) >= 3 and "po" in kinds + [kind] and kind == "conflict":
+                    candidate = tuple(path)
+                    if _is_minimal(candidate) and frozenset(candidate) not in seen:
+                        seen.add(frozenset(candidate))
+                        cycles.append(candidate)
+                continue
+            if nxt in path:
+                continue
+            if order[nxt] < order[start]:
+                continue  # canonical start: smallest node first
+            extend(path + [nxt], kinds + [kind], start)
+
+    for start in accesses:
+        extend([start], [], start)
+    return tuple(cycles)
+
+
+def _is_minimal(cycle: tuple[StaticAccess, ...]) -> bool:
+    """Shasha–Snir minimality: at most two accesses per thread, at most
+    three per location (IRIW touches each location three times).  A
+    dynamic address counts against every location, keyed by itself."""
+    per_thread: dict[str, int] = {}
+    per_location: dict[str, int] = {}
+    for access in cycle:
+        per_thread[access.thread] = per_thread.get(access.thread, 0) + 1
+        key = access.location if access.location is not None else str(access)
+        per_location[key] = per_location.get(key, 0) + 1
+    if any(count > 2 for count in per_thread.values()):
+        return False
+    if any(count > 3 for count in per_location.values()):
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the ≺-linearization machine before static rows, verbatim
+
+
+def _operands(instruction: Instruction):
+    if isinstance(instruction, Compute):
+        return instruction.args
+    if isinstance(instruction, Load):
+        return (instruction.addr,)
+    if isinstance(instruction, Store):
+        return (instruction.addr, instruction.value)
+    if isinstance(instruction, Rmw):
+        return (instruction.addr,) + instruction.args
+    return ()
+
+
+@dataclass(frozen=True)
+class _ThreadState:
+    """Immutable per-thread progress: per-instruction results.
+
+    ``results[i]`` is None while instruction i has not executed, else a
+    tuple ``(value,)`` (fences record ``(0,)``).
+    """
+
+    results: tuple[tuple[Value] | None, ...]
+
+    def executed(self, index: int) -> bool:
+        return self.results[index] is not None
+
+    def with_result(self, index: int, value: Value) -> "_ThreadState":
+        updated = list(self.results)
+        updated[index] = (value,)
+        return _ThreadState(tuple(updated))
+
+
+def reference_run_dataflow(
+    program: Program,
+    model: MemoryModel | str = "weak",
+    max_states: int = 4_000_000,
+) -> DataflowResult:
+    """All final-register outcomes of the ≺-linearization machine."""
+    if isinstance(model, str):
+        model = get_model(model)
+    if model.store_load_bypass:
+        raise ReproError(
+            "the dataflow machine realizes store-atomic models; use the "
+            "store-buffer machines for TSO/PSO"
+        )
+    if program.has_branches():
+        raise ReproError("the dataflow machine requires branch-free programs")
+
+    threads = program.threads
+    # Precompute register producers: for thread t, instruction i, operand
+    # position p -> producing instruction index (or None for constants /
+    # unwritten registers).
+    producers: list[list[tuple[int | None, ...]]] = []
+    for thread in threads:
+        last_writer: dict[str, int] = {}
+        thread_producers = []
+        for index, instruction in enumerate(thread.code):
+            thread_producers.append(
+                tuple(
+                    last_writer.get(op.name) if isinstance(op, Reg) else None
+                    for op in _operands(instruction)
+                )
+            )
+            destination = instruction.dest()
+            if destination is not None:
+                last_writer[destination.name] = index
+        producers.append(thread_producers)
+
+    initial_memory = tuple(
+        sorted((loc, program.initial_value(loc)) for loc in program.locations())
+    )
+    initial = (
+        tuple(_ThreadState((None,) * len(thread.code)) for thread in threads),
+        initial_memory,
+    )
+
+    def operand_value(state: _ThreadState, tid: int, index: int, position: int):
+        operand = _operands(threads[tid].code[index])[position]
+        if isinstance(operand, Const):
+            return operand.value
+        producer = producers[tid][index][position]
+        if producer is None:
+            return 0
+        result = state.results[producer]
+        return None if result is None else result[0]
+
+    def address_of(state: _ThreadState, tid: int, index: int):
+        instruction = threads[tid].code[index]
+        if instruction.addr_operand() is None:
+            return None
+        return operand_value(state, tid, index, 0)
+
+    def eligible(state: _ThreadState, tid: int, index: int) -> bool:
+        instruction = threads[tid].code[index]
+        if state.executed(index):
+            return False
+        for position in range(len(_operands(instruction))):
+            if operand_value(state, tid, index, position) is None:
+                return False
+        my_address = address_of(state, tid, index)
+        for earlier in range(index):
+            requirement = model.requirement(threads[tid].code[earlier], instruction)
+            if requirement is OrderRequirement.NONE:
+                continue
+            if requirement is OrderRequirement.ALWAYS:
+                if not state.executed(earlier):
+                    return False
+                continue
+            # SAME_ADDRESS: must know the earlier address to decide.
+            if state.executed(earlier):
+                continue
+            earlier_address = address_of(state, tid, earlier)
+            if earlier_address is None or earlier_address == my_address:
+                return False
+        return True
+
+    def read(memory, address):
+        for location, value in memory:
+            if location == address:
+                return value
+        raise EnumerationError(f"dataflow machine read unknown location {address!r}")
+
+    def write(memory, address, value):
+        return tuple(
+            (location, value if location == address else old)
+            for location, old in memory
+        )
+
+    stack = [initial]
+    seen = {initial}
+    outcomes = set()
+    terminal = 0
+
+    while stack:
+        states, memory = stack.pop()
+        if len(seen) > max_states:
+            raise EnumerationError(f"dataflow machine exceeded {max_states} states")
+        progressed = False
+        for tid, state in enumerate(states):
+            for index, instruction in enumerate(threads[tid].code):
+                if not eligible(state, tid, index):
+                    continue
+                progressed = True
+                successor_memory = memory
+                if isinstance(instruction, Fence):
+                    value: Value = 0
+                elif isinstance(instruction, Compute):
+                    args = tuple(
+                        operand_value(state, tid, index, position)
+                        for position in range(len(instruction.args))
+                    )
+                    value = alu_eval(instruction.op, args)
+                elif isinstance(instruction, Load):
+                    value = read(memory, address_of(state, tid, index))
+                elif isinstance(instruction, Store):
+                    value = operand_value(state, tid, index, 1)
+                    successor_memory = write(memory, address_of(state, tid, index), value)
+                elif isinstance(instruction, Rmw):
+                    address = address_of(state, tid, index)
+                    old = read(memory, address)
+                    args = tuple(
+                        operand_value(state, tid, index, position)
+                        for position in range(1, 1 + len(instruction.args))
+                    )
+                    stored = instruction.stored_value(old, args)
+                    if stored is not None:
+                        successor_memory = write(memory, address, stored)
+                    value = old
+                else:  # pragma: no cover - exhaustive
+                    raise EnumerationError(f"cannot execute {instruction}")
+                next_states = tuple(
+                    state.with_result(index, value) if t == tid else other
+                    for t, other in enumerate(states)
+                )
+                next_state = (next_states, successor_memory)
+                if next_state not in seen:
+                    seen.add(next_state)
+                    stack.append(next_state)
+        if not progressed:
+            terminal += 1
+            outcomes.add(_final_registers(program, states, producers))
+
+    return DataflowResult(frozenset(outcomes), len(seen), terminal)
+
+
+def _final_registers(program: Program, states, producers) -> frozenset:
+    items = []
+    for tid, thread in enumerate(program.threads):
+        last_writer: dict[str, int] = {}
+        for index, instruction in enumerate(thread.code):
+            destination = instruction.dest()
+            if destination is not None:
+                last_writer[destination.name] = index
+        for register, index in last_writer.items():
+            result = states[tid].results[index]
+            if result is not None:
+                items.append(((thread.name, register), result[0]))
+    return frozenset(items)
+
+
+# ---------------------------------------------------------------------------
+# differential checks
+
+FUZZ_SEED = 11
+CYCLE_PROGRAMS = 120
+DATAFLOW_PROGRAMS = 60
+CAPS = (1, 7, 50, MAX_CYCLES)
+
+
+def _fuzz(count: int):
+    for index in range(count):
+        yield generate_program(derive_seed(FUZZ_SEED, index), profile_for_index(MIXED, index))
+
+
+def _cycle_programs():
+    yield from (test.program for test in all_tests())
+    yield from _fuzz(CYCLE_PROGRAMS)
+
+
+def _access_lists(program: Program):
+    yield collect_accesses(program, compute_static_facts(program))
+    yield collect_accesses(program)
+
+
+def test_cycle_search_matches_reference_at_every_cap():
+    compared = 0
+    for program in _cycle_programs():
+        for accesses in _access_lists(program):
+            for cap in CAPS:
+                expected = reference_find_critical_cycles(program, accesses, cap)
+                assert find_critical_cycles(program, accesses, cap) == expected, (
+                    program.name, cap,
+                )
+                compared += bool(expected)
+    assert compared > 200, "the comparison must cover programs with cycles"
+
+
+def test_delay_cycles_match_reference_on_straight_line_programs():
+    compared = 0
+    for program in _cycle_programs():
+        try:
+            accesses = delay_accesses(program)
+        except ProgramError:
+            continue  # branches or register-computed addresses
+        mirrored = tuple(
+            StaticAccess(access.thread, access.index, access.kind, access.location)
+            for access in accesses
+        )
+        expected = [
+            tuple((access.thread, access.index) for access in cycle)
+            for cycle in reference_find_critical_cycles(program, mirrored)
+        ]
+        actual = [
+            tuple((access.thread, access.index) for access in cycle)
+            for cycle in delay_cycles(program)
+        ]
+        assert actual == expected, program.name
+        compared += bool(expected)
+    assert compared > 30
+
+
+def _dataflow_cases():
+    programs = [test.program for test in all_tests()] + list(_fuzz(DATAFLOW_PROGRAMS))
+    for program in programs:
+        if not program.has_branches():
+            yield program
+
+
+def _same_result(fast: DataflowResult, reference: DataflowResult) -> bool:
+    return (
+        fast.outcomes == reference.outcomes
+        and fast.states_explored == reference.states_explored
+        and fast.terminal_states == reference.terminal_states
+    )
+
+
+@pytest.mark.slow
+def test_dataflow_matches_reference():
+    runs = 0
+    for program in _dataflow_cases():
+        for model_name in ("weak", "weak-corr", "sc", "weak-spec"):
+            fast = run_dataflow(program, model_name)
+            reference = reference_run_dataflow(program, model_name)
+            assert _same_result(fast, reference), (program.name, model_name)
+            runs += 1
+    assert runs > 150
+
+
+@pytest.mark.parametrize("max_states", [1, 5, 40, 300])
+def test_dataflow_state_limit_matches_reference(max_states):
+    for program in list(_dataflow_cases())[:60]:
+        outcomes = []
+        for machine in (run_dataflow, reference_run_dataflow):
+            try:
+                result = machine(program, "weak", max_states=max_states)
+                outcomes.append((result.outcomes, result.states_explored, result.terminal_states))
+            except EnumerationError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1], program.name
+
+
+# ---------------------------------------------------------------------------
+# the cycle cap is never silent
+
+
+def _capped_program() -> Program:
+    """Eight fenced threads whose accesses to x and y form more than
+    10,000 minimal critical cycles, listed before an SB pair on a/b."""
+    builder = ProgramBuilder("cap-8+sb")
+    for index in range(8):
+        thread = builder.thread(f"P{index}")
+        thread.store("x", index + 1)
+        thread.fence()
+        thread.load("r1", "y")
+        thread.store("y", index + 1)
+        thread.fence()
+        thread.load("r2", "x")
+    first = builder.thread("Q0")
+    first.store("a", 1)
+    first.load("r1", "b")
+    second = builder.thread("Q1")
+    second.store("b", 1)
+    second.load("r1", "a")
+    return builder.build()
+
+
+def _sb_pair() -> Program:
+    builder = ProgramBuilder("sb-pair")
+    first = builder.thread("Q0")
+    first.store("a", 1)
+    first.load("r1", "b")
+    second = builder.thread("Q1")
+    second.store("b", 1)
+    second.load("r1", "a")
+    return builder.build()
+
+
+def test_cycle_search_reports_truncation():
+    program = _capped_program()
+    cycles, truncated = critical_cycle_search(collect_accesses(program), _conflicting)
+    assert len(cycles) == MAX_CYCLES and truncated
+    iriw = next(test.program for test in all_tests() if test.name == "IRIW")
+    accesses = collect_accesses(iriw)
+    everything, truncated = critical_cycle_search(accesses, _conflicting, None)
+    assert everything and not truncated
+    capped, truncated = critical_cycle_search(accesses, _conflicting, len(everything) + 1)
+    assert capped == everything and not truncated
+    first, truncated = critical_cycle_search(accesses, _conflicting, 1)
+    assert first == everything[:1] and truncated
+
+
+def test_truncated_report_certifies_nothing():
+    program = _capped_program()
+    assert certify_robustness(_sb_pair(), "tso").verdict == "not-robust"
+    report = analyze_program(program, "tso", bypass_coherence=True)
+    assert report.truncated and not report.delays
+    assert "cycle search stopped at" in report.summary()
+    for model_name in ("tso", "weak"):
+        certificate = certify_robustness(program, model_name)
+        assert not certificate.robust and certificate.truncated
+        assert certificate.verdict == "possibly-not-robust"
+        repair = repair_fences(program, model_name)
+        assert not repair.already_robust and not repair.complete
+        assert repair.fence_count is None
+        assert "no robustness certified" in repair.summary()
+    assert all(not step.portable for step in check_portability(program).steps)
+    assert speculation_safety(program, "weak").truncated
+
+
+def test_truncated_search_leaves_no_address_dependency_safe(monkeypatch):
+    search = conflict.critical_cycle_search
+    monkeypatch.setattr(
+        conflict, "critical_cycle_search",
+        lambda accesses, conflicting: search(accesses, conflicting, max_cycles=0),
+    )
+    report = speculation_safety(build_fig8(), "weak")
+    assert report.truncated and not report.all_safe
+    assert [(v.thread, v.index) for v in report.unsafe_loads()] == [("B", 4)]
+    assert "stopped at its cap" in report.unsafe_loads()[0].reason
+
+
+def test_static_oracle_skips_a_truncated_report():
+    with pytest.raises(OracleSkip, match="stopped at its cap"):
+        _check_static(OracleContext(_capped_program()))
