@@ -20,16 +20,18 @@ one failed ``open`` — no lookup or store lists the directory.
 Safety model
 ------------
 
-* only **complete** results are ever stored (the enumerator enforces
-  it), so a hit can never silently truncate a behavior set;
+* only **complete** results are ever stored (:meth:`BehaviorCache.memoize`
+  refuses anything else), so a hit can never silently truncate a
+  behavior set, and a budget-exhausted search leaves nothing on disk;
 * hits are **verified-decodable**: the header, the payload checksum,
   the pickle decode, the payload version and the recomputed cache key
   must all agree before a cached result is returned — anything less
   degrades to a miss with a :class:`~repro.errors.CacheIntegrityWarning`
   and deletes the entry, so the re-enumeration that follows repairs it;
-* ``validate=True`` makes every hit re-enumerate and assert
-  byte-identical ``loadstore_key`` sets — the paranoid mode for
-  qualifying a cache directory of unknown provenance.
+* a decodable entry whose *behaviors* are wrong (a subset stored under
+  an honest key) is caught offline by :meth:`BehaviorCache.verify` with
+  ``full=True`` (``repro cache verify DIR --full``), which re-enumerates
+  every entry — the audit for a cache directory of unknown provenance.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.enumerate import EnumerationStats
+from repro.core.enumerate import (
+    EnumerationResult,
+    EnumerationStats,
+    enumerate_behaviors,
+)
 from repro.core.serialization import behavior_cache_key
 from repro.errors import CacheError, CacheIntegrityWarning
 from repro.storage import atomic_write
@@ -57,7 +63,6 @@ CACHE_PAYLOAD_VERSION = 2
 _ENTRY_SUFFIX = ".bin"
 _HEADER = b"RBEH\x01"  #: magic ("repro behaviors") + entry format version
 _CHECKSUM_SIZE = 8
-_PARTIAL_SUBDIR = "partial"
 _LRU_SIZE = 128  #: decoded entries kept per process
 
 
@@ -74,12 +79,7 @@ class CacheCounters:
     puts: int = 0  #: complete results written
     duplicate_puts: int = 0  #: puts skipped because the entry already exists
     decode_failures: int = 0  #: entries degraded to misses by damage
-    validations: int = 0  #: hits re-enumerated under ``validate=True``
     invalidations: int = 0  #: entries deleted by :meth:`BehaviorCache.invalidate`
-    partial_hits: int = 0  #: budget-exhausted searches resumed from a checkpoint
-    partial_misses: int = 0  #: partial lookups with no (usable) checkpoint
-    partial_puts: int = 0  #: partial-search checkpoints persisted
-    partial_drops: int = 0  #: checkpoints retired (search completed)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -106,9 +106,8 @@ class BehaviorCache:
     directory is created by the first store.
     """
 
-    def __init__(self, directory: str | Path, *, validate: bool = False) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.validate = validate
         self.counters = CacheCounters()
         self._lru: OrderedDict[bytes, CachedBehaviors] = OrderedDict()
 
@@ -117,21 +116,50 @@ class BehaviorCache:
     _SHARED: dict[str, "BehaviorCache"] = {}
 
     @classmethod
-    def shared(cls, directory: str | Path, **kwargs) -> "BehaviorCache":
+    def shared(cls, directory: str | Path) -> "BehaviorCache":
         """One instance per (process, directory) — what long-lived batch
         workers use so their LRU survives across calls."""
         key = str(Path(directory).resolve())
         cache = cls._SHARED.get(key)
         if cache is None:
-            cache = cls(directory, **kwargs)
+            cache = cls(directory)
             cls._SHARED[key] = cache
         return cache
 
-    # -- key derivation -------------------------------------------------
+    # -- whole results --------------------------------------------------
 
-    @staticmethod
-    def key_for(program, model, limits) -> bytes:
-        return behavior_cache_key(program, model, limits)
+    def replay(self, program, model, limits=None) -> EnumerationResult | None:
+        """The memoized complete result of enumerating ``program`` under
+        ``model`` with ``limits``, or ``None`` on a miss.  The result is
+        built for the request (its program and model), with a private
+        copy of the stored stats."""
+        entry = self.lookup(behavior_cache_key(program, model, limits))
+        if entry is None:
+            return None
+        return EnumerationResult(
+            program=program,
+            model=model,
+            executions=list(entry.executions),
+            stats=replace(entry.stats),
+            complete=True,
+            cached=True,
+        )
+
+    def memoize(self, result: EnumerationResult, limits=None) -> bool:
+        """Store ``result`` as the answer to enumerating its program
+        under its model with ``limits`` (the request's *full* budgets).
+        Only a complete result is stored; returns whether an entry was
+        written."""
+        if not result.complete:
+            return False
+        return self.store(
+            behavior_cache_key(result.program, result.model, limits),
+            result.program,
+            result.model,
+            limits,
+            result.executions,
+            result.stats,
+        )
 
     def _entry_path(self, key: bytes) -> Path:
         return self.directory / f"{key.hex()}{_ENTRY_SUFFIX}"
@@ -263,7 +291,7 @@ class BehaviorCache:
         return True
 
     def invalidate(self, key: bytes) -> None:
-        """Delete an entry (e.g. after a failed validation)."""
+        """Delete an entry (e.g. one ``verify(full=True)`` reported bad)."""
         self._lru.pop(key, None)
         _unlink(self._entry_path(key))
         self.counters.invalidations += 1
@@ -274,58 +302,6 @@ class BehaviorCache:
 
     def close(self) -> None:
         """No-op: the cache holds no open files."""
-
-    # -- partial-search checkpoints -------------------------------------
-
-    def _partial_path(self, program, model) -> Path:
-        # Keyed with *default* limits: a partial search's identity is the
-        # (program, model) pair — the whole point is resuming it under a
-        # different (larger) budget.
-        key = behavior_cache_key(program, model)
-        return self.directory / _PARTIAL_SUBDIR / f"{key.hex()}.ckpt"
-
-    def lookup_partial(self, program, model):
-        """The persisted partial-search checkpoint for ``(program,
-        model)``, or ``None``.  The checkpoint carries the enumeration
-        dedup set (seen-state digests) and remaining worklist, so a
-        resumed budget-exhausted search skips every state it already
-        explored instead of restarting.  A damaged checkpoint is deleted
-        and degrades to a miss — never an error."""
-        from repro.core.enumerate import EnumerationCheckpoint, EnumerationError
-
-        path = self._partial_path(program, model)
-        if not path.exists():
-            self.counters.partial_misses += 1
-            return None
-        try:
-            checkpoint = EnumerationCheckpoint.load(path)
-        except EnumerationError:
-            _unlink(path)
-            self.counters.decode_failures += 1
-            self.counters.partial_misses += 1
-            return None
-        self.counters.partial_hits += 1
-        return checkpoint
-
-    def store_partial(self, program, model, checkpoint) -> Path:
-        """Persist a budget-exhausted search's checkpoint (atomic write;
-        replaces any earlier, shallower one for the same pair)."""
-        path = self._partial_path(program, model)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        checkpoint.save(path)
-        self.counters.partial_puts += 1
-        return path
-
-    def drop_partial(self, program, model) -> bool:
-        """Retire the checkpoint once the search completes (the complete
-        result now lives in the value store)."""
-        path = self._partial_path(program, model)
-        try:
-            os.unlink(path)
-        except OSError:
-            return False
-        self.counters.partial_drops += 1
-        return True
 
     # -- maintenance ----------------------------------------------------
 
@@ -348,12 +324,10 @@ class BehaviorCache:
                 disk_bytes += path.stat().st_size
             except OSError:
                 continue  # invalidated concurrently
-        partial = self.directory / _PARTIAL_SUBDIR
         return {
             "directory": str(self.directory),
             "live_entries": len(entries),
             "disk_bytes": disk_bytes,
-            "partial_checkpoints": sum(1 for _ in partial.glob("*.ckpt")),
             "counters": self.counters.as_dict(),
         }
 
@@ -373,8 +347,6 @@ class BehaviorCache:
                 bad.append(key.hex())
                 continue
             if full:
-                from repro.core.enumerate import enumerate_behaviors
-
                 fresh = enumerate_behaviors(entry.program, entry.model, entry.limits)
                 if not fresh.complete or _loadstore_set(
                     fresh.executions

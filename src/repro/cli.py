@@ -769,7 +769,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"cache {stats['directory']}")
         print(f"  live entries      : {stats['live_entries']}")
         print(f"  disk bytes        : {stats['disk_bytes']}")
-        print(f"  checkpoints       : {stats['partial_checkpoints']}")
         return 0
 
     report = cache.verify(full=args.full)

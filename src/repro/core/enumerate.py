@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import (
     AtomicityViolation,
-    CacheError,
     CycleError,
     EnumerationError,
     StuckBehaviorWarning,
@@ -135,7 +134,9 @@ class EnumerationStats:
 #: pickled layout changes incompatibly; :meth:`EnumerationCheckpoint.load`
 #: rejects anything it does not positively recognize.  Version 2:
 #: ``Node`` gained construction-time slots that version-1 pickles lack.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3: the ``dedup_exact`` field is gone — every dedup set holds
+#: digests, and a version-2 checkpoint may hold full-tuple keys instead.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Versions this build can still resume from.
 SUPPORTED_CHECKPOINT_VERSIONS = frozenset({CHECKPOINT_FORMAT_VERSION})
@@ -164,7 +165,6 @@ class EnumerationCheckpoint:
     seen_states: set
     finished: dict
     stats: EnumerationStats
-    dedup_exact: bool = False
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
     def save(self, path: str | Path) -> None:
@@ -309,23 +309,20 @@ class _MemoryAccountant:
 _DIGEST_SIZE = 16
 
 
-def _dedup_key(execution: Execution, exact: bool):
+def _dedup_key(execution: Execution) -> bytes:
     """The ``seen_states`` membership key of a behavior.
 
-    By default the full canonical :meth:`Execution.state_key` tuple is
-    collapsed to a fixed-size ``blake2b`` digest — ~50 bytes in the set
-    instead of a deeply nested tuple.  The key contains no sets, so its
-    ``repr`` (and hence the digest) is deterministic across processes.
-
-    A digest collision between two *distinct* states would silently drop
-    a live behavior; with 128-bit digests this is vanishingly unlikely,
-    but ``dedup_exact=True`` keeps the full tuples for debugging runs
-    where that risk must be exactly zero.
+    The full canonical :meth:`Execution.state_key` tuple is collapsed to
+    a fixed-size ``blake2b`` digest — ~50 bytes in the set instead of a
+    deeply nested tuple.  The key contains no sets, so its ``repr`` (and
+    hence the digest) is deterministic across processes.  A digest
+    collision between two *distinct* states would silently drop a live
+    behavior; with 128-bit digests this is vanishingly unlikely, and the
+    library's digests map one-to-one onto its state keys (a test checks
+    it).
     """
-    key = execution.state_key()
-    if exact:
-        return key
-    return hashlib.blake2b(repr(key).encode(), digest_size=_DIGEST_SIZE).digest()
+    key = repr(execution.state_key()).encode()
+    return hashlib.blake2b(key, digest_size=_DIGEST_SIZE).digest()
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +338,6 @@ def enumerate_behaviors(
     strict: bool = False,
     token: CancellationToken | None = None,
     facts: "StaticFacts | None" = None,
-    dedup_exact: bool = False,
     cache: "BehaviorCache | None" = None,
 ) -> EnumerationResult:
     """Enumerate all distinct executions of ``program`` under ``model``.
@@ -364,105 +360,38 @@ def enumerate_behaviors(
     byte-identical with and without it (TAB-DATAFLOW asserts this on the
     whole litmus library).
 
-    ``dedup_exact=True`` stores full canonical state keys in the dedup
-    set instead of 128-bit digests (see :func:`_dedup_key`).
-
     ``cache`` memoizes the call in a persistent
     :class:`~repro.cache.store.BehaviorCache`: the request's canonical
     :func:`~repro.core.serialization.behavior_cache_key` is looked up
     first (a hit returns instantly with ``result.cached = True``), and a
     fresh result is stored afterwards — but only when **complete**, so a
     budget-truncated search can never be replayed as the full behavior
-    set.  A cache opened with ``validate=True`` re-enumerates every hit
-    and asserts byte-identical ``loadstore_key`` sets, raising
-    :class:`~repro.errors.CacheError` on disagreement.
+    set.  A budget-exhausted search writes nothing to the cache; resume
+    it through its ``checkpoint`` (:func:`resume_enumeration`).
     """
     limits = limits or EnumerationLimits()
 
-    cache_key: bytes | None = None
     if cache is not None:
-        cache_key = cache.key_for(program, model, limits)
-        entry = cache.lookup(cache_key)
-        if entry is not None:
-            if cache.validate:
-                _validate_cache_hit(cache, cache_key, entry, program, model, limits)
-            return EnumerationResult(
-                program=program,
-                model=model,
-                executions=list(entry.executions),
-                stats=replace(entry.stats),
-                complete=True,
-                cached=True,
-            )
+        cached = cache.replay(program, model, limits)
+        if cached is not None:
+            return cached
 
-    # Partial-search persistence: a budget-exhausted search checkpoints
-    # its dedup set and worklist next to the cache, so a later call on
-    # the same (program, model) — typically with a larger budget —
-    # resumes instead of re-exploring every seen state.  Engaged only
-    # for the plain configuration the checkpoint actually captures:
-    # digest-dedup, no static-facts pruning.  Counting budgets are
-    # cumulative across resumes, so a same-budget retry stops exactly
-    # where a fresh run would — verdicts never depend on whether a
-    # checkpoint was found.
-    partial_eligible = (
-        cache is not None and facts is None and dedup and not dedup_exact
+    initial = Execution.initial(program, model, limits.max_nodes_per_thread, facts)
+    result = _search(
+        program,
+        model,
+        limits,
+        dedup,
+        strict,
+        token,
+        worklist=[initial],
+        seen_states={_dedup_key(initial)},
+        finished={},
+        stats=EnumerationStats(),
     )
-    checkpoint = None
-    if partial_eligible:
-        checkpoint = cache.lookup_partial(program, model)
-        if checkpoint is not None and (
-            not checkpoint.dedup
-            or getattr(checkpoint, "dedup_exact", False)
-            or checkpoint.model.name != model.name
-        ):
-            checkpoint = None
-
-    if checkpoint is not None:
-        result = resume_enumeration(checkpoint, limits, strict=strict, token=token)
-    else:
-        initial = Execution.initial(program, model, limits.max_nodes_per_thread, facts)
-        worklist: list[Execution] = [initial]
-        seen_states: set = {_dedup_key(initial, dedup_exact)}
-        result = _search(
-            program,
-            model,
-            limits,
-            dedup,
-            strict,
-            token,
-            worklist,
-            seen_states,
-            finished={},
-            stats=EnumerationStats(),
-            dedup_exact=dedup_exact,
-        )
-    if cache is not None and cache_key is not None and result.complete:
-        cache.store(
-            cache_key, program, model, limits, result.executions, result.stats
-        )
-    if partial_eligible:
-        if result.complete:
-            cache.drop_partial(program, model)
-        elif result.checkpoint is not None:
-            cache.store_partial(program, model, result.checkpoint)
+    if cache is not None:
+        cache.memoize(result, limits)
     return result
-
-
-def _validate_cache_hit(cache, key, entry, program, model, limits) -> None:
-    """The ``validate=True`` audit: re-run the search and require the hit
-    to reproduce it byte-for-byte (by canonical ``loadstore_key``)."""
-    fresh = enumerate_behaviors(program, model, limits)
-    fresh_keys = sorted(repr(e.loadstore_key()) for e in fresh.executions)
-    cached_keys = sorted(repr(e.loadstore_key()) for e in entry.executions)
-    cache.counters.validations += 1
-    if not fresh.complete or fresh_keys != cached_keys:
-        cache.invalidate(key)
-        raise CacheError(
-            f"validated cache hit {key.hex()} disagrees with a fresh "
-            f"enumeration of {program.name!r} under {model.name} "
-            f"({len(cached_keys)} cached vs {len(fresh_keys)} fresh "
-            f"executions); the entry has been invalidated"
-        )
 
 
 def resume_enumeration(
@@ -484,7 +413,6 @@ def resume_enumeration(
     by the original run plus every resume.
     """
     limits = limits or checkpoint.limits
-    dedup_exact = getattr(checkpoint, "dedup_exact", False)
     return _search(
         checkpoint.program,
         checkpoint.model,
@@ -496,7 +424,6 @@ def resume_enumeration(
         set(checkpoint.seen_states),
         finished=dict(checkpoint.finished),
         stats=replace(checkpoint.stats),
-        dedup_exact=dedup_exact,
     )
 
 
@@ -511,7 +438,6 @@ def _search(
     seen_states: set,
     finished: dict,
     stats: EnumerationStats,
-    dedup_exact: bool = False,
 ) -> EnumerationResult:
     start = time.monotonic()
     accountant = _MemoryAccountant(limits.max_memory_mb)
@@ -557,8 +483,7 @@ def _search(
         stats.branched += 1
 
         reason = _branch(
-            behavior, eligible, dedup, worklist, seen_states, stats, accountant,
-            dedup_exact,
+            behavior, eligible, dedup, worklist, seen_states, stats, accountant
         )
         if reason is not None:
             # The behavior was only partly expanded: requeue it so the
@@ -596,7 +521,6 @@ def _search(
             seen_states=set(seen_states),
             finished=dict(finished),
             stats=replace(stats),
-            dedup_exact=dedup_exact,
         )
     return EnumerationResult(
         program, model, executions, stats, complete, reason, checkpoint
@@ -611,7 +535,6 @@ def _branch(
     seen_states: set,
     stats: EnumerationStats,
     accountant: _MemoryAccountant,
-    dedup_exact: bool = False,
 ) -> ExhaustionReason | None:
     """Expand one behavior by Load Resolution.  Returns an exhaustion
     reason when a fault forces the search to degrade, else None."""
@@ -632,7 +555,7 @@ def _branch(
                 # with whatever has been gathered so far.
                 return ExhaustionReason.MEMORY
             if dedup:
-                key = _dedup_key(child, dedup_exact)
+                key = _dedup_key(child)
                 if key in seen_states:
                     stats.duplicates += 1
                     continue

@@ -37,7 +37,6 @@ from typing import Callable
 from repro.core.enumerate import (
     CancellationToken,
     EnumerationCheckpoint,
-    EnumerationResult,
     ExhaustionReason,
     enumerate_behaviors,
     resume_enumeration,
@@ -84,20 +83,11 @@ def _run_slice(payload: dict) -> dict:
     # *job's* full limits — slices are an implementation detail that the
     # resume semantics make behavior-invisible.
     if checkpoint is None and cache is not None:
-        program = assemble(source).program
-        entry = cache.lookup(cache.key_for(program, model, limits))
-        if entry is not None:
-            replayed = EnumerationResult(
-                program=entry.program,
-                model=entry.model,
-                executions=list(entry.executions),
-                stats=entry.stats,
-                complete=True,
-                cached=True,
-            )
+        replayed = cache.replay(assemble(source).program, model, limits)
+        if replayed is not None:
             return {
                 "status": "done",
-                "explored": entry.stats.explored,
+                "explored": replayed.stats.explored,
                 "result": canonical_result(replayed),
                 "cached": True,
             }
@@ -116,14 +106,7 @@ def _run_slice(payload: dict) -> dict:
     explored = result.stats.explored
     if result.complete:
         if cache is not None:
-            cache.store(
-                cache.key_for(result.program, model, limits),
-                result.program,
-                model,
-                limits,
-                result.executions,
-                result.stats,
-            )
+            cache.memoize(result, limits)
         return {
             "status": "done",
             "explored": explored,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.enumerate import CancellationToken, EnumerationResult
+from repro.core.enumerate import CancellationToken
 from repro.errors import ReproError, ServiceError, WALError
 from repro.isa.assembler import assemble
 from repro.models.registry import available_models, get_model
@@ -442,18 +442,8 @@ class JobServer:
         # WAL-durable (submitted, then transitioned terminal) but never
         # queues, so it consumes no backpressure budget and no worker.
         if self.cache is not None:
-            entry = self.cache.lookup(
-                self.cache.key_for(program, get_model(model), enum_limits)
-            )
-            if entry is not None:
-                replayed = EnumerationResult(
-                    program=entry.program,
-                    model=entry.model,
-                    executions=list(entry.executions),
-                    stats=entry.stats,
-                    complete=True,
-                    cached=True,
-                )
+            replayed = self.cache.replay(program, get_model(model), enum_limits)
+            if replayed is not None:
                 try:
                     job = self.store.submit(
                         account, source, model, limits, deadline, program.name
@@ -465,7 +455,7 @@ class JobServer:
                         job.id,
                         JobState.COMPLETED,
                         result=canonical_result(replayed),
-                        explored=entry.stats.explored,
+                        explored=replayed.stats.explored,
                     )
                 except WALError as exc:
                     raise _HTTPError(

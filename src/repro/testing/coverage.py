@@ -17,9 +17,9 @@ into a campaign that **learns** and **accumulates**:
   entries (via the PR 5 shrink reducers plus amplifying operators:
   fence insertion of every kind, acquire/release toggles, value bumps),
   pick fresh profiles by observed novelty yield, and prune duplicate
-  programs through a :class:`~repro.cache.bloom.BloomFilter` of program
-  digests *before* any enumeration budget is spent on them.
-* **Campaign state** — grid, corpus, RNG cursor, and spent budget
+  programs through the exact set of program digests already checked
+  *before* any enumeration budget is spent on them.
+* **Campaign state** — grid, corpus, seen digests, RNG cursor, and spent budget
   persist in a WAL-checkpointed directory
   (``state.json`` + ``campaign.wal``), so a killed or nightly-restarted
   campaign resumes exactly where it stopped and budget accumulates
@@ -45,14 +45,12 @@ Determinism contract (what the tests and the fuzzcov benchmark gate pin):
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
-from repro.cache.bloom import BloomFilter
 from repro.errors import ReproError
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
@@ -91,11 +89,13 @@ DEFAULT_BATCH_SIZE = 12
 DEFAULT_MUTATE_RATE = 0.45
 DEFAULT_CORPUS_LIMIT = 256
 
-_STATE_FORMAT = 1
+#: Format 2: the seen-program set is an exact sorted list of digest
+#: prefixes (format 1 held a bloom filter).
+_STATE_FORMAT = 2
 _PLAN_ATTEMPTS = 6  #: dedup retries per slot before accepting a duplicate
 _MUTANT_ATTEMPTS = 3  #: of those, how many may draw from the corpus
 _CHECKPOINT_EVERY = 4  #: batches between state.json checkpoints
-_BLOOM_EXPECTED = 65536  #: program-digest capacity at the design FPR
+_SEEN_PREFIX = 8  #: bytes of a program digest kept in the seen set
 _EXPLORE_EVERY = 3  #: fresh-draw indices forced onto the round-robin
 
 
@@ -246,6 +246,11 @@ def program_digest(program: Program) -> str:
         lines = lines[1:]
     body = "\n".join(lines)
     return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _seen_key(digest: str) -> bytes:
+    """The seen-set entry of a :func:`program_digest`."""
+    return bytes.fromhex(digest)[:_SEEN_PREFIX]
 
 
 def model_tables_digest(digest_size: int = 16) -> str:
@@ -450,9 +455,8 @@ class CampaignState:
     discrepancies: int = 0
     grid: CoverageGrid = field(default_factory=CoverageGrid)
     corpus: list[CorpusRecord] = field(default_factory=list)
-    bloom: BloomFilter = field(
-        default_factory=lambda: BloomFilter.sized_for(_BLOOM_EXPECTED)
-    )
+    #: ``_SEEN_PREFIX``-byte prefixes of every checked program's digest.
+    seen: set[bytes] = field(default_factory=set)
     #: per-profile (programs checked, new cells yielded) — the bandit's
     #: evidence for picking fresh-draw profiles.
     profile_programs: dict[str, int] = field(default_factory=dict)
@@ -483,7 +487,7 @@ def save_state(state: CampaignState, campaign_dir: Path) -> Path:
                 set(state.profile_programs) | set(state.profile_novelty)
             )
         },
-        "bloom": base64.b64encode(state.bloom.encode()).decode("ascii"),
+        "seen": sorted(prefix.hex() for prefix in state.seen),
     }
     payload = dict(body)
     payload["crc"] = _state_crc(body)
@@ -514,9 +518,6 @@ def load_state(campaign_dir: Path) -> CampaignState | None:
         raise ReproError(
             f"campaign state {path} has unsupported format {payload.get('format')!r}"
         )
-    bloom = BloomFilter.decode(base64.b64decode(payload["bloom"]))
-    if bloom is None:
-        raise ReproError(f"campaign state {path} has a damaged bloom filter")
     state = CampaignState(
         config=CampaignConfig.from_json(payload["config"]),
         next_index=int(payload["next_index"]),
@@ -524,7 +525,7 @@ def load_state(campaign_dir: Path) -> CampaignState | None:
         discrepancies=int(payload["discrepancies"]),
         grid=CoverageGrid.from_json(payload["grid"]),
         corpus=[CorpusRecord.from_json(entry) for entry in payload["corpus"]],
-        bloom=bloom,
+        seen={bytes.fromhex(prefix) for prefix in payload["seen"]},
     )
     for name, (programs, novelty) in payload["profiles"].items():
         state.profile_programs[name] = int(programs)
@@ -549,7 +550,7 @@ def _fold_batch(state: CampaignState, items: list[dict]) -> frozenset[Cell]:
         new = state.grid.add(cells)
         new_cells |= new
         state.profile_novelty[profile] = state.profile_novelty.get(profile, 0) + len(new)
-        state.bloom.add(bytes.fromhex(item["digest"]))
+        state.seen.add(_seen_key(item["digest"]))
         if new and len(state.corpus) < state.config.corpus_limit:
             state.corpus.append(
                 CorpusRecord(
@@ -685,10 +686,10 @@ def _pick_mutant(
 def plan_batch(state: CampaignState, count: int) -> list[PlannedProgram]:
     """The next ``count`` slots, as a pure function of the committed
     state.  Each slot retries up to ``_PLAN_ATTEMPTS`` candidates whose
-    digest the campaign bloom (or this batch) has already seen — dedup
-    pruning *before* enumeration — and accepts the last candidate
-    unconditionally so a saturated filter degrades to blind generation,
-    never to a stall."""
+    digest the campaign (or this batch) has already seen — dedup pruning
+    *before* enumeration — and accepts the last candidate unconditionally
+    so a program space the campaign has exhausted degrades to blind
+    generation, never to a stall."""
     planned: list[PlannedProgram] = []
     local: set[str] = set()
     for slot in range(count):
@@ -724,7 +725,7 @@ def plan_batch(state: CampaignState, count: int) -> list[PlannedProgram]:
                 program = generate_program(pseed, profile)
             digest = program_digest(program)
             last = attempt == _PLAN_ATTEMPTS - 1
-            if last or (digest not in local and bytes.fromhex(digest) not in state.bloom):
+            if last or (digest not in local and _seen_key(digest) not in state.seen):
                 chosen = PlannedProgram(index, pseed, profile_name, source, text, digest)
                 break
         assert chosen is not None

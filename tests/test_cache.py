@@ -1,8 +1,9 @@
 """Tests for the persistent behavior cache: the canonical cache key,
-the bloom filter (campaign dedup), the one-file-per-entry store, one
-damage battery for entry files, crash-safety under ``kill -9``, the
-``enumerate_behaviors(cache=...)`` integration with its safety knobs,
-cache-on vs cache-off oracle equivalence, and the CLI surface."""
+the one-file-per-entry store, one damage battery for entry files,
+crash-safety under ``kill -9``, the ``enumerate_behaviors(cache=...)``
+integration (complete results only, one hit path), the offline
+``verify(full=True)`` audit, cache-on vs cache-off oracle equivalence,
+and the CLI surface."""
 
 import hashlib
 import os
@@ -15,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import CACHE_PAYLOAD_VERSION, BehaviorCache, BloomFilter
+from repro.cache import CACHE_PAYLOAD_VERSION, BehaviorCache
 from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
 from repro.core.serialization import behavior_cache_key
-from repro.errors import CacheError, CacheIntegrityWarning
+from repro.errors import CacheIntegrityWarning
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
 from repro.litmus.library import all_tests, get_test
@@ -129,46 +130,6 @@ class TestBehaviorCacheKey:
 
 
 # ----------------------------------------------------------------------
-# the bloom filter
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter.sized_for(500)
-        keys = [os.urandom(16) for _ in range(500)]
-        for key in keys:
-            bloom.add(key)
-        assert all(key in bloom for key in keys)
-
-    def test_false_positive_rate_under_one_percent(self):
-        bloom = BloomFilter.sized_for(1000)
-        for _ in range(1000):
-            bloom.add(os.urandom(16))
-        novel = [os.urandom(16) for _ in range(20_000)]
-        measured = sum(1 for key in novel if key in bloom) / len(novel)
-        assert measured < 0.01
-        assert bloom.estimated_fpr() < 0.01
-        assert not bloom.saturated
-
-    def test_encode_decode_round_trip(self):
-        bloom = BloomFilter.sized_for(64)
-        keys = [os.urandom(16) for _ in range(64)]
-        for key in keys:
-            bloom.add(key)
-        decoded = BloomFilter.decode(bloom.encode())
-        assert decoded is not None
-        assert decoded.bits == bloom.bits and decoded.hashes == bloom.hashes
-        assert all(key in decoded for key in keys)
-
-    def test_damaged_encoding_decodes_to_none(self):
-        encoded = bytearray(BloomFilter.sized_for(64).encode())
-        assert BloomFilter.decode(bytes(encoded[:-1])) is None  # truncated
-        encoded[len(encoded) // 2] ^= 0xFF
-        assert BloomFilter.decode(bytes(encoded)) is None  # flipped bit
-        assert BloomFilter.decode(b"") is None
-
-
-# ----------------------------------------------------------------------
 # the BehaviorCache store
 
 
@@ -261,15 +222,69 @@ class TestBehaviorCacheStore:
         assert cache.counters.puts == 2 and cache.counters.hits == 4
 
     def test_incomplete_results_are_never_cached(self, tmp_path):
-        cache = BehaviorCache(tmp_path)
+        """A budget-exhausted search writes nothing at all: no entry, no
+        checkpoint, not even the cache directory."""
+        cache_dir = tmp_path / "cache"
+        cache = BehaviorCache(cache_dir)
         test = get_test("IRIW")
         model = get_model("weak")
         limits = EnumerationLimits(max_behaviors=5)
         partial = enumerate_behaviors(test.program, model, limits, cache=cache)
-        assert not partial.complete
+        assert not partial.complete and partial.checkpoint is not None
         assert cache.counters.puts == 0
+        assert not cache_dir.exists()
         again = enumerate_behaviors(test.program, model, limits, cache=cache)
         assert not again.cached
+        assert not cache.memoize(again, limits)
+        assert not cache_dir.exists()
+
+    def test_cold_miss_touches_only_its_entry(self, tmp_path, monkeypatch):
+        """A cold ``enumerate_behaviors(..., cache=)`` call opens the one
+        entry file it looks up and writes the one it stores; no other
+        path under the cache directory (such as a ``partial/`` store) is
+        consulted."""
+        test = get_test("SB")
+        model = get_model("weak")
+        entry = entry_path(tmp_path, behavior_cache_key(test.program, model, None))
+        touched = []
+
+        def record(real):
+            def wrapper(path, *args, **kwargs):
+                if isinstance(path, (str, os.PathLike)):
+                    touched.append(Path(path))
+                return real(path, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr("builtins.open", record(open))
+        monkeypatch.setattr(os, "stat", record(os.stat))
+        cache = BehaviorCache(tmp_path)
+        result = enumerate_behaviors(test.program, model, cache=cache)
+        monkeypatch.undo()
+
+        assert result.complete and not result.cached and cache.counters.puts == 1
+        under_cache = {path for path in touched if tmp_path in path.parents}
+        assert all(path.parent == tmp_path for path in under_cache)
+        assert {path for path in under_cache if path.suffix == ".bin"} == {entry}
+        assert not any("partial" in path.parts for path in touched)
+        assert [path.name for path in tmp_path.iterdir()] == [entry.name]
+
+    def test_replay_builds_the_request_result(self, tmp_path):
+        """The one hit path: ``replay`` answers with a complete, cached
+        result for the request, whose stats are a private copy."""
+        cache = BehaviorCache(tmp_path)
+        test = get_test("MP")
+        model = get_model("tso")
+        assert cache.replay(test.program, model) is None
+        cold = enumerate_behaviors(test.program, model, cache=cache)
+        hit = cache.replay(test.program, model, EnumerationLimits())
+        assert hit.cached and hit.complete and hit.reason is None
+        assert hit.program is test.program and hit.model is model
+        assert loadstore_keys(hit.executions) == loadstore_keys(cold.executions)
+        assert hit.stats == cold.stats
+        hit.stats.explored += 1000
+        assert cache.replay(test.program, model).stats == cold.stats
+        assert cache.replay(test.program, model, EnumerationLimits(max_behaviors=9)) is None
 
     def test_duplicate_puts_are_skipped(self, tmp_path):
         cache = BehaviorCache(tmp_path)
@@ -296,33 +311,30 @@ class TestBehaviorCacheStore:
         assert fresh.lookup(keys["SB"]) is None
         assert fresh.lookup(keys["MP"]) is not None
 
-    def test_validate_knob_accepts_honest_hits(self, tmp_path):
-        cache = BehaviorCache(tmp_path)
-        populate(cache)
-        cache.close()
-        validating = BehaviorCache(tmp_path, validate=True)
-        test = get_test("SB")
-        result = enumerate_behaviors(test.program, get_model("weak"), cache=validating)
-        assert result.cached
-        assert validating.counters.validations == 1
-
-    def test_validate_knob_rejects_tampered_entries(self, tmp_path):
+    def test_verify_full_reports_tampered_entries(self, tmp_path, capsys):
         cache = BehaviorCache(tmp_path)
         test = get_test("SB")
         model = get_model("weak")
         result = enumerate_behaviors(test.program, model, cache=cache)
+        populate(cache, ("MP",))
         # Store a *subset* of the executions under the honest key: the
-        # payload decodes and key-verifies, so only validate catches it.
+        # payload decodes and key-verifies, so only a re-enumeration
+        # catches it.
         key = behavior_cache_key(test.program, model, None)
         cache.invalidate(key)
         cache.store(key, test.program, model, None, result.executions[:1], result.stats)
         cache.close()
 
-        validating = BehaviorCache(tmp_path, validate=True)
-        with pytest.raises(CacheError, match="disagrees with a fresh enumeration"):
-            enumerate_behaviors(test.program, model, cache=validating)
-        # ...and the bad entry was invalidated in the process.
-        assert validating.counters.invalidations == 1
+        assert BehaviorCache(tmp_path).verify()["bad"] == []
+        report = BehaviorCache(tmp_path).verify(full=True)
+        assert report["checked"] == 2 and report["ok"] == 1
+        assert report["bad"] == [key.hex()]
+
+        from repro.cli import main
+
+        assert main(["cache", "verify", str(tmp_path), "--full"]) == 1
+        out = capsys.readouterr().out
+        assert "1 ok, 1 bad" in out and f"BAD {key.hex()}" in out
 
     def test_verify_full_reenumerates(self, tmp_path):
         cache = BehaviorCache(tmp_path)
@@ -338,7 +350,6 @@ class TestBehaviorCacheStore:
         assert stats["disk_bytes"] == sum(
             path.stat().st_size for path in Path(tmp_path).glob("*.bin")
         )
-        assert stats["partial_checkpoints"] == 0
         assert stats["counters"]["puts"] == 2
 
 

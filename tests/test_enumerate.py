@@ -89,14 +89,28 @@ class TestDeduplication:
         # all four combinations: WEAK reorders same-address loads
         assert values == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
-    def test_digest_dedup_matches_exact_dedup(self, baseline):
+    def test_digest_dedup_matches_exact_dedup(self, baseline, monkeypatch):
         """The blake2b-digest dedup set admits exactly the same behavior
-        set as full canonical keys (no collisions on the library)."""
+        set as full canonical keys would: over the whole library, every
+        digest the search derives maps to one canonical state key and
+        every key to one digest (no collisions)."""
+        from repro.core import enumerate as engine
+
+        pairs = set()
+        real_dedup_key = engine._dedup_key
+
+        def recording(execution):
+            digest = real_dedup_key(execution)
+            pairs.add((digest, execution.state_key()))
+            return digest
+
+        monkeypatch.setattr(engine, "_dedup_key", recording)
         for test in all_tests():
-            exact = enumerate_behaviors(
-                test.program, get_model("weak"), dedup_exact=True
-            )
-            assert_identical(baseline[(test.name, "weak")], exact)
+            result = enumerate_behaviors(test.program, get_model("weak"))
+            assert_identical(baseline[(test.name, "weak")], result)
+        digests = {digest for digest, _ in pairs}
+        keys = {key for _, key in pairs}
+        assert len(digests) == len(keys) == len(pairs) > len(all_tests())
 
 
 class TestLimits:

@@ -17,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import BehaviorCache
-from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.core.enumerate import (
+    EnumerationLimits,
+    enumerate_behaviors,
+    resume_enumeration,
+)
 from repro.errors import ReproError
 from repro.isa.assembler import assemble_program
 from repro.isa.disassembler import disassemble
@@ -181,7 +185,7 @@ def _synthetic_state(tmp_path: Path) -> tuple[CampaignState, Path]:
 def test_state_roundtrip_and_crc(tmp_path):
     state, directory = _synthetic_state(tmp_path)
     state.grid.add({("St", "sc", "complete", "axiomatic-vs-sc:ok")})
-    state.bloom.add(b"\x01" * 16)
+    state.seen.update({b"\x02" * 8, b"\x01" * 8})
     state.profile_programs["relaxed"] = 3
     state.profile_novelty["relaxed"] = 5
     state.next_index = 4
@@ -192,7 +196,10 @@ def test_state_roundtrip_and_crc(tmp_path):
     assert loaded.grid.cells == state.grid.cells
     assert loaded.next_index == 4 and loaded.budget_spent == 4
     assert loaded.profile_programs == {"relaxed": 3}
-    assert b"\x01" * 16 in loaded.bloom
+    assert loaded.seen == {b"\x01" * 8, b"\x02" * 8}
+    on_disk = json.loads((directory / "state.json").read_text())
+    assert on_disk["format"] == 2
+    assert on_disk["seen"] == ["01" * 8, "02" * 8]  # exact, sorted
 
     # Any body tamper breaks the checksum.
     path = directory / "state.json"
@@ -201,6 +208,19 @@ def test_state_roundtrip_and_crc(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ReproError, match="checksum"):
         load_campaign(directory)
+
+
+def test_seen_digests_are_exact_and_steer_planning(tmp_path):
+    """The campaign dedups on an exact set of digest prefixes: a digest
+    is seen once added and never before, and planning steps past a seen
+    draw to the slot's next candidate."""
+    state, _ = _synthetic_state(tmp_path)
+    (first,) = plan_batch(state, 1)
+    assert bytes.fromhex(first.digest)[:8] not in state.seen
+    state.seen.add(bytes.fromhex(first.digest)[:8])
+    (second,) = plan_batch(state, 1)
+    assert second.index == first.index and second.digest != first.digest
+    assert bytes.fromhex(second.digest)[:8] not in state.seen
 
 
 def test_open_campaign_requires_resume_and_matching_config(tmp_path):
@@ -375,13 +395,19 @@ def test_corpus_files_exported_and_loadable(tmp_path):
     for entry in entries:
         assert entry.cells  # the coverage header survives the round-trip
         assert program_digest(entry.program) in by_digest
+    # Every checked program's digest prefix is in the exact seen set.
+    assert {bytes.fromhex(digest)[:8] for digest in by_digest} <= state.seen
+    assert 0 < len(state.seen) <= state.budget_spent
 
 
 # ---------------------------------------------------------------------------
-# satellite: persistent partial-search checkpoints (enumeration dedup set)
+# budget-exhausted searches with a cache: nothing partial is memoized
 
 
 def test_partial_checkpoint_resume_byte_identical(tmp_path):
+    """A budget-exhausted search run with a cache resumes through its
+    own checkpoint to the unbudgeted result, stats included; the cache
+    holds only the complete result, stored by a later complete call."""
     program = generate_program(33, get_profile("relaxed"))
     model = get_model("weak")
     full = enumerate_behaviors(program, model)
@@ -390,23 +416,21 @@ def test_partial_checkpoint_resume_byte_identical(tmp_path):
     cache = BehaviorCache(tmp_path / "cache")
     small = EnumerationLimits(max_behaviors=200)
     partial = enumerate_behaviors(program, model, small, cache=cache)
-    assert not partial.complete
-    assert cache.counters.partial_puts == 1
-    assert cache.stats()["partial_checkpoints"] == 1
+    assert not partial.complete and cache.counters.puts == 0
+    assert not (tmp_path / "cache").exists()
 
-    resumed = enumerate_behaviors(program, model, cache=cache)
-    assert cache.counters.partial_hits == 1
+    resumed = resume_enumeration(partial.checkpoint, EnumerationLimits())
     assert resumed.complete
     keys = lambda r: sorted(repr(e.loadstore_key()) for e in r.executions)
     assert keys(resumed) == keys(full)
     # Byte-identical including the cumulative stats: the resumed search
     # continued exactly where it stopped.
     assert resumed.stats == full.stats
-    # The checkpoint is retired once complete; the full result is cached.
-    assert cache.counters.partial_drops == 1
-    assert cache.stats()["partial_checkpoints"] == 0
+    cold = enumerate_behaviors(program, model, cache=cache)
+    assert not cold.cached and cache.counters.puts == 1
     again = enumerate_behaviors(program, model, cache=cache)
     assert again.cached and keys(again) == keys(full)
+    assert sorted(path.suffix for path in (tmp_path / "cache").iterdir()) == [".bin"]
 
 
 def test_partial_checkpoint_same_budget_verdict_stable(tmp_path):
@@ -419,19 +443,6 @@ def test_partial_checkpoint_same_budget_verdict_stable(tmp_path):
     keys = lambda r: sorted(repr(e.loadstore_key()) for e in r.executions)
     assert keys(first) == keys(second)
     assert first.complete == second.complete and first.reason == second.reason
-
-
-def test_partial_checkpoint_damage_degrades_to_miss(tmp_path):
-    program = generate_program(33, get_profile("relaxed"))
-    model = get_model("weak")
-    cache = BehaviorCache(tmp_path / "cache")
-    enumerate_behaviors(program, model, EnumerationLimits(max_behaviors=200), cache=cache)
-    (ckpt,) = (tmp_path / "cache" / "partial").glob("*.ckpt")
-    ckpt.write_bytes(b"garbage")
-    before = cache.counters.partial_misses
-    assert cache.lookup_partial(program, model) is None
-    assert not ckpt.exists()  # damaged checkpoint deleted
-    assert cache.counters.partial_misses == before + 1
 
 
 # ---------------------------------------------------------------------------

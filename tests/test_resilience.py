@@ -246,6 +246,22 @@ class TestCheckpointVersioning:
         assert "version 999" in str(info.value)
         assert "re-run the original enumeration" in str(info.value)
 
+    def test_load_rejects_version_2_checkpoint(self, tmp_path):
+        """A version-2 checkpoint may carry ``dedup_exact=True`` and a
+        dedup set of full state-key tuples that the digest-only search
+        would never match; it is refused rather than resumed."""
+        import pickle
+
+        checkpoint = self._partial_checkpoint()
+        checkpoint.format_version = 2
+        vars(checkpoint)["dedup_exact"] = True
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(pickle.dumps(checkpoint))
+        with pytest.raises(EnumerationError) as info:
+            EnumerationCheckpoint.load(path)
+        assert "version 2" in str(info.value)
+        assert "supports version(s) 3" in str(info.value)
+
     def test_load_rejects_pre_versioning_checkpoint(self, tmp_path):
         """A file written before the stamp existed has no
         ``format_version`` in its pickled ``__dict__`` — the class-level
@@ -277,27 +293,6 @@ class TestCheckpointVersioning:
             EnumerationCheckpoint.load(path)
         assert "version 1" in str(info.value)
         assert "re-run the original enumeration" in str(info.value)
-
-    def test_cached_version_1_partial_is_dropped(self, tmp_path):
-        """A version-1 partial checkpoint in a cache directory is refused
-        by ``lookup_partial`` (deleted, counted as damage) and the search
-        starts afresh instead of resuming from unusable nodes."""
-        from repro.cache import BehaviorCache
-
-        program, model = build_heavy3(), get_model("weak")
-        cache = BehaviorCache(tmp_path)
-        path = cache._partial_path(program, model)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(self._version_1_checkpoint())
-        assert cache.lookup_partial(program, model) is None
-        assert cache.counters.decode_failures == 1 and not path.exists()
-
-        path.write_bytes(self._version_1_checkpoint())
-        limits = EnumerationLimits(max_behaviors=80)
-        cache = BehaviorCache(tmp_path)
-        result = enumerate_behaviors(program, model, limits, cache=cache)
-        assert cache.counters.partial_hits == 0 and cache.counters.decode_failures == 1
-        assert result.stats == enumerate_behaviors(program, model, limits).stats
 
 
 class TestStatsAccounting:

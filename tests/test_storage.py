@@ -1,8 +1,8 @@
 """Tests for the on-disk formats and the shared atomic snapshot write.
 
 The format pins are literal bytes: a change to the framing must
-reproduce them exactly, or every WAL, campaign state and bloom filter
-already on disk silently stops verifying.
+reproduce them exactly, or every WAL and campaign state already on disk
+silently stops verifying.
 """
 
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import BehaviorCache, BloomFilter
+from repro.cache import BehaviorCache
 from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
 from repro.core.serialization import behavior_cache_key
 from repro.errors import CacheError
@@ -24,24 +24,15 @@ PINNED_WAL_LINE = (
     '{"crc":"6d2af62c7aa91e20","data":{"attempt":2,"note":"\\u00e9",'
     '"state":"running"},"event":"state","job":"ab12","seq":3}'
 )
+#: Campaign-state format 2: the seen-program set is a sorted list of
+#: 8-byte digest prefixes (format 1 carried a base64 bloom filter).
 PINNED_STATE_BODY = {
-    "format": 1,
+    "format": 2,
     "next_index": 7,
     "grid": {"cells": ["a", "b"]},
-    "bloom": "AAAA",
+    "seen": ["0123456789abcdef", "fedcba9876543210"],
 }
-PINNED_STATE_CRC = "f0f4d3e4db3e5862"
-PINNED_BLOOM_HEX = (
-    "52424c4d0103000000000000004000000000000000030008008600430010"
-    "eb31d301f6789957"
-)
-
-
-def pinned_bloom() -> BloomFilter:
-    bloom = BloomFilter(64, 3)
-    for key in (b"alpha", b"beta", bytes(range(16))):
-        bloom.add(key)
-    return bloom
+PINNED_STATE_CRC = "247742fed2b0fa9d"
 
 
 class TestFormatPins:
@@ -62,12 +53,6 @@ class TestFormatPins:
 
     def test_campaign_state_crc(self):
         assert _state_crc(PINNED_STATE_BODY) == PINNED_STATE_CRC
-
-    def test_bloom_encoding(self):
-        assert pinned_bloom().encode().hex() == PINNED_BLOOM_HEX
-        decoded = BloomFilter.decode(bytes.fromhex(PINNED_BLOOM_HEX))
-        assert decoded is not None
-        assert b"alpha" in decoded and b"beta" in decoded
 
 
 # ----------------------------------------------------------------------
