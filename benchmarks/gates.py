@@ -208,6 +208,9 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
     cow_copy_us = per_call_us(behavior.copy)
     eager_copy_us = per_call_us(behavior.graph.copy)  # the seed's copy
     state_key_us = per_call_us(behavior.state_key)
+    # Repeat calls find the settled nodes' fragments memoized, as a
+    # Load-Resolution child finds those it shares with its parent.
+    dedup_key_us = per_call_us(behavior.dedup_digest)
     loadstore_key_us = per_call_us(behavior.loadstore_key)
     seed_key_us = per_call_us(lambda: seed_style_state_key(behavior))
 
@@ -222,6 +225,7 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
         "copy_ratio": copy_ratio,
         "min_copy_ratio": MIN_COPY_RATIO,
         "state_key_us": state_key_us,
+        "dedup_key_us": dedup_key_us,
         "loadstore_key_us": loadstore_key_us,
         "seed_state_key_us": seed_key_us,
         "branch_us": branch_us,

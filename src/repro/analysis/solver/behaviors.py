@@ -146,7 +146,7 @@ def _search_restricted(
     store materialized past a branch), post-branch loads are free."""
     skeleton_size = len(encoding.base.graph)
     found: dict[str, Execution] = {}
-    seen: set[str] = set()
+    seen: set[bytes] = set()
     stack = [encoding.base.copy()]
     while stack:
         execution = stack.pop()
@@ -172,7 +172,7 @@ def _search_restricted(
                     continue
                 except EnumerationError:
                     raise _Budget(ExhaustionReason.EXECUTION_BUDGET) from None
-                key = repr(child.state_key())
+                key = child.dedup_digest()
                 if key not in seen:
                     seen.add(key)
                     stack.append(child)

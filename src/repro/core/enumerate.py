@@ -32,7 +32,6 @@ under a bigger budget (:func:`resume_enumeration`).  Passing
 from __future__ import annotations
 
 import enum
-import hashlib
 import pickle
 import sys
 import threading
@@ -136,7 +135,10 @@ class EnumerationStats:
 #: ``Node`` gained construction-time slots that version-1 pickles lack.
 #: Version 3: the ``dedup_exact`` field is gone — every dedup set holds
 #: digests, and a version-2 checkpoint may hold full-tuple keys instead.
-CHECKPOINT_FORMAT_VERSION = 3
+#: Version 4: the digests hash the state piece by piece
+#: (:meth:`Execution.dedup_digest`), so a version-3 dedup set would match
+#: none of them and re-explore every state it already holds.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Versions this build can still resume from.
 SUPPORTED_CHECKPOINT_VERSIONS = frozenset({CHECKPOINT_FORMAT_VERSION})
@@ -263,15 +265,6 @@ def _execution_cost(execution: Execution) -> int:
     return _EXEC_BASE_COST + _EXEC_NODE_COST * len(execution.graph.nodes)
 
 
-def _key_cost(obj) -> int:
-    """Approximate deep size of a canonical state key (nested tuples,
-    frozensets and scalars only — no cycles by construction)."""
-    size = sys.getsizeof(obj)
-    if isinstance(obj, (tuple, frozenset)):
-        size += sum(_key_cost(item) for item in obj)
-    return size
-
-
 class _MemoryAccountant:
     """Tracks an approximate byte total for the search's live state.
 
@@ -291,9 +284,9 @@ class _MemoryAccountant:
         if self.limit_bytes is not None:
             self.tracked -= _execution_cost(execution)
 
-    def charge_key(self, key) -> None:
+    def charge_key(self, key: bytes) -> None:
         if self.limit_bytes is not None:
-            self.tracked += _key_cost(key)
+            self.tracked += sys.getsizeof(key)
 
     @property
     def exceeded(self) -> bool:
@@ -303,26 +296,24 @@ class _MemoryAccountant:
 # ----------------------------------------------------------------------
 # canonical-state dedup keys
 
-#: Digest width for hashed dedup keys; 16 bytes keeps collision odds
-#: negligible (~2⁻⁶⁴ at a billion states) at a fraction of a full key's
-#: footprint.
-_DIGEST_SIZE = 16
-
 
 def _dedup_key(execution: Execution) -> bytes:
-    """The ``seen_states`` membership key of a behavior.
+    """The ``seen_states`` membership key of a behavior: its
+    :meth:`Execution.dedup_digest`.
 
-    The full canonical :meth:`Execution.state_key` tuple is collapsed to
-    a fixed-size ``blake2b`` digest — ~50 bytes in the set instead of a
-    deeply nested tuple.  The key contains no sets, so its ``repr`` (and
-    hence the digest) is deterministic across processes.  A digest
-    collision between two *distinct* states would silently drop a live
-    behavior; with 128-bit digests this is vanishingly unlikely, and the
-    library's digests map one-to-one onto its state keys (a test checks
-    it).
+    The digest is ``blake2b``-128 over the canonical state, fed piece by
+    piece: one ``repr`` fragment per node in ``(tid, index)`` order and
+    one per thread (a settled node's or halted thread's fragment is
+    computed once and shared by every copy-on-write child), then the
+    ancestor signature, bypass edges and pending alias pairs.  Two
+    behaviors get equal digests exactly when their
+    :meth:`Execution.state_key` tuples are equal, barring a 128-bit
+    collision — which would silently drop a live behavior, and which the
+    library never hits (a test checks that its digests map one-to-one
+    onto its state keys).  Nothing hashed depends on ``hash()``, so a
+    checkpoint resumes in any process.
     """
-    key = repr(execution.state_key()).encode()
-    return hashlib.blake2b(key, digest_size=_DIGEST_SIZE).digest()
+    return execution.dedup_digest()
 
 
 # ----------------------------------------------------------------------

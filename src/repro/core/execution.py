@@ -22,6 +22,7 @@ in :mod:`repro.core.enumerate`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -50,6 +51,11 @@ if TYPE_CHECKING:
 #: Sentinel meaning "operand value not yet available".
 _UNAVAILABLE = object()
 
+#: Width of :meth:`Execution.dedup_digest`; 16 bytes keeps collision odds
+#: negligible (~2⁻⁶⁴ at a billion states) at a fraction of a full key's
+#: footprint.
+_DIGEST_SIZE = 16
+
 
 def instruction_operands(instruction: Instruction) -> tuple[Operand, ...]:
     """The canonical operand order used by ``Node.operand_sources``."""
@@ -70,13 +76,18 @@ def instruction_operands(instruction: Instruction) -> tuple[Operand, ...]:
 
 @dataclass
 class ThreadState:
-    """Per-thread dynamic state: PC, register map, generation status."""
+    """Per-thread dynamic state: PC, register map, generation status.
+
+    A halted thread state never changes again (see :meth:`Execution.copy`),
+    so it keeps its encoded :meth:`state` in ``key_fragment`` like a
+    settled node does."""
 
     pc: int = 0
     regs: dict[str, int] = field(default_factory=dict)  # register name -> producer nid
     waiting_branch: int | None = None  # unresolved branch blocking fetch
     halted: bool = False
     nodes: list[int] = field(default_factory=list)  # generated nids, program order
+    key_fragment: bytes | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "ThreadState":
         return ThreadState(
@@ -86,6 +97,26 @@ class ThreadState:
             halted=self.halted,
             nodes=list(self.nodes),
         )
+
+    def __reduce__(self):
+        # Pickled as the constructor call, so an unpickled state starts
+        # without the memo, as a copy does.
+        return (ThreadState, (self.pc, self.regs, self.waiting_branch, self.halted, self.nodes))
+
+    def state(self, nodes: list[Node]) -> tuple:
+        """This thread's entry in :meth:`Execution.state_key`, registers
+        naming their producers by ``(tid, index)`` identity."""
+        regs = sorted((reg, (nodes[nid].tid, nodes[nid].index)) for reg, nid in self.regs.items())
+        return (self.pc, self.halted, self.waiting_branch is not None, tuple(regs))
+
+    def fragment(self, nodes: list[Node]) -> bytes:
+        """``repr(self.state(nodes))`` encoded; memoized once halted."""
+        fragment = self.key_fragment
+        if fragment is None:
+            fragment = repr(self.state(nodes)).encode()
+            if self.halted:
+                self.key_fragment = fragment
+        return fragment
 
 
 class Execution:
@@ -419,15 +450,24 @@ class Execution:
     # ------------------------------------------------------------------
     # driver
 
-    def stabilize(self) -> None:
-        """Run generation + execution to a fixpoint, then close Store
-        Atomicity.  May raise CycleError/AtomicityViolation (speculation
-        failures) or EnumerationError (node limit)."""
+    def _saturate(self) -> bool:
+        """Run generation + execution to a fixpoint.  Returns True if
+        anything was generated or executed.  May raise CycleError (a
+        deferred alias edge closes a cycle) or EnumerationError (node
+        limit)."""
+        changed = False
         while True:
             generated = self._generate()
             executed = self._execute_ready()
             if not generated and not executed:
-                break
+                return changed
+            changed = True
+
+    def stabilize(self) -> None:
+        """Run generation + execution to a fixpoint, then close Store
+        Atomicity.  May raise CycleError/AtomicityViolation (speculation
+        failures) or EnumerationError (node limit)."""
+        self._saturate()
         close_store_atomicity(self.graph)
 
     # ------------------------------------------------------------------
@@ -494,6 +534,12 @@ class Execution:
         computes the loaded value, handles the RMW store side, re-closes
         Store Atomicity, and re-stabilizes.  Raises CycleError /
         AtomicityViolation when the choice is inconsistent.
+
+        The closure runs before the generation/execution fixpoint and
+        again after it only when the fixpoint changed something: the
+        first close leaves the graph closed, and closing a closed graph
+        whose nodes and edges have not changed inserts no edge, so the
+        skipped close would have been a no-op.
         """
         load = self.graph.node(load_nid)
         store = self.graph.node(store_nid)
@@ -534,9 +580,10 @@ class Execution:
                 load.stored = stored
                 load.writes = True
 
-        # Closed again in stabilize(); dropping this close changes the recorded dotted edges.
+        # Dropping this first close changes the recorded dotted edges.
         close_store_atomicity(self.graph)
-        self.stabilize()
+        if self._saturate():
+            close_store_atomicity(self.graph)
 
     # ------------------------------------------------------------------
     # imposed orderings (§3.3)
@@ -613,6 +660,21 @@ class Execution:
     def _bypass_identities(self, identities: list[tuple[int, int]]) -> tuple:
         return tuple(sorted((identities[u], identities[v]) for u, v in self.graph._bypass))
 
+    def _canonical_parts(self) -> tuple[list[int], tuple, tuple, tuple]:
+        """What :meth:`state_key` and :meth:`dedup_digest` share: the
+        canonical node order, the ⊑ signature in that order, the bypass
+        edges and the pending alias pairs."""
+        graph = self.graph
+        identities = self._identities()
+        order, rank = self._canonical_ranks(identities)
+        if order == list(range(len(order))):
+            # nids already in canonical order: the permutation is the identity.
+            anc_sig = tuple(graph._anc)
+        else:
+            anc_sig = tuple(remap_mask(graph._anc[nid], rank) for nid in order)
+        pending = tuple(sorted((identities[u], identities[v]) for u, v in self.pending_alias))
+        return order, anc_sig, self._bypass_identities(identities), pending
+
     def state_key(self) -> tuple:
         """A canonical key for the *full* behavior state.
 
@@ -625,44 +687,42 @@ class Execution:
         equality over those ints is equality of the relation over
         identities, without materializing the O(n²) pair set.  The key
         contains only tuples/ints/strings/bools/None, so its ``repr`` is
-        deterministic across processes (no set iteration order) — the
-        property the digest-based dedup relies on when a checkpoint is
-        resumed in another process.
+        deterministic across processes (no set iteration order).
         """
-        graph = self.graph
-        nodes = graph.nodes
-        identities = self._identities()
-        order, rank = self._canonical_ranks(identities)
-        node_states = tuple(
-            (
-                node.tid,
-                node.index,
-                node.op_class._value_,  # .value, minus the enum property
-                node.executed,
-                node.value,
-                node.addr,
-                identities[node.source] if node.source is not None else None,
-                node.writes,
-                node.stored,
-            )
-            for node in (nodes[nid] for nid in order)
+        nodes = self.graph.nodes
+        order, anc_sig, bypass, pending = self._canonical_parts()
+        return (
+            tuple(nodes[nid].state(nodes) for nid in order),
+            anc_sig,
+            bypass,
+            tuple(state.state(nodes) for state in self.threads),
+            pending,
         )
-        if order == list(range(len(order))):
-            # nids already in canonical order: the permutation is the identity.
-            anc_sig = tuple(graph._anc)
-        else:
-            anc_sig = tuple(remap_mask(graph._anc[nid], rank) for nid in order)
-        thread_states = tuple(
-            (
-                state.pc,
-                state.halted,
-                state.waiting_branch is not None,
-                tuple(sorted((reg, identities[nid]) for reg, nid in state.regs.items())),
-            )
-            for state in self.threads
-        )
-        pending = tuple(sorted((identities[u], identities[v]) for u, v in self.pending_alias))
-        return (node_states, anc_sig, self._bypass_identities(identities), thread_states, pending)
+
+    def dedup_digest(self) -> bytes:
+        """A 16-byte ``blake2b`` digest that is equal for two behaviors
+        exactly when their :meth:`state_key` values are (up to hash
+        collisions).
+
+        The hashed bytes are each node's :meth:`Node.fragment` in
+        canonical order, each thread's :meth:`ThreadState.fragment`,
+        then ``repr((anc_sig, bypass, pending))``.  Every piece is the
+        ``repr`` of one complete tuple — 9 fields for a node, 4 for a
+        thread, 3 for the rest — so the byte string parses back into the
+        key's parts: the digest keeps everything the key holds.  Settled
+        nodes and halted threads keep their fragments, and copy-on-write
+        children share those objects, so a child re-encodes only what
+        can still change.  Every piece is a ``repr`` of ints, strings,
+        bools and None — never ``hash()`` — so the digest is the same in
+        every process, as a checkpoint resumed elsewhere needs.
+        """
+        nodes = self.graph.nodes
+        order, anc_sig, bypass, pending = self._canonical_parts()
+        pieces = [nodes[nid].key_fragment or nodes[nid].fragment(nodes) for nid in order]
+        pieces += [state.key_fragment or state.fragment(nodes) for state in self.threads]
+        digest = hashlib.blake2b(b"".join(pieces), digest_size=_DIGEST_SIZE)
+        digest.update(repr((anc_sig, bypass, pending)).encode())
+        return digest.digest()
 
     def loadstore_key(self) -> tuple:
         """The paper's Load–Store-graph comparison key (§4.1): memory

@@ -60,6 +60,12 @@ class Node:
       * ``writes`` — the store side is visible to memory (stores; rmws
         when the write happens — a failed CAS does not write).
       * ``stored`` — the value made visible to memory.
+
+    Memo (engine-private, never compared, pickled or cloned):
+      * ``key_fragment`` — the encoded :meth:`state` of a *settled* node,
+        kept by :meth:`fragment` for the dedup digest.  A settled node
+        never changes again, so the copy-on-write copies that share it
+        share the memo too.
     """
 
     nid: int
@@ -79,6 +85,7 @@ class Node:
     reads_memory: bool = field(init=False, repr=False, compare=False)
     writes_memory: bool = field(init=False, repr=False, compare=False)
     is_memory: bool = field(init=False, repr=False, compare=False)
+    key_fragment: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         op_class = self.op_class
@@ -127,12 +134,14 @@ class Node:
         dup.reads_memory = self.reads_memory
         dup.writes_memory = self.writes_memory
         dup.is_memory = self.is_memory
+        dup.key_fragment = None  # the clone may be mutated: never share the memo
         return dup
 
     def __reduce__(self):
         # Pickled as the constructor call: the derived slots are not
-        # stored but recomputed, and cached behaviours load faster than
-        # through the default per-slot state dict.
+        # stored but recomputed, the fragment memo starts empty, and
+        # cached behaviours load faster than through the default
+        # per-slot state dict.
         return (
             Node,
             (
@@ -151,6 +160,38 @@ class Node:
                 self.stored,
             ),
         )
+
+    def state(self, nodes: list["Node"]) -> tuple:
+        """This node's entry in :meth:`Execution.state_key
+        <repro.core.execution.Execution.state_key>` — identity, class and
+        dynamic fields, with the source named by its ``(tid, index)``
+        identity (``nodes`` is the graph's node list).  Only ints,
+        strings, bools and None, so its ``repr`` is deterministic across
+        processes."""
+        source = self.source
+        return (
+            self.tid,
+            self.index,
+            self.op_class._value_,  # .value, minus the enum property
+            self.executed,
+            self.value,
+            self.addr,
+            None if source is None else (nodes[source].tid, nodes[source].index),
+            self.writes,
+            self.stored,
+        )
+
+    def fragment(self, nodes: list["Node"]) -> bytes:
+        """``repr(self.state(nodes))`` encoded: this node's piece of the
+        dedup digest.  Memoized in ``key_fragment`` once the node is
+        settled; an unsettled node may still change, so it is re-encoded
+        on every call."""
+        fragment = self.key_fragment
+        if fragment is None:
+            fragment = repr(self.state(nodes)).encode()
+            if self.settled:
+                self.key_fragment = fragment
+        return fragment
 
     def describe(self) -> str:
         """Compact human-readable description, paper-style."""

@@ -1,5 +1,7 @@
 """Unit tests for graph generation and dataflow execution (§4.1)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import EnumerationError, ExecutionError
@@ -232,6 +234,49 @@ class TestAliasEdges:
         store, final_load = nodes[1], nodes[2]
         assert store.addr == "y"
         assert execution.graph.before(store.nid, final_load.nid)
+
+
+class TestDedupDigest:
+    @staticmethod
+    def _indirect_program():
+        builder = ProgramBuilder("indirect")
+        t = builder.thread("T")
+        t.load("r1", "p")
+        t.store("r1", 7)
+        t.load("r2", "y")
+        builder.thread("U").store("p", "y")
+        return builder.build()
+
+    @pytest.mark.parametrize("program", ["indirect", "branchy"])
+    def test_digest_follows_in_place_resolution(self, program):
+        """Resolved in place, without copies, an execution digests at
+        every step to what a fresh unpickled copy (no memos) digests to:
+        no memoized fragment outlives a change to its node or thread."""
+        from repro.core.candidates import candidate_stores
+
+        built = self._indirect_program() if program == "indirect" else build_branchy()
+        execution = initial(built, "weak")
+        steps = 0
+        while not execution.completed():
+            fresh = pickle.loads(pickle.dumps(execution))
+            assert execution.dedup_digest() == fresh.dedup_digest()
+            assert execution.state_key() == fresh.state_key()
+            load = execution.eligible_loads()[0]
+            execution.resolve_load(load.nid, candidate_stores(execution, load)[-1].nid)
+            steps += 1
+        assert steps >= 2
+        assert execution.dedup_digest() == pickle.loads(pickle.dumps(execution)).dedup_digest()
+
+    def test_thread_fragment_is_memoized_only_once_halted(self):
+        execution = initial(build_branchy())
+        nodes = execution.graph.nodes
+        halted, blocked = execution.threads
+        for state in (halted, blocked):
+            assert state.fragment(nodes) == repr(state.state(nodes)).encode()
+        assert halted.key_fragment == halted.fragment(nodes)
+        assert blocked.key_fragment is None  # waiting on a branch: may still change
+        assert halted.copy().key_fragment is None
+        assert pickle.loads(pickle.dumps(halted)).key_fragment is None
 
 
 class TestCopySemantics:

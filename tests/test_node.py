@@ -1,5 +1,6 @@
 """Unit tests for dynamic nodes and the error hierarchy."""
 
+import pickle
 
 from repro import errors
 from repro.core.node import INIT_TID, Node
@@ -54,6 +55,28 @@ class TestNode:
         assert clone == node and clone is not node
         for name in Node.__slots__:
             assert getattr(clone, name) == getattr(node, name), name
+
+    def test_fragment_is_memoized_only_once_settled(self):
+        load = Node(0, 0, 0, Load(Reg("r1"), Const("x")), OpClass.LOAD, addr="x")
+        nodes = [load]
+        assert load.fragment(nodes) == repr(load.state(nodes)).encode()
+        assert load.key_fragment is None  # unresolved: it may still change
+        load.executed = True
+        load.value = 0
+        load.source = 0
+        assert load.fragment(nodes) == repr(load.state(nodes)).encode()
+        assert load.key_fragment == load.fragment(nodes)
+
+    def test_clone_and_pickle_drop_the_fragment_memo(self):
+        node = Node(0, INIT_TID, 0, None, OpClass.STORE, executed=True, writes=True,
+                    addr="x", stored=0, value=0)
+        memo = node.fragment([node])
+        assert node.key_fragment == memo
+        clone = node.clone()
+        assert clone.key_fragment is None
+        clone.stored = clone.value = 5  # a deep graph copy may mutate its clones
+        assert clone.fragment([clone]) == repr(clone.state([clone])).encode() != memo
+        assert pickle.loads(pickle.dumps(node)).key_fragment is None
 
     def test_class_predicates_are_construction_time_attributes(self):
         expected = {

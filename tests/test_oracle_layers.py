@@ -10,11 +10,20 @@ same outcomes, ``states_explored`` and ``terminal_states``, and the same
 ``max_states`` error.  Below them, the regression test for the silent
 cycle cap: a search cut short by ``max_cycles`` must never certify
 robustness.
+
+Load Resolution gets the same treatment: ``reference_dedup_key`` and
+``reference_resolve_load`` are the dedup key and the resolution step as
+they were before node fragments were memoized for the digest and before
+the second Store Atomicity close was skipped on an unchanged graph.
+Every child the search derives must get the same edges, in the same
+order, and the same ancestor bitsets from both, and the old and new
+digests must map one-to-one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import asdict, dataclass
 
 import pytest
 
@@ -36,17 +45,39 @@ from repro.analysis.static.conflict import (
     critical_cycle_search,
     find_critical_cycles,
 )
-from repro.errors import EnumerationError, ProgramError, ReproError
+from repro.core import enumerate as engine
+from repro.core.atomicity import close_store_atomicity
+from repro.core.candidates import candidate_stores
+from repro.core.enumerate import enumerate_behaviors
+from repro.core.execution import Execution
+from repro.core.graph import EdgeKind
+from repro.errors import (
+    AtomicityViolation,
+    CycleError,
+    EnumerationError,
+    GraphError,
+    ProgramError,
+    ReproError,
+)
 from repro.experiments.fig89 import build_program as build_fig8
 from repro.isa.dsl import ProgramBuilder
-from repro.isa.instructions import Compute, Fence, Instruction, Load, Rmw, Store, alu_eval
+from repro.isa.instructions import (
+    Compute,
+    Fence,
+    Instruction,
+    Load,
+    OpClass,
+    Rmw,
+    Store,
+    alu_eval,
+)
 from repro.isa.operands import Const, Reg, Value
 from repro.isa.program import Program
 from repro.litmus.library import all_tests
 from repro.models import MemoryModel, OrderRequirement, get_model
 from repro.operational.dataflow import DataflowResult, run_dataflow
 from repro.testing.fuzzgen import MIXED, derive_seed, generate_program, profile_for_index
-from repro.testing.oracles import OracleContext, OracleSkip, _check_static
+from repro.testing.oracles import FUZZ_LIMITS, OracleContext, OracleSkip, _check_static
 
 # ---------------------------------------------------------------------------
 # the critical-cycle search before successor rows and pruning, verbatim
@@ -328,6 +359,67 @@ def _final_registers(program: Program, states, producers) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Load Resolution before the fragment memo and the second-close skip, verbatim
+
+
+def reference_dedup_key(execution: Execution) -> bytes:
+    key = repr(execution.state_key()).encode()
+    return hashlib.blake2b(key, digest_size=16).digest()
+
+
+def reference_resolve_load(self: Execution, load_nid: int, store_nid: int) -> None:
+    """Resolve ``source(L) = S`` (one branch of Load Resolution).
+
+    Adds the observation edge (grey for a TSO-style local forward),
+    computes the loaded value, handles the RMW store side, re-closes
+    Store Atomicity, and re-stabilizes.  Raises CycleError /
+    AtomicityViolation when the choice is inconsistent.
+    """
+    load = self.graph.node(load_nid)
+    store = self.graph.node(store_nid)
+    if load.executed:
+        raise GraphError(f"load n{load_nid} is already resolved")
+    if not store.is_visible_store:
+        raise GraphError(f"node n{store_nid} is not a visible store")
+
+    is_local_forward = (
+        self.model.store_load_bypass
+        and load.op_class is OpClass.LOAD
+        and store.tid == load.tid
+        and store.index < load.index
+    )
+    if is_local_forward:
+        self.graph.add_edge(store_nid, load_nid, EdgeKind.BYPASS)
+    else:
+        self.graph.add_edge(store_nid, load_nid, EdgeKind.SOURCE)
+        if self.model.store_load_bypass and load.op_class is OpClass.LOAD:
+            # Observing a remote store: buffered local stores to the
+            # same address must have drained first (paper §6: S ≺ L
+            # when S ≠ source(L)).
+            for local in self.local_earlier_stores(load, load.addr):
+                if local.nid != store_nid:
+                    self.graph.add_edge(local.nid, load_nid, EdgeKind.PROGRAM)
+
+    load.source = store_nid
+    load.value = store.stored
+    load.executed = True
+
+    if load.op_class is OpClass.RMW:
+        instruction = load.instruction
+        assert isinstance(instruction, Rmw)
+        values = self._operand_values(load)
+        assert values is not None, "RMW eligibility guarantees operand values"
+        stored = instruction.stored_value(store.stored, values[1:])
+        if stored is not None:
+            load.stored = stored
+            load.writes = True
+
+    # Closed again in stabilize(); dropping this close changes the recorded dotted edges.
+    close_store_atomicity(self.graph)
+    self.stabilize()
+
+
+# ---------------------------------------------------------------------------
 # differential checks
 
 FUZZ_SEED = 11
@@ -511,3 +603,106 @@ def test_truncated_search_leaves_no_address_dependency_safe(monkeypatch):
 def test_static_oracle_skips_a_truncated_report():
     with pytest.raises(OracleSkip, match="stopped at its cap"):
         _check_static(OracleContext(_capped_program()))
+
+
+# ---------------------------------------------------------------------------
+# Load Resolution against its reference
+
+RESOLUTION_FUZZ_SEED = 7
+RESOLUTION_PROGRAMS = 60
+RESOLUTION_MODELS = ("sc", "tso", "pso", "weak")
+
+
+def _resolution_cases():
+    programs = [(test.name, test.program) for test in all_tests()]
+    programs += [
+        (f"fuzz-{index}", generate_program(
+            derive_seed(RESOLUTION_FUZZ_SEED, index), profile_for_index(MIXED, index)
+        ))
+        for index in range(RESOLUTION_PROGRAMS)
+    ]
+    for name, program in programs:
+        for model_name in RESOLUTION_MODELS:
+            yield name, program, get_model(model_name)
+
+
+def _resolved(behavior: Execution, resolve, load_nid: int, store_nid: int):
+    """The child ``resolve`` derives, or the type of the error it raised."""
+    child = behavior.copy()
+    try:
+        resolve(child, load_nid, store_nid)
+    except (CycleError, AtomicityViolation, EnumerationError) as exc:
+        return type(exc)
+    return child
+
+
+def _differential_walk(program: Program, model: MemoryModel, counts: dict) -> None:
+    """The enumerator's search, every child resolved both ways: the
+    children must be the same graph, and the digests must pair up."""
+    initial = Execution.initial(program, model, FUZZ_LIMITS.max_nodes_per_thread)
+    old_of: dict[bytes, bytes] = {}
+    new_of: dict[bytes, bytes] = {}
+    seen = {engine._dedup_key(initial)}
+    worklist = [initial]
+    explored = 0
+    while worklist and explored < FUZZ_LIMITS.max_behaviors:
+        behavior = worklist.pop()
+        explored += 1
+        if behavior.completed():
+            continue
+        for load in behavior.eligible_loads():
+            for store in candidate_stores(behavior, load):
+                new = _resolved(behavior, Execution.resolve_load, load.nid, store.nid)
+                old = _resolved(behavior, reference_resolve_load, load.nid, store.nid)
+                if isinstance(new, type) or isinstance(old, type):
+                    assert new is old, (program.name, model.name, load.nid, store.nid)
+                    continue
+                assert list(new.graph.edges()) == list(old.graph.edges())
+                assert new.graph._anc == old.graph._anc
+                assert new.graph._desc == old.graph._desc
+                new_key = engine._dedup_key(new)
+                old_key = reference_dedup_key(old)
+                assert new_of.setdefault(old_key, new_key) == new_key
+                assert old_of.setdefault(new_key, old_key) == old_key
+                counts["children"] += 1
+                if new_key not in seen:
+                    seen.add(new_key)
+                    worklist.append(new)
+    counts["states"] += len(seen)
+
+
+@pytest.mark.slow
+def test_load_resolution_matches_reference_child_by_child():
+    counts = {"children": 0, "states": 0}
+    for _, program, model in _resolution_cases():
+        _differential_walk(program, model, counts)
+    assert counts["children"] > 10_000
+    assert counts["states"] > 5_000
+
+
+def _outcome(result) -> tuple:
+    return (
+        result.complete,
+        asdict(result.stats),
+        [
+            (
+                execution.state_key(),
+                execution.loadstore_key(),
+                list(execution.graph.edges()),
+                execution.graph._anc,
+            )
+            for execution in result.executions
+        ],
+    )
+
+
+@pytest.mark.slow
+def test_enumeration_matches_reference_load_resolution(monkeypatch):
+    """Whole searches agree too: stats, executions, keys and edges."""
+    cases = list(_resolution_cases())
+    fast = [enumerate_behaviors(p, m, FUZZ_LIMITS) for _, p, m in cases]
+    monkeypatch.setattr(Execution, "resolve_load", reference_resolve_load)
+    monkeypatch.setattr(engine, "_dedup_key", reference_dedup_key)
+    for (name, program, model), result in zip(cases, fast):
+        reference = enumerate_behaviors(program, model, FUZZ_LIMITS)
+        assert _outcome(result) == _outcome(reference), (name, model.name)

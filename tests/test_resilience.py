@@ -1,7 +1,11 @@
 """Tests for the resilience layer: budgets, graceful degradation,
 checkpoints/resume, cancellation, and stuck-behavior surfacing."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,46 @@ class TestCheckpointResume:
         assert again.reason is ExhaustionReason.BEHAVIOR_BUDGET
 
 
+CUT_IN_ANOTHER_PROCESS = """
+import sys
+from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.litmus.library import get_test
+from repro.models.registry import get_model
+
+partial = enumerate_behaviors(
+    get_test("IRIW").program, get_model("weak"), EnumerationLimits(max_behaviors=60)
+)
+assert not partial.complete
+partial.checkpoint.save(sys.argv[1])
+"""
+
+
+class TestCrossProcessResume:
+    def test_checkpoint_cut_under_another_hash_seed_resumes_exactly(self, tmp_path):
+        """The dedup digests never depend on ``hash()``: a checkpoint cut
+        in a process with another string-hash seed resumes here to the
+        same executions and the same explored/duplicate totals as an
+        uninterrupted run (a hash-dependent digest would miss every
+        seen state and re-explore it)."""
+        path = tmp_path / "iriw.ckpt"
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        subprocess.run(
+            [sys.executable, "-c", CUT_IN_ANOTHER_PROCESS, str(path)],
+            env=env, check=True, timeout=120,
+        )
+        checkpoint = EnumerationCheckpoint.load(path)
+        assert checkpoint.stats.explored == 60
+        resumed = resume_enumeration(checkpoint, EnumerationLimits())
+        full = enumerate_behaviors(get_test("IRIW").program, get_model("weak"))
+        assert resumed.complete
+        assert [e.loadstore_key() for e in resumed.executions] == [
+            e.loadstore_key() for e in full.executions
+        ]
+        assert resumed.stats.explored == full.stats.explored
+        assert resumed.stats.duplicates == full.stats.duplicates
+
+
 class TestCheckpointVersioning:
     """The format-version stamp: save writes it, load rejects files from
     an unknown (or pre-versioning) format instead of resuming from state
@@ -260,7 +304,24 @@ class TestCheckpointVersioning:
         with pytest.raises(EnumerationError) as info:
             EnumerationCheckpoint.load(path)
         assert "version 2" in str(info.value)
-        assert "supports version(s) 3" in str(info.value)
+        assert "supports version(s) 4" in str(info.value)
+
+    def test_load_rejects_version_3_checkpoint(self, tmp_path):
+        """A version-3 dedup set holds digests of the whole ``repr`` of
+        each state key; the piecewise digests of version 4 never match
+        them, so resuming would re-explore every state already seen.  It
+        is refused rather than resumed."""
+        import pickle
+
+        checkpoint = self._partial_checkpoint()
+        checkpoint.format_version = 3
+        path = tmp_path / "v3.ckpt"
+        path.write_bytes(pickle.dumps(checkpoint))
+        with pytest.raises(EnumerationError) as info:
+            EnumerationCheckpoint.load(path)
+        assert "version 3" in str(info.value)
+        assert "supports version(s) 4" in str(info.value)
+        assert "re-run the original enumeration" in str(info.value)
 
     def test_load_rejects_pre_versioning_checkpoint(self, tmp_path):
         """A file written before the stamp existed has no
