@@ -22,8 +22,8 @@ Materialization has two regimes:
   per behavior here.
 * **skeletons blocked on unresolved branches** (or a load assigned the
   "reads a post-branch store" pseudo-source) — the engine's own search
-  is re-run restricted to the assignment, since new nodes appear only
-  as branches resolve.
+  is re-run restricted to the assignment (its candidates and resolve
+  hooks), since new nodes appear only as branches resolve.
 
 A :class:`CycleError` or :class:`AtomicityViolation` during replay is
 *order-independent* (every edge involved is forced by a subset of the
@@ -32,6 +32,7 @@ assignment), so the whole assignment is rejected on the spot.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.analysis.solver.encode import Encoding, encode_program
@@ -42,8 +43,10 @@ from repro.core.enumerate import (
     EnumerationResult,
     EnumerationStats,
     ExhaustionReason,
+    _search,
 )
 from repro.core.execution import Execution
+from repro.core.node import Node
 from repro.errors import AtomicityViolation, CycleError, EnumerationError
 from repro.isa.program import Program
 from repro.models import get_model
@@ -135,6 +138,10 @@ def _replay(
         return None
 
 
+#: The shared :class:`_Meter` is the restricted search's only cap.
+_UNBOUNDED = EnumerationLimits(max_behaviors=sys.maxsize, max_executions=sys.maxsize)
+
+
 def _search_restricted(
     encoding: Encoding,
     assignment: dict[int, int | None],
@@ -145,38 +152,30 @@ def _search_restricted(
     skeleton loads may only read their assigned source (``None`` = any
     store materialized past a branch), post-branch loads are free."""
     skeleton_size = len(encoding.base.graph)
-    found: dict[str, Execution] = {}
-    seen: set[bytes] = set()
-    stack = [encoding.base.copy()]
-    while stack:
-        execution = stack.pop()
-        if execution.completed():
-            found.setdefault(repr(execution.loadstore_key()), execution)
-            continue
-        for load in execution.eligible_loads():
-            nid = load.nid
-            for store in candidate_stores(execution, load):
-                if nid in assignment:
-                    target = assignment[nid]
-                    if target is None:
-                        if store.nid < skeleton_size:
-                            continue
-                    elif store.nid != target:
-                        continue
-                child = execution.copy()
-                meter.tick()
-                stats.resolutions += 1
-                try:
-                    child.resolve_load(nid, store.nid)
-                except (CycleError, AtomicityViolation):
-                    continue
-                except EnumerationError:
-                    raise _Budget(ExhaustionReason.EXECUTION_BUDGET) from None
-                key = child.dedup_digest()
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(child)
-    return list(found.values())
+
+    def assigned_candidates(execution: Execution, load: Node, _stats) -> list[Node]:
+        stores = candidate_stores(execution, load)
+        if load.nid not in assignment:
+            return stores
+        target = assignment[load.nid]
+        if target is None:
+            return [store for store in stores if store.nid >= skeleton_size]
+        return [store for store in stores if store.nid == target]
+
+    def metered_resolve(child: Execution, load_nid: int, store_nid: int) -> None:
+        meter.tick()
+        stats.resolutions += 1
+        try:
+            child.resolve_load(load_nid, store_nid)
+        except EnumerationError:
+            raise _Budget(ExhaustionReason.EXECUTION_BUDGET) from None
+
+    base = encoding.base
+    return _search(
+        base.program, base.model, _UNBOUNDED, dedup=True, strict=True, token=None,
+        worklist=[base.copy()], seen_states=set(), finished={}, stats=EnumerationStats(),
+        candidates=assigned_candidates, resolve=metered_resolve,
+    ).executions
 
 
 def _materialize(

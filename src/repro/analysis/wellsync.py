@@ -4,10 +4,11 @@
     non-synchronization variable there is exactly one eligible store
     which can provide its value according to Store Atomicity."
 
-The checker replays the enumeration procedure, recording every load
-resolution point: a *violation* is a resolution of a load of a
-non-synchronization location with more than one candidate store (a race
-— the load's value depends on timing, not on synchronization).  A
+The checker runs the enumerator's own search with a candidates hook
+that records every load resolution point: a *violation* is a resolution
+of a load of a non-synchronization location with more than one candidate
+store (a race — the load's value depends on timing, not on
+synchronization).  A
 well-synchronized program behaves identically under any store-atomic
 model, which is why such programs may run on much weaker memory systems
 (the paper's generalization of Adve & Hill's Proper Synchronization).
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import AtomicityViolation, CycleError, EnumerationError
 from repro.core.candidates import candidate_stores
-from repro.core.enumerate import EnumerationLimits
+from repro.core.enumerate import EnumerationLimits, EnumerationStats, _search
 from repro.core.execution import Execution
+from repro.core.node import Node
 from repro.isa.program import Program
 from repro.models.base import MemoryModel
 from repro.models.registry import get_model
@@ -84,52 +85,38 @@ def check_well_synchronized(
     locks); loads of those may legitimately race.  Every other load must
     have exactly one candidate store at each of its resolution points, in
     every reachable behavior.
+    Every budget in ``limits`` applies; one that runs out raises
+    :class:`~repro.errors.EnumerationError`, never a verdict.
     """
     if isinstance(model, str):
         model = get_model(model)
     limits = limits or EnumerationLimits()
     sync = frozenset(sync_locations)
     report = WellSyncReport(program.name, model.name, sync)
+    seen_races: set[tuple] = set()
+
+    def checked_candidates(behavior: Execution, load: Node, stats) -> list[Node]:
+        candidates = candidate_stores(behavior, load, stats)
+        report.resolutions_checked += 1
+        if load.addr not in sync and len(candidates) > 1:
+            race_key = (load.tid, load.index, load.addr, len(candidates))
+            if race_key not in seen_races:
+                seen_races.add(race_key)
+                report.races.append(
+                    RaceReport(
+                        thread=program.threads[load.tid].name,
+                        index=load.index,
+                        location=str(load.addr),
+                        candidate_count=len(candidates),
+                        candidate_values=tuple(s.stored for s in candidates),
+                    )
+                )
+        return candidates
 
     initial = Execution.initial(program, model, limits.max_nodes_per_thread)
-    worklist = [initial]
-    seen = {initial.state_key()}
-    seen_races: set[tuple] = set()
-    explored = 0
-
-    while worklist:
-        behavior = worklist.pop()
-        explored += 1
-        if explored > limits.max_behaviors:
-            raise EnumerationError(
-                f"well-sync check exceeded {limits.max_behaviors} behaviors"
-            )
-        if behavior.completed():
-            continue
-        for load in behavior.eligible_loads():
-            candidates = candidate_stores(behavior, load)
-            report.resolutions_checked += 1
-            if load.addr not in sync and len(candidates) > 1:
-                race_key = (load.tid, load.index, load.addr, len(candidates))
-                if race_key not in seen_races:
-                    seen_races.add(race_key)
-                    report.races.append(
-                        RaceReport(
-                            thread=program.threads[load.tid].name,
-                            index=load.index,
-                            location=str(load.addr),
-                            candidate_count=len(candidates),
-                            candidate_values=tuple(s.stored for s in candidates),
-                        )
-                    )
-            for store in candidates:
-                child = behavior.copy()
-                try:
-                    child.resolve_load(load.nid, store.nid)
-                except (CycleError, AtomicityViolation, EnumerationError):
-                    continue
-                key = child.state_key()
-                if key not in seen:
-                    seen.add(key)
-                    worklist.append(child)
+    _search(
+        program, model, limits, dedup=True, strict=True, token=None,
+        worklist=[initial], seen_states={initial.dedup_digest()}, finished={},
+        stats=EnumerationStats(), candidates=checked_candidates,
+    )
     return report

@@ -418,6 +418,24 @@ def resume_enumeration(
     )
 
 
+# ----------------------------------------------------------------------
+# the standard Load Resolution rules: _search's default hooks.  Each
+# looks its callee up when called, so a rebound ``candidate_stores`` or
+# ``Execution`` method (a fuzz mutant, the benchmark tracer) is seen.
+
+
+def _eligible(behavior: Execution) -> list:
+    return behavior.eligible_loads()
+
+
+def _candidates(behavior: Execution, load, stats: EnumerationStats) -> list:
+    return candidate_stores(behavior, load, stats)
+
+
+def _resolve(child: Execution, load_nid: int, store_nid: int) -> None:
+    child.resolve_load(load_nid, store_nid)
+
+
 def _search(
     program: Program,
     model: MemoryModel,
@@ -429,7 +447,17 @@ def _search(
     seen_states: set,
     finished: dict,
     stats: EnumerationStats,
+    *,
+    eligible=_eligible,
+    candidates=_candidates,
+    resolve=_resolve,
 ) -> EnumerationResult:
+    """The one Load-Resolution loop.  The well-sync check, value
+    speculation and the solver's branchy replay reuse it by replacing
+    the hooks: ``eligible(behavior)`` lists the loads to branch on,
+    ``candidates(behavior, load, stats)`` their stores, and
+    ``resolve(child, load_nid, store_nid)`` applies one choice to a copy
+    (raising CycleError or AtomicityViolation to roll it back)."""
     start = time.monotonic()
     accountant = _MemoryAccountant(limits.max_memory_mb)
     if accountant.limit_bytes is not None:
@@ -467,14 +495,15 @@ def _search(
             finished.setdefault(key, behavior)
             continue
 
-        eligible = behavior.eligible_loads()
-        if not eligible:
+        loads = eligible(behavior)
+        if not loads:
             stats.stuck += 1
             continue
         stats.branched += 1
 
         reason = _branch(
-            behavior, eligible, dedup, worklist, seen_states, stats, accountant
+            behavior, loads, dedup, worklist, seen_states, stats, accountant,
+            candidates, resolve,
         )
         if reason is not None:
             # The behavior was only partly expanded: requeue it so the
@@ -520,21 +549,23 @@ def _search(
 
 def _branch(
     behavior: Execution,
-    eligible: list,
+    loads: list,
     dedup: bool,
     worklist: list[Execution],
     seen_states: set,
     stats: EnumerationStats,
     accountant: _MemoryAccountant,
+    candidates,
+    resolve,
 ) -> ExhaustionReason | None:
     """Expand one behavior by Load Resolution.  Returns an exhaustion
     reason when a fault forces the search to degrade, else None."""
-    for load in eligible:
-        for store in candidate_stores(behavior, load, stats):
+    for load in loads:
+        for store in candidates(behavior, load, stats):
             stats.resolutions += 1
             try:
                 child = behavior.copy()
-                child.resolve_load(load.nid, store.nid)
+                resolve(child, load.nid, store.nid)
             except (CycleError, AtomicityViolation):
                 stats.rolled_back += 1
                 continue

@@ -28,15 +28,19 @@ This module mechanizes both machines inside the paper's framework:
   final observation assignment.  Under the SC table the illegal set is
   non-empty (e.g. message passing's stale read) — Martin et al.'s
   violation reproduced as a graph inconsistency.
+
+Both machines are the enumerator's own search with its three rules
+replaced: eligibility, candidates and the resolution step below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.errors import AtomicityViolation, CycleError, EnumerationError, ReproError
+from repro.errors import AtomicityViolation, ReproError
 from repro.core.atomicity import close_store_atomicity
-from repro.core.enumerate import EnumerationLimits, EnumerationStats
+from repro.core.enumerate import EnumerationLimits, EnumerationStats, _search
 from repro.core.execution import Execution
 from repro.core.graph import EdgeKind
 from repro.core.node import Node
@@ -181,6 +185,8 @@ def enumerate_value_speculation(
 
     Bypass models are rejected — value prediction is studied on
     store-atomic models, where "legal" has a crisp meaning.
+    Every budget in ``limits`` applies; one that runs out raises
+    :class:`~repro.errors.EnumerationError`.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -190,49 +196,13 @@ def enumerate_value_speculation(
     stats = ValueSpecStats()
 
     initial = Execution.initial(program, model, limits.max_nodes_per_thread)
-    worklist = [initial]
-    seen = {initial.state_key()}
-    finished: dict = {}
-
-    while worklist:
-        behavior = worklist.pop()
-        stats.explored += 1
-        if stats.explored > limits.max_behaviors:
-            raise EnumerationError(
-                f"value-speculation search exceeded {limits.max_behaviors} behaviors"
-            )
-        if behavior.completed():
-            stats.completed += 1
-            finished.setdefault(behavior.loadstore_key(), behavior)
-            if len(finished) > limits.max_executions:
-                raise EnumerationError(
-                    f"value-speculation search exceeded {limits.max_executions} executions"
-                )
-            continue
-        eligible = _value_spec_eligible(behavior)
-        if not eligible:
-            stats.stuck += 1
-            continue
-        for load in eligible:
-            for store in _value_spec_candidates(behavior, load):
-                stats.resolutions += 1
-                child = behavior.copy()
-                try:
-                    _resolve_speculatively(child, load.nid, store.nid, validate)
-                except (CycleError, AtomicityViolation):
-                    stats.rolled_back += 1
-                    continue
-                except EnumerationError:
-                    stats.truncated += 1
-                    continue
-                key = child.state_key()
-                if key in seen:
-                    stats.duplicates += 1
-                    continue
-                seen.add(key)
-                worklist.append(child)
-
-    executions = sorted(finished.values(), key=lambda e: repr(e.loadstore_key()))
+    executions = _search(
+        program, model, limits, dedup=True, strict=True, token=None,
+        worklist=[initial], seen_states={initial.dedup_digest()}, finished={}, stats=stats,
+        eligible=_value_spec_eligible,
+        candidates=lambda behavior, load, _stats: _value_spec_candidates(behavior, load),
+        resolve=partial(_resolve_speculatively, validate=validate),
+    ).executions
     illegal = []
     if not validate:
         illegal = [e for e in executions if not closure_satisfiable(e)]

@@ -1,12 +1,19 @@
 """Tests for the analysis layer: model comparison and well-sync."""
 
+import time
+
+import pytest
+
 from repro.analysis.compare import (
     check_inclusion_chain,
     outcome_count_table,
     outcome_sets,
 )
 from repro.analysis.wellsync import check_well_synchronized
+from repro.core.enumerate import EnumerationLimits, ExhaustionReason
+from repro.errors import EnumerationError
 from repro.experiments.wellsync_exp import build_guarded_mp
+from repro.litmus.families import independent_writers
 from repro.litmus.library import get_test
 
 
@@ -68,3 +75,32 @@ class TestWellSync:
     def test_summary_text(self, mp_program):
         report = check_well_synchronized(mp_program, "weak", {"flag"})
         assert "RACY" in report.summary()
+
+    @pytest.mark.parametrize(
+        "program, limits, reason",
+        [
+            # 3.6 s to a verdict when the deadline was ignored
+            (
+                independent_writers(4).program,
+                EnumerationLimits(deadline_seconds=0.05),
+                ExhaustionReason.DEADLINE,
+            ),
+            (
+                get_test("MP").program,
+                EnumerationLimits(max_executions=2),
+                ExhaustionReason.EXECUTION_BUDGET,
+            ),
+            (
+                get_test("MP").program,
+                EnumerationLimits(max_behaviors=3),
+                ExhaustionReason.BEHAVIOR_BUDGET,
+            ),
+        ],
+        ids=["deadline", "max-executions", "max-behaviors"],
+    )
+    def test_exhausted_budget_raises_instead_of_a_verdict(self, program, limits, reason):
+        started = time.monotonic()
+        with pytest.raises(EnumerationError) as caught:
+            check_well_synchronized(program, "weak", limits=limits)
+        assert caught.value.reason is reason
+        assert time.monotonic() - started < 1.5

@@ -2,6 +2,8 @@
 
 
 from repro.cli import main
+from repro.isa.disassembler import disassemble
+from repro.litmus.families import independent_writers
 
 
 class TestModels:
@@ -126,3 +128,11 @@ class TestWellsync:
     def test_sync_everything(self, capsys):
         assert main(["wellsync", "MP", "-m", "weak", "--sync", "flag,x"]) == 0
         assert "WELL SYNCHRONIZED" in capsys.readouterr().out
+
+    def test_deadline_is_enforced(self, tmp_path, capsys):
+        source = tmp_path / "iriw-4r.litmus"
+        source.write_text(disassemble(independent_writers(4).program, "exists (R0:r1=1)"))
+        assert main(["wellsync", str(source), "-m", "weak", "--deadline", "0.05"]) == 2
+        captured = capsys.readouterr()
+        assert "error: exceeded the 0.05s deadline for 'iriw-4r'" in captured.err
+        assert "SYNCHRONIZED" not in captured.out

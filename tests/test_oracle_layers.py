@@ -18,6 +18,16 @@ the second Store Atomicity close was skipped on an unchanged graph.
 Every child the search derives must get the same edges, in the same
 order, and the same ancestor bitsets from both, and the old and new
 digests must map one-to-one.
+
+Last, the three worklists that copied the enumerator's loop before the
+well-sync check, value speculation and the solver's branchy replay ran
+through its ``_search``: ``reference_check_well_synchronized``,
+``reference_enumerate_value_speculation`` and
+``reference_search_restricted``, verbatim apart from their names (and
+the solver's two private names qualified).  Races in order and
+``resolutions_checked``, value-speculation keys and counters (all but
+``branched``, which the old loop never counted), and the solver's
+``SolveStats`` and keys must all be the same.
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ import pytest
 
 from repro.analysis.delays import _collect_accesses as delay_accesses
 from repro.analysis.delays import find_critical_cycles as delay_cycles
+from repro.analysis.solver import behaviors as solver_behaviors
+from repro.analysis.solver.behaviors import SolveStats, solve_behaviors_with_stats
+from repro.analysis.solver.encode import Encoding
 from repro.analysis.static import (
     analyze_program,
     certify_robustness,
@@ -45,12 +58,22 @@ from repro.analysis.static.conflict import (
     critical_cycle_search,
     find_critical_cycles,
 )
+from repro.analysis.wellsync import RaceReport, WellSyncReport, check_well_synchronized
 from repro.core import enumerate as engine
 from repro.core.atomicity import close_store_atomicity
 from repro.core.candidates import candidate_stores
-from repro.core.enumerate import enumerate_behaviors
+from repro.core.enumerate import EnumerationLimits, ExhaustionReason, enumerate_behaviors
 from repro.core.execution import Execution
 from repro.core.graph import EdgeKind
+from repro.core.valuespec import (
+    ValueSpecResult,
+    ValueSpecStats,
+    _resolve_speculatively,
+    _value_spec_candidates,
+    _value_spec_eligible,
+    closure_satisfiable,
+    enumerate_value_speculation,
+)
 from repro.errors import (
     AtomicityViolation,
     CycleError,
@@ -613,17 +636,21 @@ RESOLUTION_PROGRAMS = 60
 RESOLUTION_MODELS = ("sc", "tso", "pso", "weak")
 
 
-def _resolution_cases():
-    programs = [(test.name, test.program) for test in all_tests()]
+def _resolution_programs() -> list[Program]:
+    programs = [test.program for test in all_tests()]
     programs += [
-        (f"fuzz-{index}", generate_program(
+        generate_program(
             derive_seed(RESOLUTION_FUZZ_SEED, index), profile_for_index(MIXED, index)
-        ))
+        )
         for index in range(RESOLUTION_PROGRAMS)
     ]
-    for name, program in programs:
+    return programs
+
+
+def _resolution_cases():
+    for program in _resolution_programs():
         for model_name in RESOLUTION_MODELS:
-            yield name, program, get_model(model_name)
+            yield program.name, program, get_model(model_name)
 
 
 def _resolved(behavior: Execution, resolve, load_nid: int, store_nid: int):
@@ -706,3 +733,268 @@ def test_enumeration_matches_reference_load_resolution(monkeypatch):
     for (name, program, model), result in zip(cases, fast):
         reference = enumerate_behaviors(program, model, FUZZ_LIMITS)
         assert _outcome(result) == _outcome(reference), (name, model.name)
+
+
+# ---------------------------------------------------------------------------
+# the three hand-copied Load-Resolution worklists, verbatim
+
+
+def reference_check_well_synchronized(
+    program: Program,
+    model: MemoryModel | str,
+    sync_locations: frozenset[str] | set[str] = frozenset(),
+    limits: EnumerationLimits | None = None,
+) -> WellSyncReport:
+    if isinstance(model, str):
+        model = get_model(model)
+    limits = limits or EnumerationLimits()
+    sync = frozenset(sync_locations)
+    report = WellSyncReport(program.name, model.name, sync)
+
+    initial = Execution.initial(program, model, limits.max_nodes_per_thread)
+    worklist = [initial]
+    seen = {initial.state_key()}
+    seen_races: set[tuple] = set()
+    explored = 0
+
+    while worklist:
+        behavior = worklist.pop()
+        explored += 1
+        if explored > limits.max_behaviors:
+            raise EnumerationError(
+                f"well-sync check exceeded {limits.max_behaviors} behaviors"
+            )
+        if behavior.completed():
+            continue
+        for load in behavior.eligible_loads():
+            candidates = candidate_stores(behavior, load)
+            report.resolutions_checked += 1
+            if load.addr not in sync and len(candidates) > 1:
+                race_key = (load.tid, load.index, load.addr, len(candidates))
+                if race_key not in seen_races:
+                    seen_races.add(race_key)
+                    report.races.append(
+                        RaceReport(
+                            thread=program.threads[load.tid].name,
+                            index=load.index,
+                            location=str(load.addr),
+                            candidate_count=len(candidates),
+                            candidate_values=tuple(s.stored for s in candidates),
+                        )
+                    )
+            for store in candidates:
+                child = behavior.copy()
+                try:
+                    child.resolve_load(load.nid, store.nid)
+                except (CycleError, AtomicityViolation, EnumerationError):
+                    continue
+                key = child.state_key()
+                if key not in seen:
+                    seen.add(key)
+                    worklist.append(child)
+    return report
+
+
+def reference_enumerate_value_speculation(
+    program: Program,
+    model: MemoryModel | str,
+    validate: bool = True,
+    limits: EnumerationLimits | None = None,
+) -> ValueSpecResult:
+    if isinstance(model, str):
+        model = get_model(model)
+    if model.store_load_bypass:
+        raise ReproError("value speculation is defined for store-atomic models only")
+    limits = limits or EnumerationLimits()
+    stats = ValueSpecStats()
+
+    initial = Execution.initial(program, model, limits.max_nodes_per_thread)
+    worklist = [initial]
+    seen = {initial.state_key()}
+    finished: dict = {}
+
+    while worklist:
+        behavior = worklist.pop()
+        stats.explored += 1
+        if stats.explored > limits.max_behaviors:
+            raise EnumerationError(
+                f"value-speculation search exceeded {limits.max_behaviors} behaviors"
+            )
+        if behavior.completed():
+            stats.completed += 1
+            finished.setdefault(behavior.loadstore_key(), behavior)
+            if len(finished) > limits.max_executions:
+                raise EnumerationError(
+                    f"value-speculation search exceeded {limits.max_executions} executions"
+                )
+            continue
+        eligible = _value_spec_eligible(behavior)
+        if not eligible:
+            stats.stuck += 1
+            continue
+        for load in eligible:
+            for store in _value_spec_candidates(behavior, load):
+                stats.resolutions += 1
+                child = behavior.copy()
+                try:
+                    _resolve_speculatively(child, load.nid, store.nid, validate)
+                except (CycleError, AtomicityViolation):
+                    stats.rolled_back += 1
+                    continue
+                except EnumerationError:
+                    stats.truncated += 1
+                    continue
+                key = child.state_key()
+                if key in seen:
+                    stats.duplicates += 1
+                    continue
+                seen.add(key)
+                worklist.append(child)
+
+    executions = sorted(finished.values(), key=lambda e: repr(e.loadstore_key()))
+    illegal = []
+    if not validate:
+        illegal = [e for e in executions if not closure_satisfiable(e)]
+        stats.unvalidated = len(illegal)
+    return ValueSpecResult(program, model, validate, executions, illegal, stats)
+
+
+def reference_search_restricted(
+    encoding: Encoding,
+    assignment: dict[int, int | None],
+    stats: SolveStats,
+    meter: solver_behaviors._Meter,
+) -> list[Execution]:
+    skeleton_size = len(encoding.base.graph)
+    found: dict[str, Execution] = {}
+    seen: set[bytes] = set()
+    stack = [encoding.base.copy()]
+    while stack:
+        execution = stack.pop()
+        if execution.completed():
+            found.setdefault(repr(execution.loadstore_key()), execution)
+            continue
+        for load in execution.eligible_loads():
+            nid = load.nid
+            for store in candidate_stores(execution, load):
+                if nid in assignment:
+                    target = assignment[nid]
+                    if target is None:
+                        if store.nid < skeleton_size:
+                            continue
+                    elif store.nid != target:
+                        continue
+                child = execution.copy()
+                meter.tick()
+                stats.resolutions += 1
+                try:
+                    child.resolve_load(nid, store.nid)
+                except (CycleError, AtomicityViolation):
+                    continue
+                except EnumerationError:
+                    raise solver_behaviors._Budget(
+                        ExhaustionReason.EXECUTION_BUDGET
+                    ) from None
+                key = child.dedup_digest()
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(child)
+    return list(found.values())
+
+
+# ---------------------------------------------------------------------------
+# one search, three callers: each must decide exactly as its old copy did
+
+
+def _run(function, *args):
+    """``function(*args)``, or the type of the ReproError it raised."""
+    try:
+        return function(*args)
+    except ReproError as exc:
+        return type(exc)
+
+
+def _wellsync_outcome(report):
+    if isinstance(report, type):
+        return report
+    return (report.races, report.resolutions_checked, report.well_synchronized)
+
+
+@pytest.mark.slow
+def test_wellsync_matches_reference():
+    """Races in order, their count and ``resolutions_checked``."""
+    racy = 0
+    for program in _resolution_programs():
+        for model_name in ("sc", "weak"):
+            model = get_model(model_name)
+            args = (program, model, frozenset(), FUZZ_LIMITS)
+            new = _run(check_well_synchronized, *args)
+            old = _run(reference_check_well_synchronized, *args)
+            assert _wellsync_outcome(new) == _wellsync_outcome(old), (program.name, model_name)
+            racy += not isinstance(new, type) and not new.well_synchronized
+    assert racy > 150
+
+
+def _valuespec_outcome(result):
+    if isinstance(result, type):
+        return result
+    stats = asdict(result.stats)
+    del stats["branched"]  # the old loop never counted it
+    return (
+        [execution.loadstore_key() for execution in result.executions],
+        [execution.loadstore_key() for execution in result.illegal],
+        stats,
+    )
+
+
+#: Value speculation resolves loads in any order, so a few fuzz programs
+#: explore tens of thousands of states (fz-rmw-7000031: 84k); past this
+#: budget both searches must raise, at the same pop.
+VALUESPEC_LIMITS = EnumerationLimits(max_behaviors=3_000)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("validate", [True, False])
+def test_value_speculation_matches_reference(validate):
+    """Keys, illegal keys and every counter but ``branched``; the new
+    counts satisfy the pop-side identity the old ones broke."""
+    compared = 0
+    for program in _resolution_programs():
+        for model_name in ("sc", "weak"):
+            args = (program, model_name, validate, VALUESPEC_LIMITS)
+            new = _run(enumerate_value_speculation, *args)
+            old = _run(reference_enumerate_value_speculation, *args)
+            assert _valuespec_outcome(new) == _valuespec_outcome(old), (
+                program.name, model_name,
+            )
+            if not isinstance(new, type):
+                assert new.stats.consistent(), (program.name, model_name)
+                compared += 1
+    assert compared > 200
+
+
+def _solve_outcome(program: Program, model_name: str):
+    result, stats = solve_behaviors_with_stats(program, model_name, FUZZ_LIMITS)
+    return (
+        asdict(stats),
+        result.complete,
+        result.reason,
+        [execution.loadstore_key() for execution in result.executions],
+    )
+
+
+@pytest.mark.slow
+def test_solver_restricted_search_matches_reference(monkeypatch):
+    """``SolveStats`` and keys on every branchy program, all four models."""
+    cases = [
+        (program, model_name)
+        for program in _resolution_programs()
+        if program.has_branches()
+        for model_name in RESOLUTION_MODELS
+    ]
+    fast = [_solve_outcome(program, model_name) for program, model_name in cases]
+    monkeypatch.setattr(solver_behaviors, "_search_restricted", reference_search_restricted)
+    for (program, model_name), outcome in zip(cases, fast):
+        assert outcome == _solve_outcome(program, model_name), (program.name, model_name)
+    assert len(cases) > 60
+    assert sum(outcome[0]["resolutions"] for outcome in fast) > 1000

@@ -1,11 +1,14 @@
 """Tests for value speculation (safe vs naive machines)."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import ReproError
-from repro.core.enumerate import enumerate_behaviors
+from repro.errors import EnumerationError, ReproError
+from repro.core.enumerate import EnumerationLimits, ExhaustionReason, enumerate_behaviors
 from repro.core.valuespec import closure_satisfiable, enumerate_value_speculation
+from repro.litmus.families import independent_writers
 from repro.litmus.library import get_test
 from repro.models.registry import get_model
 
@@ -21,10 +24,9 @@ class TestSafeSpeculation:
         standard = enumerate_behaviors(
             mp_program, get_model(model_name)
         ).register_outcomes()
-        speculated = enumerate_value_speculation(
-            mp_program, model_name, validate=True
-        ).register_outcomes()
-        assert standard == speculated
+        speculated = enumerate_value_speculation(mp_program, model_name, validate=True)
+        assert standard == speculated.register_outcomes()
+        assert speculated.stats.consistent()
 
     def test_mp_under_sc_has_three_behaviors(self, mp_program):
         assert len(enumerate_value_speculation(mp_program, "sc", validate=True)) == 3
@@ -47,6 +49,7 @@ class TestNaiveSpeculation:
         assert STALE_MP in naive.register_outcomes()
         assert STALE_MP in naive.violating_outcomes()
         assert naive.stats.unvalidated > 0
+        assert naive.stats.consistent()
 
     def test_sb_both_zero_flagged(self, sb_program):
         naive = enumerate_value_speculation(sb_program, "sc", validate=False)
@@ -69,6 +72,15 @@ class TestGuards:
     def test_bypass_models_rejected(self, sb_program):
         with pytest.raises(ReproError):
             enumerate_value_speculation(sb_program, "tso")
+
+    def test_deadline_raises_promptly(self):
+        program = independent_writers(4).program  # 3.6 s when the deadline was ignored
+        limits = EnumerationLimits(deadline_seconds=0.05)
+        started = time.monotonic()
+        with pytest.raises(EnumerationError) as caught:
+            enumerate_value_speculation(program, "weak", limits=limits)
+        assert caught.value.reason is ExhaustionReason.DEADLINE
+        assert time.monotonic() - started < 1.5
 
 
 class TestPropertySafeEqualsStandard:
