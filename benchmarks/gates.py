@@ -13,7 +13,10 @@ skipped.
   graph copy; per-branch copy+key is ≥1.1x the seed's.
 * **solver** — the SAT/AllSAT solver's behavior sets are byte-identical
   (``loadstore_key``) to the enumerator's on the litmus library and the
-  wide family; nothing truncates; the wide-family speedup is ≥5x.
+  wide family; nothing truncates; on the wide family the stable-load
+  reduction is ≥5x faster than the full-eligibility search, ``wide-t``
+  makes exactly ``t`` resolutions, and fanout-4x1/weak makes no
+  duplicate.
 * **fencesynth** — static and enumerative minimal fence sets agree;
   nothing truncates; the static sweep is ≥10x faster.
 * **cache** — a warm sweep of the behavior cache is ≥5x faster than a
@@ -55,7 +58,11 @@ from repro.analysis.solver import solve_behaviors
 from repro.analysis.static.dataflow import compute_static_facts
 from repro.analysis.static.fencerepair import repair_fences
 from repro.cache import BehaviorCache
-from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.core.enumerate import (
+    EnumerationLimits,
+    _enumerate_full_eligibility,
+    enumerate_behaviors,
+)
 from repro.experiments.dataflow_exp import uses_register_addresses
 from repro.experiments.fig89 import build_aliasing_program, build_program
 from repro.experiments.scaling import chain_program
@@ -249,15 +256,17 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
 
 # -- solver ----------------------------------------------------------------
 
-#: Acceptance floor for the solver's aggregate speedup on the wide family.
+#: Acceptance floor for the stable-load reduction's aggregate speedup over
+#: the full-eligibility search on the wide family.
 MIN_SOLVER_SPEEDUP = 5.0
 
 
 def wide_program(threads: int) -> Program:
     """t threads × {store a private location; load a shared, never-stored
-    one}: exactly one behavior, but the enumerator's state space is the
-    full 2^t lattice of which loads have resolved, while the solver pays
-    one SAT proposal plus one O(t) replay."""
+    one}: exactly one behavior, but the full-eligibility search's state
+    space is the 2^t lattice of which loads have resolved, while the
+    stable-load reduction resolves the t loads in one order and the
+    solver pays one SAT proposal plus one O(t) replay."""
     lines = [f"test wide-{threads}"]
     for i in range(threads):
         lines.append(f"thread P{i}")
@@ -267,17 +276,29 @@ def wide_program(threads: int) -> Program:
 
 
 def gate_solver(quick: bool) -> tuple[dict, list[str]]:
-    """Solver vs enumerator over the litmus library × models (agreement)
-    and over the wide family (agreement plus speedup)."""
+    """Solver vs enumerator agreement over the litmus library × models
+    and over the wide family; on the wide family also the stable-load
+    reduction's speedup and work.
+
+    The solver is an independent oracle, a second derivation of every
+    behavior set, and the engine behind ``explain --forbidden``; it is
+    not a fast path.  Since the enumerator branches on one stable load
+    where it can, the enumerator beats it on every scaling item.  So the
+    speed floor measures what the wide family was built to expose: the
+    reduced enumeration against the full-eligibility search (every
+    eligible load branched on, as the well-sync check still does), on
+    the same widths.  Two work floors back it that host noise cannot
+    move: ``wide-t`` makes exactly ``t`` resolutions, and
+    fanout-4x1/weak makes no duplicate."""
     models = ("tso", "weak") if quick else ("sc", "tso", "pso", "weak")
     widths = (8, 10) if quick else (8, 10, 12)
     library = [(test.program, model) for test in all_tests() for model in models]
-    wide = [(wide_program(t), model) for t in widths for model in ("sc", "weak")]
+    wide = [(wide_program(t), t, model) for t in widths for model in ("sc", "weak")]
 
     mismatches: list[str] = []
     truncated: list[str] = []
 
-    def compare(program: Program, model_name: str) -> tuple[float, float]:
+    def compare(program: Program, model_name: str) -> tuple[float, float, object]:
         start = time.perf_counter()
         enumerated = enumerate_behaviors(program, get_model(model_name))
         enum_seconds = time.perf_counter() - start
@@ -289,17 +310,37 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
             truncated.append(label)
         elif _keys(enumerated) != _keys(solved):
             mismatches.append(label)
-        return enum_seconds, solver_seconds
+        return enum_seconds, solver_seconds, enumerated
 
     for program, model_name in library:
         compare(program, model_name)
-    enum_total = solver_total = 0.0
-    for program, model_name in wide:
-        enum_seconds, solver_seconds = compare(program, model_name)
+    enum_total = full_total = solver_total = 0.0
+    resolutions: dict[str, int] = {}
+    full_resolutions: dict[str, int] = {}
+    work_failures: list[str] = []
+    for program, threads, model_name in wide:
+        enum_seconds, solver_seconds, enumerated = compare(program, model_name)
+        start = time.perf_counter()
+        full = _enumerate_full_eligibility(program, get_model(model_name))
+        full_total += time.perf_counter() - start
         enum_total += enum_seconds
         solver_total += solver_seconds
+        label = f"{program.name}/{model_name}"
+        if not full.complete:
+            truncated.append(f"{label} (full eligibility)")
+        elif _keys(full) != _keys(enumerated):
+            mismatches.append(f"{label} (full eligibility)")
+        resolutions[label] = enumerated.stats.resolutions
+        full_resolutions[label] = full.stats.resolutions
+        if enumerated.stats.resolutions != threads:
+            work_failures.append(
+                f"{label} made {enumerated.stats.resolutions} resolutions, not {threads}"
+            )
+    fanout = enumerate_behaviors(chain_program(4, 1), get_model("weak"))
+    if fanout.stats.duplicates:
+        work_failures.append(f"fanout-4x1/weak made {fanout.stats.duplicates} duplicates, not 0")
 
-    speedup = enum_total / solver_total if solver_total > 0 else float("inf")
+    speedup = full_total / enum_total if enum_total > 0 else float("inf")
     values = {
         "models": list(models),
         "widths": list(widths),
@@ -308,9 +349,13 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
         "mismatches": mismatches,
         "truncated": truncated,
         "seconds_enum_wide_total": enum_total,
+        "seconds_full_eligibility_wide_total": full_total,
         "seconds_solver_wide_total": solver_total,
         "speedup": speedup,
         "min_speedup": MIN_SOLVER_SPEEDUP,
+        "wide_resolutions": resolutions,
+        "wide_full_eligibility_resolutions": full_resolutions,
+        "fanout_4x1_weak_duplicates": fanout.stats.duplicates,
     }
     failures = []
     if mismatches:
@@ -321,8 +366,9 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
         failures.append(f"enumeration truncated on {', '.join(truncated)}")
     if speedup < MIN_SOLVER_SPEEDUP:
         failures.append(
-            f"wide-family speedup {speedup:.1f}x < {MIN_SOLVER_SPEEDUP:.0f}x floor"
+            f"wide-family reduction speedup {speedup:.1f}x < {MIN_SOLVER_SPEEDUP:.0f}x floor"
         )
+    failures += work_failures
     return values, failures
 
 

@@ -11,11 +11,22 @@ process pay a dict lookup, not an unpickle).  Entry layout::
 
     magic[4] = b"RBEH"  version[1]  blake2b-8(payload)[8]  payload
 
-where ``payload`` is the pickled result.  Entries are written with
-:func:`~repro.storage.atomic_write`, so concurrent workers sharing a
-directory and a ``kill -9`` mid-put can only ever leave a complete entry
-or none; a put whose entry file already exists is skipped.  A miss is
-one failed ``open`` — no lookup or store lists the directory.
+where ``payload`` is two pickles back to back.  The first is the entry
+header ``{"version", "key", "request"}``: the payload version, the cache
+key the entry was written for, and the request ``(program, model,
+limits)`` pickled on its own.  The second is ``(executions, stats)``,
+pickled with the request's program, model and instructions as
+persistent ids.  A hit through :meth:`BehaviorCache.replay` compares the
+stored key with the one it looked up and resolves those ids to the
+request's own objects, so it neither computes the key a second time nor
+unpickles a copy of the program and model.  A lookup without a request
+(such as :meth:`BehaviorCache.verify`) unpickles the stored one.
+
+Entries are written with :func:`~repro.storage.atomic_write`, so
+concurrent workers sharing a directory and a ``kill -9`` mid-put can
+only ever leave a complete entry or none; a put whose entry file already
+exists is skipped.  A miss is one failed ``open`` — no lookup or store
+lists the directory.
 
 Safety model
 ------------
@@ -24,19 +35,23 @@ Safety model
   refuses anything else), so a hit can never silently truncate a
   behavior set, and a budget-exhausted search leaves nothing on disk;
 * hits are **verified-decodable**: the header, the payload checksum,
-  the pickle decode, the payload version and the recomputed cache key
+  the pickle decode, the payload version and the stored cache key
   must all agree before a cached result is returned — anything less
   degrades to a miss with a :class:`~repro.errors.CacheIntegrityWarning`
   and deletes the entry, so the re-enumeration that follows repairs it;
-* a decodable entry whose *behaviors* are wrong (a subset stored under
-  an honest key) is caught offline by :meth:`BehaviorCache.verify` with
-  ``full=True`` (``repro cache verify DIR --full``), which re-enumerates
-  every entry — the audit for a cache directory of unknown provenance.
+* :meth:`BehaviorCache.verify` recomputes each entry's key from its
+  stored request, so an entry written under a key that is not its
+  request's is reported bad; a decodable entry whose *behaviors* are
+  wrong (a subset stored under an honest key) is caught by ``verify``
+  with ``full=True`` (``repro cache verify DIR --full``), which
+  re-enumerates every entry — the audit for a cache directory of
+  unknown provenance.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import warnings
@@ -57,8 +72,10 @@ from repro.storage import atomic_write
 #: to misses (a cache directory is shareable across builds, not a
 #: compatibility contract).  Version 2: ``Node`` carries its class
 #: predicates as slots set at construction, which a version-1 pickle
-#: lacks (its nodes would unpickle, then fail on first use).
-CACHE_PAYLOAD_VERSION = 2
+#: lacks (its nodes would unpickle, then fail on first use).  Version 3:
+#: a header pickle (version, key, pickled request) followed by the
+#: executions pickled against the request (see the module docstring).
+CACHE_PAYLOAD_VERSION = 3
 
 _ENTRY_SUFFIX = ".bin"
 _HEADER = b"RBEH\x01"  #: magic ("repro behaviors") + entry format version
@@ -68,6 +85,40 @@ _LRU_SIZE = 128  #: decoded entries kept per process
 
 def _payload_checksum(payload: bytes) -> bytes:
     return hashlib.blake2b(payload, digest_size=_CHECKSUM_SIZE).digest()
+
+
+class _RequestPickler(pickle.Pickler):
+    """Pickles executions with the request's program, model and
+    instructions left out, as persistent ids: ``"program"``, ``"model"``
+    and ``(thread, pc)``."""
+
+    def __init__(self, file, program, model) -> None:
+        super().__init__(file)
+        self._ids: dict[int, object] = {id(program): "program", id(model): "model"}
+        for tid, thread in enumerate(program.threads):
+            for pc, instruction in enumerate(thread.code):
+                self._ids[id(instruction)] = (tid, pc)
+
+    def persistent_id(self, obj):
+        return self._ids.get(id(obj))
+
+
+class _RequestUnpickler(pickle.Unpickler):
+    """Resolves :class:`_RequestPickler`'s persistent ids to the objects
+    of ``request``, a ``(program, model, limits)`` tuple."""
+
+    def __init__(self, file, request: tuple) -> None:
+        super().__init__(file)
+        self.request = request
+
+    def persistent_load(self, pid):
+        program, model, _ = self.request
+        if pid == "program":
+            return program
+        if pid == "model":
+            return model
+        tid, pc = pid
+        return program.threads[tid].code[pc]
 
 
 @dataclass
@@ -133,7 +184,8 @@ class BehaviorCache:
         ``model`` with ``limits``, or ``None`` on a miss.  The result is
         built for the request (its program and model), with a private
         copy of the stored stats."""
-        entry = self.lookup(behavior_cache_key(program, model, limits))
+        request = (program, model, limits)
+        entry = self.lookup(behavior_cache_key(program, model, limits), request)
         if entry is None:
             return None
         return EnumerationResult(
@@ -166,9 +218,13 @@ class BehaviorCache:
 
     # -- the read path --------------------------------------------------
 
-    def lookup(self, key: bytes) -> CachedBehaviors | None:
+    def lookup(self, key: bytes, request: tuple | None = None) -> CachedBehaviors | None:
         """The decoded entry for ``key``, or ``None``.  Never raises for
-        damaged data — every failure mode is a miss."""
+        damaged data — every failure mode is a miss.
+
+        ``request`` is the ``(program, model, limits)`` that ``key`` was
+        computed from: a decoded entry's executions then refer to that
+        program and model.  Without it the stored request is unpickled."""
         entry = self._lru.get(key)
         if entry is not None:
             self._lru.move_to_end(key)
@@ -184,7 +240,7 @@ class BehaviorCache:
         except OSError as exc:
             entry = self._damaged(key, f"is unreadable ({exc})")
         else:
-            entry = self._decode(key, raw)
+            entry = self._decode(key, raw, request)
         if entry is None:
             # Delete the damaged entry so the caller's re-enumeration
             # stores a good one in its place.
@@ -204,42 +260,42 @@ class BehaviorCache:
             stacklevel=4,
         )
 
-    def _decode(self, key: bytes, raw: bytes) -> CachedBehaviors | None:
+    def _decode(self, key: bytes, raw: bytes, request: tuple | None) -> CachedBehaviors | None:
         checksum_end = len(_HEADER) + _CHECKSUM_SIZE
         if raw[: len(_HEADER)] != _HEADER:
             return self._damaged(key, "has an unrecognized header")
         payload = raw[checksum_end:]
         if _payload_checksum(payload) != raw[len(_HEADER) : checksum_end]:
             return self._damaged(key, "failed its checksum")
+        stream = io.BytesIO(payload)
         try:
-            decoded = pickle.loads(payload)
-            version = decoded["version"]
-            program = decoded["program"]
-            model = decoded["model"]
-            limits = decoded["limits"]
-            executions = tuple(decoded["executions"])
-            stats = decoded["stats"]
+            header = pickle.load(stream)
+            version = header["version"]
+            if version != CACHE_PAYLOAD_VERSION:
+                return self._damaged(
+                    key,
+                    f"has payload version {version!r} (this build reads "
+                    f"{CACHE_PAYLOAD_VERSION})",
+                )
+            # The key sits under the checksum, so another entry's payload
+            # (or a copy of one) is refused here without recomputing it.
+            if header["key"] != key:
+                return self._damaged(
+                    key,
+                    "fails key verification (payload is for a different request)",
+                )
+            if request is None:
+                request = pickle.loads(header["request"])
+            executions, stats = _RequestUnpickler(stream, request).load()
         except Exception as exc:  # noqa: BLE001 — pickle raises anything
             return self._damaged(key, f"does not decode ({exc})")
-        if version != CACHE_PAYLOAD_VERSION:
-            return self._damaged(
-                key,
-                f"has payload version {version!r} (this build reads "
-                f"{CACHE_PAYLOAD_VERSION})",
-            )
-        # Verified-decodable: the payload must hash back to its own key,
-        # binding the stored result to the request that produced it.
-        if behavior_cache_key(program, model, limits) != key:
-            return self._damaged(
-                key,
-                "fails key verification (payload is for a different request)",
-            )
+        program, model, limits = request
         return CachedBehaviors(
             program=program,
             model=model,
             limits=limits,
             executions=executions,
-            stats=replace(stats),
+            stats=stats,
         )
 
     def _remember(self, key: bytes, entry: CachedBehaviors) -> None:
@@ -258,16 +314,7 @@ class BehaviorCache:
         if key in self._lru or path.exists():
             self.counters.duplicate_puts += 1
             return False
-        payload = pickle.dumps(
-            {
-                "version": CACHE_PAYLOAD_VERSION,
-                "program": program,
-                "model": model,
-                "limits": limits,
-                "executions": tuple(executions),
-                "stats": stats,
-            }
-        )
+        payload = _encode(key, program, model, limits, executions, stats)
         data = _HEADER + _payload_checksum(payload) + payload
         try:
             try:
@@ -340,10 +387,12 @@ class BehaviorCache:
         for key, path in self._entries():
             checked += 1
             try:
-                entry = self._decode(key, path.read_bytes())
+                entry = self._decode(key, path.read_bytes(), None)
             except OSError as exc:
                 entry = self._damaged(key, f"is unreadable ({exc})")
-            if entry is None:
+            if entry is None or behavior_cache_key(
+                entry.program, entry.model, entry.limits
+            ) != key:
                 bad.append(key.hex())
                 continue
             if full:
@@ -355,6 +404,20 @@ class BehaviorCache:
                     continue
             ok += 1
         return {"checked": checked, "ok": ok, "bad": bad, "full": full}
+
+
+def _encode(key: bytes, program, model, limits, executions, stats) -> bytes:
+    """An entry's payload: the header pickle, then the executions and
+    stats pickled against the request (see the module docstring)."""
+    buffer = io.BytesIO()
+    header = {
+        "version": CACHE_PAYLOAD_VERSION,
+        "key": key,
+        "request": pickle.dumps((program, model, limits)),
+    }
+    pickle.dump(header, buffer)
+    _RequestPickler(buffer, program, model).dump((tuple(executions), stats))
+    return buffer.getvalue()
 
 
 def _unlink(path: Path) -> None:

@@ -841,7 +841,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, multi_model: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, multi_model: bool = True, partial: bool = True
+    ) -> None:
+        """The model and budget flags.  ``partial=False`` is for a command
+        that never returns a partial result: its deadline help says so and
+        it gets no ``--strict``, which could change nothing."""
         p.add_argument(
             "--model",
             "-m",
@@ -861,14 +866,18 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="wall-clock budget per enumeration; exceeding it returns "
-            "an honestly-labeled partial result",
+            "an honestly-labeled partial result"
+            if partial
+            else "wall-clock budget for the check; an exhausted deadline "
+            "exits 2 with 'error:' (there is no partial verdict)",
         )
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="raise on an exhausted budget instead of returning a "
-            "partial result",
-        )
+        if partial:
+            p.add_argument(
+                "--strict",
+                action="store_true",
+                help="raise on an exhausted budget instead of returning a "
+                "partial result",
+            )
 
     p_models = sub.add_parser("models", help="list models / render a reordering table")
     p_models.add_argument("--table", metavar="MODEL", help="render MODEL's Figure-1 table")
@@ -1029,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ws = sub.add_parser("wellsync", help="check the §8 well-sync discipline")
     p_ws.add_argument("test")
-    add_common(p_ws)
+    add_common(p_ws, partial=False)
     p_ws.add_argument("--sync", default="", help="comma-separated sync locations")
     p_ws.set_defaults(func=cmd_wellsync)
 

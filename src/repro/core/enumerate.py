@@ -9,6 +9,11 @@ every ``S ∈ candidates(L)``, a copy is created with ``source(L) = S``.
 "Load Resolution is the only place where our enumeration procedure may
 duplicate effort" — duplicates are discarded by comparing canonical
 behavior keys (and completed executions by their Load–Store graphs).
+The enumerator avoids most of that duplication up front: when some
+eligible load is *stable* (no store can become its candidate later), it
+branches on that load alone (:func:`_stable_eligible`).  The well-sync
+check, value speculation and the solver's replay keep the paper's full
+eligibility.
 
 Speculative executions whose deferred alias edges or atomicity closure
 become inconsistent are discarded: in an enumerative setting, a rolled
@@ -138,7 +143,10 @@ class EnumerationStats:
 #: Version 4: the digests hash the state piece by piece
 #: (:meth:`Execution.dedup_digest`), so a version-3 dedup set would match
 #: none of them and re-explore every state it already holds.
-CHECKPOINT_FORMAT_VERSION = 4
+#: Version 5: the search branches on one stable load where it can
+#: (:func:`_stable_eligible`), so a version-4 worklist is a prefix of
+#: another search and its dedup set holds states this one never reaches.
+CHECKPOINT_FORMAT_VERSION = 5
 
 #: Versions this build can still resume from.
 SUPPORTED_CHECKPOINT_VERSIONS = frozenset({CHECKPOINT_FORMAT_VERSION})
@@ -367,8 +375,44 @@ def enumerate_behaviors(
         if cached is not None:
             return cached
 
+    result = _fresh_search(
+        program, model, limits, dedup, strict, token, facts, eligible=_stable_eligible
+    )
+    if cache is not None:
+        cache.memoize(result, limits)
+    return result
+
+
+def _enumerate_full_eligibility(
+    program: Program,
+    model: MemoryModel,
+    limits: EnumerationLimits | None = None,
+    dedup: bool = True,
+) -> EnumerationResult:
+    """Enumerate as the paper's procedure does, branching on *every*
+    eligible load: the same behavior set as :func:`enumerate_behaviors`,
+    reached through every resolution order (so with duplicates and
+    rolled-back speculation).  The stable-load reduction's baseline and
+    oracle: the differential tests, the TAB-SCALE dedup ablation, the
+    FIG8_9 rollback check and the solver gate's speed floor run on it."""
+    limits = limits or EnumerationLimits()
+    return _fresh_search(program, model, limits, dedup, False, None, None, eligible=_eligible)
+
+
+def _fresh_search(
+    program: Program,
+    model: MemoryModel,
+    limits: EnumerationLimits,
+    dedup: bool,
+    strict: bool,
+    token: CancellationToken | None,
+    facts: "StaticFacts | None",
+    *,
+    eligible,
+) -> EnumerationResult:
+    """:func:`_search` from the program's initial behavior."""
     initial = Execution.initial(program, model, limits.max_nodes_per_thread, facts)
-    result = _search(
+    return _search(
         program,
         model,
         limits,
@@ -379,10 +423,8 @@ def enumerate_behaviors(
         seen_states={_dedup_key(initial)},
         finished={},
         stats=EnumerationStats(),
+        eligible=eligible,
     )
-    if cache is not None:
-        cache.memoize(result, limits)
-    return result
 
 
 def resume_enumeration(
@@ -415,6 +457,7 @@ def resume_enumeration(
         set(checkpoint.seen_states),
         finished=dict(checkpoint.finished),
         stats=replace(checkpoint.stats),
+        eligible=_stable_eligible,
     )
 
 
@@ -426,6 +469,47 @@ def resume_enumeration(
 
 def _eligible(behavior: Execution) -> list:
     return behavior.eligible_loads()
+
+
+def _stable_eligible(behavior: Execution) -> list:
+    """The enumerator's eligibility: one *stable* eligible load when
+    there is one, else every eligible load (:func:`_eligible`).
+
+    A load ``L`` is stable when no live thread waits on an unresolved
+    branch (every node is generated) and every store or RMW other than
+    ``L`` that is not ⊑-after ``L`` either has a known address other than
+    ``L.addr``, or is executed at ``L.addr`` with every memory operation
+    ⊑-before it executed.  Then no store can become a candidate of ``L``
+    later, so the source of ``L`` in every complete extension is already
+    in ``candidates(L)``: branching on ``L`` alone loses no behavior, and
+    the orders in which ``L`` and the other loads could resolve are not
+    explored separately.  See DESIGN.md, "Stable-load reduction"."""
+    loads = behavior.eligible_loads()
+    if len(loads) < 2:
+        return loads
+    if any(state.waiting_branch is not None for state in behavior.threads):
+        return loads
+    graph = behavior.graph
+    anc = graph._anc
+    unexecuted_memory = 0
+    for node in graph.nodes:
+        if node.is_memory and not node.executed:
+            unexecuted_memory |= 1 << node.nid
+    anywhere = 0  # writers whose address is still unknown
+    unsettled: dict = {}  # address -> writers there that may still change
+    for node in graph.nodes:
+        if not node.writes_memory:
+            continue
+        if node.addr is None:
+            anywhere |= 1 << node.nid
+        elif not node.executed or anc[node.nid] & unexecuted_memory:
+            unsettled[node.addr] = unsettled.get(node.addr, 0) | 1 << node.nid
+    desc = graph._desc
+    for load in loads:
+        blockers = (anywhere | unsettled.get(load.addr, 0)) & ~desc[load.nid]
+        if not blockers & ~(1 << load.nid):
+            return [load]
+    return loads
 
 
 def _candidates(behavior: Execution, load, stats: EnumerationStats) -> list:

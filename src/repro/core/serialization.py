@@ -169,9 +169,12 @@ def always_before_pairs(execution: Execution) -> frozenset[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # the canonical behavior-cache digest
 
-#: Bump when the canonical form below changes: a key from another format
-#: version must never collide with this one's, so the version is hashed in.
-BEHAVIOR_CACHE_KEY_VERSION = 1
+#: Bump when the canonical form below changes, or when what an entry
+#: stored under it holds changes: a key from another format version must
+#: never collide with this one's, so the version is hashed in.  Version 2:
+#: cached results carry the stats of the stable-load search, not of the
+#: search that branched on every eligible load.
+BEHAVIOR_CACHE_KEY_VERSION = 2
 
 _LIMIT_FIELDS = (
     "max_behaviors",

@@ -311,3 +311,9 @@ def register_projection(result: EnumerationResult, names: tuple[str, ...]) -> fr
         registers = {reg: value for (_, reg), value in execution.final_registers().items()}
         projected.add(tuple(registers.get(name) for name in names))
     return frozenset(projected)
+
+
+def loadstore_keys(result: EnumerationResult) -> list[str]:
+    """The sorted ``repr(loadstore_key())`` list of a result: what two
+    searches of one program must agree on to have the same behaviors."""
+    return sorted(repr(execution.loadstore_key()) for execution in result.executions)

@@ -21,11 +21,16 @@ are rolled back, i.e. discarded by the enumerator.
 
 from __future__ import annotations
 
-from repro.core.enumerate import enumerate_behaviors
+from repro.core.enumerate import _enumerate_full_eligibility, enumerate_behaviors
 from repro.isa.dsl import ProgramBuilder
 from repro.isa.operands import Reg
 from repro.models.registry import get_model
-from repro.experiments.base import ExperimentResult, executions_where, register_projection
+from repro.experiments.base import (
+    ExperimentResult,
+    executions_where,
+    loadstore_keys,
+    register_projection,
+)
 
 EXPERIMENT_ID = "FIG8_9"
 
@@ -77,6 +82,7 @@ def build_aliasing_program():
 _REGS = ("r3", "r6", "r8")
 
 
+
 def run() -> ExperimentResult:
     result = ExperimentResult(
         EXPERIMENT_ID, "Address-aliasing speculation introduces new behaviors"
@@ -114,14 +120,26 @@ def run() -> ExperimentResult:
     )
     # In the paper's program the pointer is never y, so predictions never
     # fail; the aliasing variant makes the prediction wrong in some
-    # behaviors and exercises the rollback path.
+    # behaviors and exercises the rollback path.  The paper's procedure
+    # (every eligible load branched on) speculates past unknown addresses;
+    # the enumerator's stable-load reduction mostly waits for them, so
+    # the rollback claim runs on the former and the latter must reach
+    # the same executions with no more resolutions.
     alias_program = build_aliasing_program()
     alias_nonspec = enumerate_behaviors(alias_program, get_model("weak"))
+    alias_spec_full = _enumerate_full_eligibility(alias_program, get_model("weak-spec"))
     alias_spec = enumerate_behaviors(alias_program, get_model("weak-spec"))
     result.claim(
         "aliasing variant: failed speculations are rolled back",
         True,
-        alias_spec.stats.rolled_back > 0,
+        alias_spec_full.stats.rolled_back > 0,
+    )
+    result.claim(
+        "aliasing variant: the stable-load reduction reaches the same "
+        "executions with no more resolutions",
+        True,
+        loadstore_keys(alias_spec) == loadstore_keys(alias_spec_full)
+        and alias_spec.stats.resolutions <= alias_spec_full.stats.resolutions,
     )
     result.claim(
         "aliasing variant: non-speculative behaviors all remain valid",
@@ -135,6 +153,9 @@ def run() -> ExperimentResult:
         f"non-speculative outcomes (r3, r6, r8): {len(nonspec_outcomes)}\n"
         f"speculative outcomes:                  {len(spec_outcomes)}\n"
         f"speculation-only outcomes: {extra}\n"
-        f"aliasing-variant rollbacks: {alias_spec.stats.rolled_back}"
+        f"aliasing-variant rollbacks: {alias_spec_full.stats.rolled_back} "
+        f"(stable-load reduction: {alias_spec.stats.rolled_back})\n"
+        f"aliasing-variant resolutions: {alias_spec_full.stats.resolutions} "
+        f"(stable-load reduction: {alias_spec.stats.resolutions})"
     )
     return result

@@ -4,7 +4,10 @@ The paper notes that Load Resolution "is the only place where our
 enumeration procedure may duplicate effort" and relies on Load–Store
 graph comparison to discard duplicates.  This experiment measures how
 behavior counts and explored states grow with program size, and how much
-the canonical-key deduplication saves.
+the canonical-key deduplication saves in the paper's procedure (every
+eligible load branched on).  Next to each row it runs the enumerator's
+stable-load reduction, which must reach the same executions with no more
+resolutions.
 """
 
 from __future__ import annotations
@@ -12,18 +15,24 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.core.enumerate import (
+    EnumerationLimits,
+    EnumerationResult,
+    _enumerate_full_eligibility,
+    enumerate_behaviors,
+)
 from repro.isa.dsl import ProgramBuilder
 from repro.isa.program import Program
 from repro.models.registry import get_model
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, loadstore_keys
 
 EXPERIMENT_ID = "TAB-SCALE"
 
 
 @dataclass(frozen=True)
 class ScalePoint:
-    """One measurement in the scaling sweep."""
+    """One measurement in the scaling sweep: the paper's procedure
+    (``full``) and the stable-load reduction (``stable``)."""
 
     label: str
     executions: int
@@ -31,6 +40,11 @@ class ScalePoint:
     resolutions: int
     duplicates: int
     seconds: float
+    stable_explored: int
+    stable_resolutions: int
+    stable_duplicates: int
+    stable_seconds: float
+    same_executions: bool  #: both searches reach the same Load–Store keys
 
 
 def chain_program(threads: int, writes_per_thread: int = 1) -> Program:
@@ -61,19 +75,27 @@ def sb_chain(pairs: int) -> Program:
     return builder.build()
 
 
-def measure(program: Program, model_name: str = "weak") -> ScalePoint:
+def _timed(search, program: Program, model_name: str) -> tuple[EnumerationResult, float]:
     started = time.perf_counter()
-    result = enumerate_behaviors(
-        program, get_model(model_name), EnumerationLimits(max_behaviors=5_000_000)
-    )
-    elapsed = time.perf_counter() - started
+    result = search(program, get_model(model_name), EnumerationLimits(max_behaviors=5_000_000))
+    return result, time.perf_counter() - started
+
+
+def measure(program: Program, model_name: str = "weak") -> ScalePoint:
+    full, seconds = _timed(_enumerate_full_eligibility, program, model_name)
+    stable, stable_seconds = _timed(enumerate_behaviors, program, model_name)
     return ScalePoint(
         label=f"{program.name}/{model_name}",
-        executions=len(result.executions),
-        explored=result.stats.explored,
-        resolutions=result.stats.resolutions,
-        duplicates=result.stats.duplicates,
-        seconds=elapsed,
+        executions=len(full.executions),
+        explored=full.stats.explored,
+        resolutions=full.stats.resolutions,
+        duplicates=full.stats.duplicates,
+        seconds=seconds,
+        stable_explored=stable.stats.explored,
+        stable_resolutions=stable.stats.resolutions,
+        stable_duplicates=stable.stats.duplicates,
+        stable_seconds=stable_seconds,
+        same_executions=loadstore_keys(full) == loadstore_keys(stable),
     )
 
 
@@ -102,15 +124,30 @@ def run(max_fanout: int = 4, max_pairs: int = 2) -> ExperimentResult:
         True,
         dedup_useful,
     )
+    result.claim(
+        "the stable-load reduction reaches the same executions with no more resolutions",
+        True,
+        all(
+            point.same_executions and point.stable_resolutions <= point.resolutions
+            for point in points
+        ),
+    )
 
     lines = [
-        f"{'program':<18} {'executions':>10} {'explored':>9} {'resolutions':>12} "
-        f"{'duplicates':>10} {'seconds':>8}"
+        "full = every eligible load branched on (the paper's procedure); "
+        "stable = the stable-load reduction",
+        f"{'program':<18} {'executions':>10} {'explored':>15} {'resolutions':>15} "
+        f"{'duplicates':>13} {'seconds':>15}",
+        f"{'':<18} {'':>10} {'full / stable':>15} {'full / stable':>15} "
+        f"{'full / stable':>13} {'full / stable':>15}",
     ]
     for point in points:
         lines.append(
-            f"{point.label:<18} {point.executions:>10} {point.explored:>9} "
-            f"{point.resolutions:>12} {point.duplicates:>10} {point.seconds:>8.3f}"
+            f"{point.label:<18} {point.executions:>10} "
+            f"{f'{point.explored} / {point.stable_explored}':>15} "
+            f"{f'{point.resolutions} / {point.stable_resolutions}':>15} "
+            f"{f'{point.duplicates} / {point.stable_duplicates}':>13} "
+            f"{f'{point.seconds:.3f} / {point.stable_seconds:.3f}':>15}"
         )
     result.details = "\n".join(lines)
     return result

@@ -167,6 +167,27 @@ def _install_prune_unsound() -> Undo:
 
 
 # ---------------------------------------------------------------------------
+# Load Resolution reduced unsoundly (axiomatic side only)
+
+
+def _install_eligible_first_only() -> Undo:
+    """The naive partial-order reduction: branch on the first eligible
+    load whether or not it is stable.  A load resolved before a store
+    it could observe has executed never sees that store, so LB under
+    sc/tso/pso loses the outcome where the first thread's load reads
+    the second thread's store."""
+    import repro.core.enumerate as enumerate_module
+
+    original = enumerate_module._stable_eligible
+    enumerate_module._stable_eligible = lambda behavior: behavior.eligible_loads()[:1]
+
+    def undo() -> None:
+        enumerate_module._stable_eligible = original
+
+    return undo
+
+
+# ---------------------------------------------------------------------------
 # operational side broken (machines only)
 
 
@@ -226,6 +247,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "dataflow pruning rejects every non-init candidate store "
         "(pruned enumeration loses behaviors)",
         _install_prune_unsound,
+    ),
+    Mutant(
+        "eligible-first-only",
+        "Load Resolution branches on the first eligible load only, "
+        "stable or not (enumeration loses behaviors)",
+        _install_eligible_first_only,
     ),
     Mutant(
         "forwarding-disabled",

@@ -6,6 +6,7 @@ integration (complete results only, one hit path), the offline
 and the CLI surface."""
 
 import hashlib
+import io
 import os
 import pickle
 import signal
@@ -160,8 +161,11 @@ class TestBehaviorCacheStore:
 
     def test_entry_file_layout_round_trip(self, tmp_path):
         """One file per key: magic and format version, a blake2b-8 of
-        the payload, then the pickled result, which decodes back to the
-        request and the executions that were stored."""
+        the payload, then two pickles.  The header holds the payload
+        version, the key and the pickled request, which hashes back to
+        the key; the body holds the executions and stats with the
+        request's program, model and instructions as persistent ids, so
+        it carries no copy of them and decodes against the request."""
         keys = populate(BehaviorCache(tmp_path))
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             entry_path(tmp_path, key).name for key in keys.values()
@@ -172,16 +176,21 @@ class TestBehaviorCacheStore:
             assert raw[:5] == b"RBEH\x01"
             payload = raw[13:]
             assert raw[5:13] == hashlib.blake2b(payload, digest_size=8).digest()
-            decoded = pickle.loads(payload)
-            assert decoded["version"] == CACHE_PAYLOAD_VERSION
-            assert (
-                behavior_cache_key(decoded["program"], decoded["model"], decoded["limits"])
-                == key
-            )
+            stream = io.BytesIO(payload)
+            header = pickle.load(stream)
+            assert sorted(header) == ["key", "request", "version"]
+            assert header["version"] == CACHE_PAYLOAD_VERSION
+            assert header["key"] == key
+            program, stored_model, limits = pickle.loads(header["request"])
+            assert behavior_cache_key(program, stored_model, limits) == key
+
+            body = stream.read()
+            assert b"repro.isa.program" not in body and b"repro.models" not in body
+            executions, stats = RequestResolver(io.BytesIO(body), program, stored_model).load()
+            assert all(e.program is program and e.model is stored_model for e in executions)
             fresh = enumerate_behaviors(get_test(name).program, model)
-            assert loadstore_keys(decoded["executions"]) == loadstore_keys(
-                fresh.executions
-            )
+            assert loadstore_keys(executions) == loadstore_keys(fresh.executions)
+            assert stats == fresh.stats
 
     def test_lookup_and_store_never_list_the_directory(self, tmp_path, monkeypatch):
         """A miss is one failed open and a put one atomic write: neither
@@ -286,6 +295,49 @@ class TestBehaviorCacheStore:
         assert cache.replay(test.program, model).stats == cold.stats
         assert cache.replay(test.program, model, EnumerationLimits(max_behaviors=9)) is None
 
+    def test_disk_hit_computes_one_key_and_reuses_the_request(self, tmp_path, monkeypatch):
+        """A hit served from disk computes the cache key once (to find
+        the entry) and hands back executions built on the request's own
+        program, model and instructions, not unpickled copies."""
+        import repro.cache.store as store_module
+
+        test = get_test("IRIW")
+        model = get_model("weak")
+        enumerate_behaviors(test.program, model, cache=BehaviorCache(tmp_path))
+        calls = []
+        real_key = store_module.behavior_cache_key
+
+        def counting_key(*args, **kwargs):
+            calls.append(args)
+            return real_key(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "behavior_cache_key", counting_key)
+        hit = BehaviorCache(tmp_path).replay(test.program, model)
+        assert hit is not None and hit.cached and len(calls) == 1
+        code = {id(i) for thread in test.program.threads for i in thread.code}
+        for execution in hit.executions:
+            assert execution.program is test.program and execution.model is model
+            assert all(
+                node.instruction is None or id(node.instruction) in code
+                for node in execution.graph.nodes
+            )
+
+    def test_verify_reports_an_entry_under_another_requests_key(self, tmp_path):
+        """A lookup trusts the key stored with the entry; ``verify``
+        recomputes it from the stored request and reports an entry that
+        was written under a key that is not its request's."""
+        cache = BehaviorCache(tmp_path)
+        populate(cache, ("MP",))
+        program = get_test("SB").program
+        model = get_model("weak")
+        result = enumerate_behaviors(program, model)
+        foreign = behavior_cache_key(get_test("LB").program, model, None)
+        cache.store(foreign, program, model, None, result.executions, result.stats)
+        assert BehaviorCache(tmp_path).lookup(foreign) is not None
+        report = BehaviorCache(tmp_path).verify()
+        assert report["checked"] == 2 and report["ok"] == 1
+        assert report["bad"] == [foreign.hex()]
+
     def test_duplicate_puts_are_skipped(self, tmp_path):
         cache = BehaviorCache(tmp_path)
         test = get_test("SB")
@@ -378,10 +430,27 @@ def flip_byte(index: int):
     return damage
 
 
+class RequestResolver(pickle.Unpickler):
+    """Loads an entry body, resolving its persistent ids by hand."""
+
+    def __init__(self, file, program, model):
+        super().__init__(file)
+        self.program, self.model = program, model
+
+    def persistent_load(self, pid):
+        if pid == "program":
+            return self.program
+        if pid == "model":
+            return self.model
+        tid, pc = pid
+        return self.program.threads[tid].code[pc]
+
+
 def unknown_version(raw: bytes, other: bytes) -> bytes:
-    decoded = pickle.loads(raw[13:])
-    decoded["version"] = 99
-    return reframe(raw, pickle.dumps(decoded))
+    stream = io.BytesIO(raw[13:])
+    header = pickle.load(stream)
+    header["version"] = 99
+    return reframe(raw, pickle.dumps(header) + stream.read())
 
 
 #: (id, damage(entry bytes, another entry's bytes) -> new bytes or None
@@ -440,8 +509,16 @@ class TestCacheCorruption:
         keys = populate(BehaviorCache(tmp_path))
         path = entry_path(tmp_path, keys["SB"])
         raw = path.read_bytes()
-        decoded = pickle.loads(raw[13:])
-        decoded["version"] = 1
+        program = get_test("SB").program
+        result = enumerate_behaviors(program, get_model("weak"))
+        decoded = {  # the one-pickle layout of payload versions 1 and 2
+            "version": 1,
+            "program": program,
+            "model": result.model,
+            "limits": None,
+            "executions": tuple(result.executions),
+            "stats": result.stats,
+        }
         path.write_bytes(reframe(raw, version_1_dumps(decoded)))
         old_nodes = pickle.loads(path.read_bytes()[13:])["executions"][0].graph.nodes
         with pytest.raises(AttributeError, match="is_memory"):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import pytest
 
 from repro.cli import main
 from repro.isa.disassembler import disassemble
@@ -136,3 +137,17 @@ class TestWellsync:
         captured = capsys.readouterr()
         assert "error: exceeded the 0.05s deadline for 'iriw-4r'" in captured.err
         assert "SYNCHRONIZED" not in captured.out
+
+    def test_shows_only_the_flags_it_honours(self, capsys):
+        """The check is always strict: no ``--strict`` flag, and the
+        deadline help promises the exit 2, not a partial result."""
+        with pytest.raises(SystemExit) as exc:
+            main(["wellsync", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--strict" not in text and "partial result" not in text
+        assert "an exhausted deadline exits 2 with 'error:'" in text
+        with pytest.raises(SystemExit) as exc:
+            main(["wellsync", "MP", "-m", "weak", "--strict"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from repro.errors import EnumerationError
 from repro.core.enumerate import (
     EnumerationLimits,
     ExhaustionReason,
+    _enumerate_full_eligibility,
     enumerate_behaviors,
 )
 from repro.isa.dsl import ProgramBuilder
@@ -13,6 +14,10 @@ from repro.litmus.library import all_tests
 from repro.models.registry import get_model
 
 from tests.conftest import build_loop
+
+
+def _keys(result) -> list[str]:
+    return sorted(repr(e.loadstore_key()) for e in result.executions)
 
 
 def assert_identical(expected, result):
@@ -71,8 +76,21 @@ class TestBasicEnumeration:
 
 class TestDeduplication:
     def test_duplicates_detected(self, sb_program, weak):
-        stats = enumerate_behaviors(sb_program, weak).stats
+        """The paper's procedure (every eligible load branched on)
+        reaches some behaviors twice and drops the copies."""
+        stats = _enumerate_full_eligibility(sb_program, weak).stats
         assert stats.duplicates > 0
+
+    def test_stable_search_has_the_same_executions_and_no_more_resolutions(
+        self, sb_program, weak
+    ):
+        """The stable-load reduction reaches SB's executions without
+        reaching any behavior twice."""
+        full = _enumerate_full_eligibility(sb_program, weak)
+        stable = enumerate_behaviors(sb_program, weak)
+        assert _keys(stable) == _keys(full)
+        assert stable.stats.resolutions <= full.stats.resolutions
+        assert stable.stats.duplicates == 0
 
     def test_resolution_order_does_not_change_results(self):
         """Two loads resolvable in either order yield one behavior set."""

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import AtomicityViolation, CycleError
-from repro.core.enumerate import enumerate_behaviors
+from repro.core.enumerate import _enumerate_full_eligibility, enumerate_behaviors
 from repro.core.serialization import all_serializations
 from repro.models.registry import get_model
 
+
+def _keys(result) -> list[str]:
+    return sorted(repr(e.loadstore_key()) for e in result.executions)
 
 
 class TestImpose:
@@ -59,12 +62,28 @@ class TestDedupAblation:
         assert len(with_dedup) == len(without)
 
     def test_dedup_saves_exploration(self, weak):
+        """§4.1's dedup, on the paper's procedure (every eligible load
+        branched on), where resolution orders meet."""
         from repro.experiments.scaling import chain_program
 
         program = chain_program(3)
-        with_dedup = enumerate_behaviors(program, weak, dedup=True)
-        without = enumerate_behaviors(program, weak, dedup=False)
+        with_dedup = _enumerate_full_eligibility(program, weak, dedup=True)
+        without = _enumerate_full_eligibility(program, weak, dedup=False)
         assert without.stats.explored > with_dedup.stats.explored
         assert with_dedup.register_outcomes() == without.register_outcomes()
         assert with_dedup.stats.duplicates > 0
         assert without.stats.duplicates == 0
+
+    def test_stable_search_needs_no_dedup(self, weak):
+        """The stable-load reduction reaches the same executions as the
+        deduplicated paper procedure with no more resolutions, and
+        without dedup it explores nothing twice."""
+        from repro.experiments.scaling import chain_program
+
+        program = chain_program(3)
+        full = _enumerate_full_eligibility(program, weak, dedup=True)
+        stable = enumerate_behaviors(program, weak, dedup=True)
+        undeduped = enumerate_behaviors(program, weak, dedup=False)
+        assert _keys(stable) == _keys(full) == _keys(undeduped)
+        assert stable.stats.resolutions <= full.stats.resolutions
+        assert undeduped.stats == stable.stats

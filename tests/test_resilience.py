@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import EnumerationError, StuckBehaviorWarning
 from repro.core.enumerate import (
+    CHECKPOINT_FORMAT_VERSION,
     CancellationToken,
     EnumerationCheckpoint,
     EnumerationLimits,
@@ -220,6 +221,7 @@ class TestCheckpointResume:
         assert again.reason is ExhaustionReason.BEHAVIOR_BUDGET
 
 
+#: argv: checkpoint path, library test, max_behaviors of the cut.
 CUT_IN_ANOTHER_PROCESS = """
 import sys
 from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
@@ -227,11 +229,22 @@ from repro.litmus.library import get_test
 from repro.models.registry import get_model
 
 partial = enumerate_behaviors(
-    get_test("IRIW").program, get_model("weak"), EnumerationLimits(max_behaviors=60)
+    get_test(sys.argv[2]).program,
+    get_model("weak"),
+    EnumerationLimits(max_behaviors=int(sys.argv[3])),
 )
 assert not partial.complete
 partial.checkpoint.save(sys.argv[1])
 """
+
+
+def _cut_in_another_process(path: Path, test_name: str, budget: int) -> None:
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run(
+        [sys.executable, "-c", CUT_IN_ANOTHER_PROCESS, str(path), test_name, str(budget)],
+        env=env, check=True, timeout=120,
+    )
 
 
 class TestCrossProcessResume:
@@ -240,16 +253,12 @@ class TestCrossProcessResume:
         in a process with another string-hash seed resumes here to the
         same executions and the same explored/duplicate totals as an
         uninterrupted run (a hash-dependent digest would miss every
-        seen state and re-explore it)."""
+        seen state and re-explore it).  IRIW/weak explores 31 states, so
+        the cut comes at 15."""
         path = tmp_path / "iriw.ckpt"
-        env = dict(os.environ, PYTHONHASHSEED="1")
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        subprocess.run(
-            [sys.executable, "-c", CUT_IN_ANOTHER_PROCESS, str(path)],
-            env=env, check=True, timeout=120,
-        )
+        _cut_in_another_process(path, "IRIW", 15)
         checkpoint = EnumerationCheckpoint.load(path)
-        assert checkpoint.stats.explored == 60
+        assert checkpoint.stats.explored == 15
         resumed = resume_enumeration(checkpoint, EnumerationLimits())
         full = enumerate_behaviors(get_test("IRIW").program, get_model("weak"))
         assert resumed.complete
@@ -258,6 +267,23 @@ class TestCrossProcessResume:
         ]
         assert resumed.stats.explored == full.stats.explored
         assert resumed.stats.duplicates == full.stats.duplicates
+
+    def test_cut_before_duplicates_under_another_hash_seed_resumes_exactly(self, tmp_path):
+        """The same on dekker/weak, whose stable-load search still meets
+        duplicates, all of them after a cut at 6: only digests that match
+        across processes keep the resumed totals equal to the full run's
+        (IRIW/weak has no duplicate to miss)."""
+        path = tmp_path / "dekker.ckpt"
+        _cut_in_another_process(path, "dekker", 6)
+        checkpoint = EnumerationCheckpoint.load(path)
+        full = enumerate_behaviors(get_test("dekker").program, get_model("weak"))
+        assert checkpoint.stats.duplicates == 0 < full.stats.duplicates
+        resumed = resume_enumeration(checkpoint, EnumerationLimits())
+        assert resumed.complete
+        assert [e.loadstore_key() for e in resumed.executions] == [
+            e.loadstore_key() for e in full.executions
+        ]
+        assert resumed.stats == full.stats
 
 
 class TestCheckpointVersioning:
@@ -271,8 +297,6 @@ class TestCheckpointVersioning:
         ).checkpoint
 
     def test_save_stamps_current_version(self, tmp_path):
-        from repro.core.enumerate import CHECKPOINT_FORMAT_VERSION
-
         path = tmp_path / "search.ckpt"
         self._partial_checkpoint().save(path)
         loaded = EnumerationCheckpoint.load(path)
@@ -304,7 +328,7 @@ class TestCheckpointVersioning:
         with pytest.raises(EnumerationError) as info:
             EnumerationCheckpoint.load(path)
         assert "version 2" in str(info.value)
-        assert "supports version(s) 4" in str(info.value)
+        assert f"supports version(s) {CHECKPOINT_FORMAT_VERSION}" in str(info.value)
 
     def test_load_rejects_version_3_checkpoint(self, tmp_path):
         """A version-3 dedup set holds digests of the whole ``repr`` of
@@ -320,8 +344,24 @@ class TestCheckpointVersioning:
         with pytest.raises(EnumerationError) as info:
             EnumerationCheckpoint.load(path)
         assert "version 3" in str(info.value)
-        assert "supports version(s) 4" in str(info.value)
+        assert f"supports version(s) {CHECKPOINT_FORMAT_VERSION}" in str(info.value)
         assert "re-run the original enumeration" in str(info.value)
+
+    def test_load_rejects_version_4_checkpoint(self, tmp_path):
+        """A version-4 worklist and dedup set come from the search that
+        branched on every eligible load; resuming one under the
+        stable-load rule would mix two searches' prefixes.  It is
+        refused rather than resumed."""
+        import pickle
+
+        checkpoint = self._partial_checkpoint()
+        checkpoint.format_version = 4
+        path = tmp_path / "v4.ckpt"
+        path.write_bytes(pickle.dumps(checkpoint))
+        with pytest.raises(EnumerationError) as info:
+            EnumerationCheckpoint.load(path)
+        assert "version 4" in str(info.value)
+        assert f"supports version(s) {CHECKPOINT_FORMAT_VERSION}" in str(info.value)
 
     def test_load_rejects_pre_versioning_checkpoint(self, tmp_path):
         """A file written before the stamp existed has no

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,8 @@ from repro.analysis.solver import (
     solve_behaviors_with_stats,
 )
 from repro.analysis.solver.sat import _UNDEF, _luby
-from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.core.enumerate import EnumerationLimits, ExhaustionReason, enumerate_behaviors
+from repro.experiments.scaling import chain_program
 from repro.litmus.library import all_tests, get_test
 from repro.litmus.runner import run_litmus
 from repro.models import get_model
@@ -413,6 +415,31 @@ def test_solver_respects_behavior_budget():
     result = solve_behaviors(get_test("SB").program, "weak", limits)
     assert not result.complete
     assert len(result.executions) <= 2
+
+
+def test_solver_deadline_stops_promptly_with_a_partial_result():
+    """The deadline is checked between proposals: fanout-4x1/weak (625
+    proposals to completion) stops soon after 0.05 s with an honest
+    subset of its behaviors."""
+    program, model = chain_program(4, 1), get_model("weak")
+    start = time.monotonic()
+    result, stats = solve_behaviors_with_stats(
+        program, model, EnumerationLimits(deadline_seconds=0.05)
+    )
+    elapsed = time.monotonic() - start
+    assert not result.complete and result.reason is ExhaustionReason.DEADLINE
+    assert result.status == "partial (deadline)"
+    assert elapsed < 2.0
+    assert stats.proposals < 625
+    assert set(_keys(result)) <= set(_keys(enumerate_behaviors(program, model)))
+
+
+def test_solve_cli_reports_an_exhausted_deadline(capsys):
+    from repro.cli import main
+
+    main(["solve", "IRIW", "-m", "weak", "--deadline", "0.001"])
+    out = capsys.readouterr().out
+    assert "[partial (deadline)]" in out and "[complete]" not in out
 
 
 def test_encoding_has_selector_groups():
