@@ -1,4 +1,4 @@
-"""The six pass/fail benchmark gates, run in a fixed order.
+"""The five pass/fail benchmark gates, run in a fixed order.
 
 Each gate is one function ``gate(quick) -> (values, failures)``: the
 measured values it records and a list of failure messages (empty when
@@ -7,8 +7,6 @@ with a machine fingerprint, prints a ``FAIL:`` line per failure and
 exits 1 when any gate failed.  A gate that raises fails; it is never
 skipped.
 
-* **static-prune** — pruned and unpruned enumeration agree on every
-  outcome set; the register-address scan reduction is ≥20%.
 * **hot-path** — copy-on-write ``Execution.copy()`` is ≥1.2x an eager
   graph copy; per-branch copy+key is ≥1.1x the seed's.
 * **solver** — the SAT/AllSAT solver's behavior sets are byte-identical
@@ -63,8 +61,6 @@ from repro.core.enumerate import (
     _enumerate_full_eligibility,
     enumerate_behaviors,
 )
-from repro.experiments.dataflow_exp import uses_register_addresses
-from repro.experiments.fig89 import build_aliasing_program, build_program
 from repro.experiments.scaling import chain_program
 from repro.isa.assembler import assemble_program
 from repro.isa.program import Program
@@ -76,70 +72,6 @@ from repro.testing.coverage import blind_grid, load_campaign, run_guided_campaig
 def _keys(result) -> list[str]:
     """The sorted ``loadstore_key`` set every agreement check compares."""
     return sorted(repr(e.loadstore_key()) for e in result.executions)
-
-
-# -- static-prune ---------------------------------------------------------
-
-#: Acceptance floor for the mean scan reduction on register-address tests.
-MIN_REGISTER_REDUCTION = 0.20
-
-
-def gate_static_prune(quick: bool) -> tuple[dict, list[str]]:
-    """Enumerate each library program (plus the Figure 8/9 programs) with
-    and without :func:`compute_static_facts`: pruning must be a pure
-    accelerator, and must skip ≥20% of candidate-store scans on the tests
-    whose addresses are register-computed."""
-    models = ("weak", "weak-spec") if quick else ("sc", "tso", "pso", "weak", "weak-spec")
-    programs = [test.program for test in all_tests()]
-    programs += [build_program(), build_aliasing_program()]
-
-    mismatches: list[str] = []
-    reduction: dict[str, float] = {}
-    register_tests: list[str] = []
-    seconds_baseline = seconds_pruned = 0.0
-    for program in programs:
-        facts = compute_static_facts(program)
-        scanned = pruned = 0
-        for model_name in models:
-            model = get_model(model_name)
-            start = time.perf_counter()
-            baseline = enumerate_behaviors(program, model)
-            seconds_baseline += time.perf_counter() - start
-            start = time.perf_counter()
-            accelerated = enumerate_behaviors(program, model, facts=facts)
-            seconds_pruned += time.perf_counter() - start
-            if baseline.register_outcomes() != accelerated.register_outcomes():
-                mismatches.append(f"{program.name}/{model_name}")
-            scanned += accelerated.stats.candidates_scanned
-            pruned += accelerated.stats.candidates_pruned
-        if scanned:
-            reduction[program.name] = pruned / scanned
-            if uses_register_addresses(program):
-                register_tests.append(program.name)
-
-    register_mean = sum(reduction[name] for name in register_tests) / max(
-        len(register_tests), 1
-    )
-    values = {
-        "models": list(models),
-        "pairs": len(programs) * len(models),
-        "register_address_tests": register_tests,
-        "mean_reduction_register_computed": register_mean,
-        "min_register_reduction": MIN_REGISTER_REDUCTION,
-        "mean_reduction_all": sum(reduction.values()) / max(len(reduction), 1),
-        "mismatches": mismatches,
-        "seconds_baseline_total": seconds_baseline,
-        "seconds_pruned_total": seconds_pruned,
-    }
-    failures = []
-    if mismatches:
-        failures.append(f"outcome sets differ on {', '.join(mismatches)}")
-    if register_mean < MIN_REGISTER_REDUCTION:
-        failures.append(
-            f"register-address mean reduction {register_mean:.0%} "
-            f"< {MIN_REGISTER_REDUCTION:.0%}"
-        )
-    return values, failures
 
 
 # -- hot-path ------------------------------------------------------------
@@ -533,15 +465,15 @@ def gate_cache(quick: bool) -> tuple[dict, list[str]]:
 # -- fuzzcov -----------------------------------------------------------------
 
 #: The oracle subset the gate fuzzes with: the cheap single-model
-#: axiomatic comparisons plus the chain/pruning oracles — enough model
-#: diversity for a meaningful grid without the heavyweight solver
-#: oracle dominating the wall clock.
+#: axiomatic comparisons (sc, tso, pso, weak) plus the inclusion chain —
+#: enough model diversity for a meaningful grid without the heavyweight
+#: solver oracle dominating the wall clock.
 FUZZ_ORACLES = (
     "axiomatic-vs-sc",
     "axiomatic-vs-tso",
     "axiomatic-vs-pso",
     "inclusion-chain",
-    "pruned-vs-unpruned",
+    "axiomatic-vs-dataflow",
 )
 #: Program budget of each of the three campaigns (full run / --quick).
 FUZZ_BUDGET = 48
@@ -659,7 +591,6 @@ def gate_fuzzcov(quick: bool) -> tuple[dict, list[str]]:
 # -- the harness -------------------------------------------------------------
 
 GATES = (
-    ("static-prune", gate_static_prune),
     ("hot-path", gate_hot_path),
     ("solver", gate_solver),
     ("fencesynth", gate_fencesynth),

@@ -33,7 +33,7 @@ underlying accesses have a single certain address on an unconditional
 path, over-approximated otherwise.  ``precise=False`` restores the
 purely syntactic PR-2 behavior.  All verdicts remain sound
 over-approximations of the enumerator's; TAB-STATIC and TAB-DATAFLOW
-cross-validate them against `wellsync`, `fencesynth`, and pruned
+cross-validate them against `wellsync`, `fencesynth`, and
 enumeration on the whole litmus library.
 """
 

@@ -1,12 +1,13 @@
 """Forward dataflow analyses over mini-ISA programs.
 
 This is the precision layer under the static delay-set analyzer
-(:mod:`repro.analysis.static.conflict`) and the enumerator's candidate
-pruning: per-thread CFGs (:mod:`repro.analysis.static.cfg`), reaching
-definitions, constant propagation through ``Compute``, and an address
-analysis that assigns every memory access a *value set* of addresses it
-may touch.  From those sets, pairs of accesses get a
-must-alias / may-alias / must-not-alias verdict.
+(:mod:`repro.analysis.static.conflict`) and the solver encoding
+(:mod:`repro.analysis.solver.encode`): per-thread CFGs
+(:mod:`repro.analysis.static.cfg`), reaching definitions, constant
+propagation through ``Compute``, and an address analysis that assigns
+every memory access a *value set* of addresses it may touch.  From those
+sets, pairs of accesses get a must-alias / may-alias / must-not-alias
+verdict.
 
 Addresses flow through memory: a register-indirect access reads its
 address from a location, so the analysis runs a whole-program fixpoint —
@@ -210,16 +211,13 @@ class ThreadFacts:
 @dataclass
 class StaticFacts:
     """Whole-program dataflow facts, shared by the delay-set analyzer,
-    the linter, and the enumerator's candidate pruning."""
+    the linter, and the solver encoding."""
 
     program: Program
     threads: tuple[ThreadFacts, ...]
     #: address -> values any execution may ever observe there (None = any).
     locations: "dict[Value, frozenset[Value] | None]"
     analyzable: bool  #: every thread analyzable (no loops)
-    _store_slots: "dict[tuple[int, int], frozenset[tuple[int, int]] | None]" = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     # -- lookups -------------------------------------------------------
 
@@ -255,33 +253,6 @@ class StaticFacts:
         if len(first) == 1 and first == second:
             return AliasVerdict.MUST
         return AliasVerdict.MAY
-
-    def store_slots_may_alias(
-        self, tid: int, index: int
-    ) -> "frozenset[tuple[int, int]] | None":
-        """The (tid, index) store slots that may alias the load at the
-        given slot — or None when the load's address is unknown (no
-        pruning possible).  Cached; init stores are filtered separately
-        through :meth:`address_set`."""
-        key = (tid, index)
-        if key not in self._store_slots:
-            self._store_slots[key] = self._compute_store_slots(tid, index)
-        return self._store_slots[key]
-
-    def _compute_store_slots(
-        self, tid: int, index: int
-    ) -> "frozenset[tuple[int, int]] | None":
-        addresses = self.address_set(tid, index)
-        if addresses is None:
-            return None
-        allowed = set()
-        for facts in self.threads:
-            for slot, access in facts.accesses.items():
-                if "W" not in access.kind or not access.may_execute:
-                    continue
-                if access.addresses is None or (access.addresses & addresses):
-                    allowed.add((facts.tid, slot))
-        return frozenset(allowed)
 
 
 # ---------------------------------------------------------------------------

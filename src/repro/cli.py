@@ -87,10 +87,6 @@ def _cache(args: argparse.Namespace):
     return BehaviorCache.shared(cache_dir)
 
 
-def _strict(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "strict", False))
-
-
 def _enumerate_pair(task: tuple) -> tuple:
     """Process-pool work unit for ``enumerate --library``: one (test,
     model) cell, returned as a rendered summary row."""
@@ -277,7 +273,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return lint_exit
     exit_code = 0
     for model_name in args.model:
-        verdict = run_litmus(test, model_name, _limits(args), strict=_strict(args))
+        verdict = run_litmus(test, model_name, _limits(args), strict=args.strict)
         expectation = ""
         if verdict.matches_expectation is False:
             expectation = "  [UNEXPECTED]"
@@ -328,7 +324,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # flags are given) — counting budgets are cumulative, so the
         # defaults let an exhausted search make progress.
         checkpoint = EnumerationCheckpoint.load(args.resume)
-        result = resume_enumeration(checkpoint, _limits(args), strict=_strict(args))
+        result = resume_enumeration(checkpoint, _limits(args), strict=args.strict)
         name = checkpoint.program.name
         model_name = checkpoint.model.name
     else:
@@ -342,7 +338,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             test.program,
             get_model(model_name),
             _limits(args),
-            strict=_strict(args),
+            strict=args.strict,
             cache=_cache(args),
         )
     print(
@@ -375,7 +371,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     tests = (
         [get_test(name) for name in args.tests.split(",")] if args.tests else all_tests()
     )
-    verdicts = run_matrix(tests, models, _limits(args), strict=_strict(args))
+    verdicts = run_matrix(tests, models, _limits(args), strict=args.strict)
     print(format_matrix(verdicts))
     mismatches = [v for v in verdicts if v.matches_expectation is False]
     if mismatches:
@@ -845,8 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         p: argparse.ArgumentParser, multi_model: bool = True, partial: bool = True
     ) -> None:
         """The model and budget flags.  ``partial=False`` is for a command
-        that never returns a partial result: its deadline help says so and
-        it gets no ``--strict``, which could change nothing."""
+        that never returns a partial result: its deadline help says so."""
         p.add_argument(
             "--model",
             "-m",
@@ -871,13 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
             else "wall-clock budget for the check; an exhausted deadline "
             "exits 2 with 'error:' (there is no partial verdict)",
         )
-        if partial:
-            p.add_argument(
-                "--strict",
-                action="store_true",
-                help="raise on an exhausted budget instead of returning a "
-                "partial result",
-            )
+
+    strict_help = "raise on an exhausted budget instead of returning a partial result"
 
     p_models = sub.add_parser("models", help="list models / render a reordering table")
     p_models.add_argument("--table", metavar="MODEL", help="render MODEL's Figure-1 table")
@@ -967,6 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a litmus test (library name or file)")
     p_run.add_argument("test")
     add_common(p_run)
+    p_run.add_argument("--strict", action="store_true", help=strict_help)
     p_run.add_argument("--dot", metavar="PATH", help="write a witness graph as Graphviz")
     p_run.add_argument(
         "--no-lint",
@@ -981,6 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
         "test", nargs="?", help="test name/file (omit with --resume or --library)"
     )
     add_common(p_enum)
+    p_enum.add_argument("--strict", action="store_true", help=strict_help)
     p_enum.add_argument("--graphs", type=int, default=0, help="print the first N graphs")
     p_enum.add_argument(
         "--library",
@@ -1033,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per enumeration (partial cells marked ~)",
     )
-    p_matrix.add_argument("--strict", action="store_true")
+    p_matrix.add_argument("--strict", action="store_true", help=strict_help)
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_ws = sub.add_parser("wellsync", help="check the §8 well-sync discipline")

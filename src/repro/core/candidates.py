@@ -17,37 +17,14 @@ newest program-earlier same-address store — FIFO store-buffer forwarding
 (paper §6: "a Load which obtains its value from a local Store must be
 treated specially").
 
-When the execution carries dataflow facts
-(:mod:`repro.analysis.static.dataflow`), the scan over visible stores
-skips slots that statically must-not-alias the load before ever touching
-their dynamic state.  The dynamic ``addr`` comparison is exact either
-way, so pruning never changes the candidate set — only the work done to
-compute it; ``stats`` (an ``EnumerationStats``) records how many stores
-were scanned and how many the static filter rejected.
+``stats`` (an ``EnumerationStats``) records how many visible stores the
+scan examined.
 """
 
 from __future__ import annotations
 
 from repro.core.execution import Execution
-from repro.core.node import INIT_TID, Node
-
-
-def _static_reject(execution: Execution, load: Node, store: Node) -> bool:
-    """True when the dataflow facts prove this store can never supply the
-    load's address — sound: dynamic addresses are members of their static
-    address sets, so a dynamically-equal pair always passes."""
-    facts = execution.facts
-    if facts is None or load.static_index is None:
-        return False
-    slots = facts.store_slots_may_alias(load.tid, load.static_index)
-    if slots is None:
-        return False
-    if store.tid == INIT_TID:
-        addresses = facts.address_set(load.tid, load.static_index)
-        return addresses is not None and store.addr not in addresses
-    if store.static_index is None:
-        return False
-    return (store.tid, store.static_index) not in slots
+from repro.core.node import Node
 
 
 def candidate_stores(
@@ -78,10 +55,6 @@ def candidate_stores(
             continue
         if stats is not None:
             stats.candidates_scanned += 1
-        if _static_reject(execution, load, node):
-            if stats is not None:
-                stats.candidates_pruned += 1
-            continue
         if node.addr == address:
             visible.append(node)
             visible_mask |= 1 << node.nid

@@ -59,7 +59,6 @@ from repro.models.base import MemoryModel
 from repro.storage import atomic_write
 
 if TYPE_CHECKING:
-    from repro.analysis.static.dataflow import StaticFacts
     from repro.cache.store import BehaviorCache
 
 
@@ -127,7 +126,6 @@ class EnumerationStats:
     completed: int = 0  #: completed executions reached (pre-dedup)
     branched: int = 0  #: incomplete behaviors expanded by Load Resolution
     candidates_scanned: int = 0  #: visible stores examined for candidacy
-    candidates_pruned: int = 0  #: of those, rejected by static alias facts
 
     def consistent(self) -> bool:
         """The pop-side accounting identity (see class docstring)."""
@@ -336,7 +334,6 @@ def enumerate_behaviors(
     *,
     strict: bool = False,
     token: CancellationToken | None = None,
-    facts: "StaticFacts | None" = None,
     cache: "BehaviorCache | None" = None,
 ) -> EnumerationResult:
     """Enumerate all distinct executions of ``program`` under ``model``.
@@ -352,12 +349,6 @@ def enumerate_behaviors(
     :class:`ExhaustionReason` and a resumable checkpoint; ``strict=True``
     instead raises :class:`EnumerationError` as older versions did.
     ``token`` allows a supervisor to cancel the search cooperatively.
-
-    ``facts`` (from :func:`repro.analysis.static.dataflow.compute_static_facts`)
-    prunes the candidate-store scan and settles statically-certain alias
-    pairs at generation time — a pure accelerator: the behavior set is
-    byte-identical with and without it (TAB-DATAFLOW asserts this on the
-    whole litmus library).
 
     ``cache`` memoizes the call in a persistent
     :class:`~repro.cache.store.BehaviorCache`: the request's canonical
@@ -376,7 +367,7 @@ def enumerate_behaviors(
             return cached
 
     result = _fresh_search(
-        program, model, limits, dedup, strict, token, facts, eligible=_stable_eligible
+        program, model, limits, dedup, strict, token, eligible=_stable_eligible
     )
     if cache is not None:
         cache.memoize(result, limits)
@@ -396,7 +387,7 @@ def _enumerate_full_eligibility(
     oracle: the differential tests, the TAB-SCALE dedup ablation, the
     FIG8_9 rollback check and the solver gate's speed floor run on it."""
     limits = limits or EnumerationLimits()
-    return _fresh_search(program, model, limits, dedup, False, None, None, eligible=_eligible)
+    return _fresh_search(program, model, limits, dedup, False, None, eligible=_eligible)
 
 
 def _fresh_search(
@@ -406,12 +397,11 @@ def _fresh_search(
     dedup: bool,
     strict: bool,
     token: CancellationToken | None,
-    facts: "StaticFacts | None",
     *,
     eligible,
 ) -> EnumerationResult:
     """:func:`_search` from the program's initial behavior."""
-    initial = Execution.initial(program, model, limits.max_nodes_per_thread, facts)
+    initial = Execution.initial(program, model, limits.max_nodes_per_thread)
     return _search(
         program,
         model,

@@ -132,9 +132,9 @@ class Execution:
         self.program = program
         self.model = model
         self.max_nodes_per_thread = max_nodes_per_thread
-        #: optional dataflow facts (repro.analysis.static.dataflow) used
-        #: to decide statically-certain alias pairs at generation time —
-        #: a sound accelerator, never a semantic change.
+        #: optional dataflow facts (repro.analysis.static.dataflow): the
+        #: solver skeleton's input (repro.analysis.solver.encode), used to
+        #: settle statically-certain alias pairs at generation time.
         self.facts = facts
         self.graph = ExecutionGraph()
         self.threads: list[ThreadState] = [ThreadState() for _ in program.threads]

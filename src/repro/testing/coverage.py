@@ -8,8 +8,8 @@ into a campaign that **learns** and **accumulates**:
   (edge-kind × model × exhaustion-reason × oracle-outcome) grid.  Edge
   kinds are syntactic features of the program (adjacent memory-op pairs
   like ``St.rel>Ld``, fence flavors, register-addressed accesses);
-  the model axis is the coverage label of each enumeration variant an
-  oracle ran (``weak``, ``tso+pruned``, …); the reason
+  the model axis is the model of each enumeration an oracle ran
+  (``weak``, ``tso``, …); the reason
   axis is ``complete`` or the :class:`~repro.core.enumerate.ExhaustionReason`;
   the outcome axis is ``<oracle>:<ok|skip|fail>``.
 * **Guided generation** — programs that hit *new* grid cells enter a

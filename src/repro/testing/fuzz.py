@@ -43,7 +43,6 @@ KILL_ORACLES: tuple[str, ...] = (
     "axiomatic-vs-tso",
     "axiomatic-vs-pso",
     "axiomatic-vs-dataflow",
-    "pruned-vs-unpruned",
     "inclusion-chain",
     "static-vs-enumeration",
     "speculation-safety",

@@ -4,7 +4,7 @@ The cycle generator (:mod:`repro.litmus.generator`) only emits plain
 loads and stores along a critical cycle; this generator covers the rest
 of the ISA — acquire/release accesses, RMWs, fences of every kind,
 ALU dependency chains, forward branches, and **register-computed
-addresses** — the inputs that exercise the dataflow-pruning and
+addresses** — the inputs that exercise the dataflow facts and
 speculation paths none of the litmus library reaches.
 
 Every generated program is *well-typed by construction* so that each of
@@ -113,7 +113,7 @@ PROFILES: dict[str, FuzzProfile] = {
         FuzzProfile(
             name="dataflow",
             description="ALU chains and register-computed addresses — "
-            "targets the PR 3 alias analysis and candidate pruning",
+            "targets the PR 3 alias analysis and the solver encoding",
             threads=(2, 3),
             ops_per_thread=(3, 6),
             pointer_locations=("p", "q"),

@@ -145,27 +145,6 @@ def _install_bypass_filter_disabled() -> Undo:
     return undo
 
 
-def _install_prune_unsound() -> Undo:
-    """Make the dataflow pruning reject sound candidates: with facts
-    present, every non-init store is pruned from the scan."""
-    import repro.core.candidates as candidates_module
-    from repro.core.node import INIT_TID
-
-    original = candidates_module._static_reject
-
-    def mutated(execution, load, store):
-        if execution.facts is not None and store.tid != INIT_TID:
-            return True
-        return original(execution, load, store)
-
-    candidates_module._static_reject = mutated
-
-    def undo() -> None:
-        candidates_module._static_reject = original
-
-    return undo
-
-
 # ---------------------------------------------------------------------------
 # Load Resolution reduced unsoundly (axiomatic side only)
 
@@ -241,12 +220,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "axiomatic store-load bypass filter stops shadowing older "
         "local buffered stores",
         _install_bypass_filter_disabled,
-    ),
-    Mutant(
-        "prune-unsound",
-        "dataflow pruning rejects every non-init candidate store "
-        "(pruned enumeration loses behaviors)",
-        _install_prune_unsound,
     ),
     Mutant(
         "eligible-first-only",

@@ -3,18 +3,18 @@
 For one program the repository has many independent answers to "what can
 happen": the axiomatic enumerator (per model), the SC interleaver, the
 TSO/PSO store-buffer machines, the ≺-linearization dataflow machine, the
-dataflow-pruned enumeration, the constraint solver, and the static
-analyses.  Each :class:`Oracle` here checks one agreement that is
-a *theorem* of the codebase; a :class:`Discrepancy` therefore always
-means a bug (in an implementation — or, during mutation testing, the
-seeded mutant doing its job).
+constraint solver, and the static analyses.  Each :class:`Oracle` here
+checks one agreement that is a *theorem* of the codebase; a
+:class:`Discrepancy` therefore always means a bug (in an
+implementation — or, during mutation testing, the seeded mutant doing
+its job).
 
 All verdicts are deterministic: enumeration budgets are counting budgets
 (never wall-clock), and a program whose state space exceeds them is
 reported as *skipped* for that oracle, not compared partially.
 
-The :class:`OracleContext` memoizes enumerations so that the ten
-oracles cost ~six enumerations per program rather than ~twenty (the
+The :class:`OracleContext` memoizes enumerations so that the nine
+oracles cost ~five enumerations per program rather than ~twenty (the
 fence-repair oracle's fenced variants are the one extra cost, and it
 bounds itself).
 """
@@ -62,34 +62,26 @@ class Discrepancy:
 @dataclass
 class OracleContext:
     """Shared per-program cache: axiomatic enumerations are memoized by
-    (model, pruned) so oracles can overlap their inputs."""
+    model so oracles can overlap their inputs."""
 
     program: Program
     limits: EnumerationLimits = FUZZ_LIMITS
     #: optional :class:`~repro.cache.store.BehaviorCache` shared across
-    #: oracles, programs and campaigns.  Only the plain enumeration goes
-    #: through it: the pruned variant exists to *cross-check* the pruned
-    #: engine, and serving it from a memo store would quietly turn the
-    #: N-way comparison into cached-result == cached-result.
+    #: oracles, programs and campaigns.
     cache: object = None
     _results: dict = field(default_factory=dict)
     _facts: object = None
 
-    def result(self, model_name: str, *, pruned: bool = False) -> EnumerationResult:
-        key = (model_name, pruned)
-        if key not in self._results:
-            self._results[key] = enumerate_behaviors(
-                self.program,
-                get_model(model_name),
-                self.limits,
-                facts=self.facts() if pruned else None,
-                cache=None if pruned else self.cache,
+    def result(self, model_name: str) -> EnumerationResult:
+        if model_name not in self._results:
+            self._results[model_name] = enumerate_behaviors(
+                self.program, get_model(model_name), self.limits, cache=self.cache
             )
-        return self._results[key]
+        return self._results[model_name]
 
-    def outcomes(self, model_name: str, **kwargs) -> frozenset:
+    def outcomes(self, model_name: str) -> frozenset:
         """Complete outcome set, or :class:`OracleSkip` on a partial result."""
-        result = self.result(model_name, **kwargs)
+        result = self.result(model_name)
         if not result.complete:
             raise OracleSkip(
                 f"{model_name} enumeration exhausted its budget ({result.status})"
@@ -104,19 +96,15 @@ class OracleContext:
         return self._facts
 
     def enumeration_reasons(self) -> dict[str, str]:
-        """Per-variant enumeration status, keyed by the *coverage label*
-        of each memoized run: the model name plus a ``+pruned`` engine
-        suffix (``"weak"``, ``"tso+pruned"``, …).  The value is
-        ``"complete"`` or the :class:`~repro.core.enumerate.ExhaustionReason`
-        value of a partial run — one axis of the coverage grid
-        (:mod:`repro.testing.coverage`)."""
-        reasons: dict[str, str] = {}
-        for (model_name, pruned), result in self._results.items():
-            label = model_name + ("+pruned" if pruned else "")
-            reasons[label] = (
-                "complete" if result.complete else result.reason.value
-            )
-        return reasons
+        """Per-model enumeration status, keyed by the *coverage label* of
+        each memoized run: the model name (``"weak"``, ``"tso"``, …).  The
+        value is ``"complete"`` or the
+        :class:`~repro.core.enumerate.ExhaustionReason` value of a partial
+        run — one axis of the coverage grid (:mod:`repro.testing.coverage`)."""
+        return {
+            model_name: "complete" if result.complete else result.reason.value
+            for model_name, result in self._results.items()
+        }
 
 
 def _diff(left: frozenset, right: frozenset, left_name: str, right_name: str) -> str:
@@ -207,7 +195,7 @@ def _check_solver(ctx: OracleContext) -> list[Discrepancy]:
 
     problems = []
     for model_name in ("tso", "weak"):
-        axiomatic = ctx.result(model_name, pruned=True)
+        axiomatic = ctx.result(model_name)
         if not axiomatic.complete:
             raise OracleSkip(
                 f"{model_name} enumeration exhausted its budget ({axiomatic.status})"
@@ -233,28 +221,6 @@ def _check_solver(ctx: OracleContext) -> list[Discrepancy]:
     return [
         Discrepancy("solver-vs-axiomatic", ctx.program.name, detail, model)
         for detail, model in problems
-    ]
-
-
-def _check_pruned(ctx: OracleContext) -> list[Discrepancy]:
-    """PR 3's theorem: dataflow-pruned enumeration is a pure accelerator
-    — the behavior set is identical with and without facts."""
-    plain = ctx.result("weak")
-    pruned = ctx.result("weak", pruned=True)
-    if not plain.complete or not pruned.complete:
-        raise OracleSkip("enumeration exhausted its budget")
-    problems = []
-    if plain.register_outcomes() != pruned.register_outcomes():
-        problems.append(_diff(pruned.register_outcomes(), plain.register_outcomes(),
-                              "pruned", "unpruned"))
-    elif len(plain.executions) != len(pruned.executions):
-        problems.append(
-            f"execution sets differ: {len(pruned.executions)} pruned "
-            f"vs {len(plain.executions)} unpruned"
-        )
-    return [
-        Discrepancy("pruned-vs-unpruned", ctx.program.name, detail, "weak")
-        for detail in problems
     ]
 
 
@@ -545,13 +511,10 @@ ORACLES: tuple[Oracle, ...] = (
            "(branch-free programs)", _check_dataflow,
            applicable=lambda program: not program.has_branches(),
            touches=("weak",)),
-    Oracle("pruned-vs-unpruned",
-           "dataflow-pruned enumeration == plain enumeration", _check_pruned,
-           touches=("weak", "weak+pruned")),
     Oracle("solver-vs-axiomatic",
            "SAT/AllSAT constraint solver == axiomatic enumeration "
            "(loadstore_key-identical, tso and weak)", _check_solver,
-           touches=("tso+pruned", "weak+pruned")),
+           touches=("tso", "weak")),
     Oracle("inclusion-chain",
            "outcome-set lattice sc ⊆ tso ⊆ pso and sc ⊆ weak ⊆ weak-spec "
            "(the two store-atomicity regimes are incomparable)",
@@ -606,7 +569,7 @@ def run_oracles(
     Returns ``(discrepancies, skipped)`` where ``skipped`` names oracles
     that declined to compare (inapplicable or over budget) — skips are
     deterministic for a given program and budget.  ``cache`` memoizes
-    the baseline (sequential, unpruned) enumerations across oracles and
+    the baseline (sequential) enumerations across oracles and
     across runs; verdicts are identical with and without it.
 
     ``context`` supplies a caller-owned :class:`OracleContext` (it must

@@ -69,9 +69,8 @@ def test_all_gates_passing_exits_0(gates, monkeypatch, tmp_path):
     assert report["gates"]["ok"]["quick_seen"] is False
 
 
-def test_the_six_gates_run_in_fixed_order(gates):
+def test_the_gates_run_in_fixed_order(gates):
     assert [name for name, _ in gates.GATES] == [
-        "static-prune",
         "hot-path",
         "solver",
         "fencesynth",

@@ -672,22 +672,6 @@ class TestOracleEquivalence:
         shared = BehaviorCache.shared(tmp_path)
         assert shared.counters.hits > 0  # the warm pass actually hit
 
-    def test_oracle_context_keeps_engine_variants_uncached(self, tmp_path):
-        """The parallel/pruned enumerations exist to cross-check those
-        engines; they must bypass the memo store."""
-        from repro.testing.oracles import OracleContext
-
-        cache = BehaviorCache(tmp_path)
-        program = get_test("SB").program
-        ctx = OracleContext(program, cache=cache)
-        ctx.result("weak")
-        ctx.result("weak", pruned=True)
-        assert cache.counters.puts == 1  # only the baseline was stored
-        ctx2 = OracleContext(program, cache=cache)
-        assert ctx2.result("weak").cached
-        assert not ctx2.result("weak", pruned=True).cached
-        assert cache.counters.puts == 1
-
 
 # ----------------------------------------------------------------------
 # service integration: the cache-hit fast path

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+import inspect
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.isa.disassembler import disassemble
 from repro.litmus.families import independent_writers
 
@@ -151,3 +154,23 @@ class TestWellsync:
             main(["wellsync", "MP", "-m", "weak", "--strict"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_strict_flag_is_offered_exactly_where_it_is_read(command, capsys):
+    """``COMMAND --help`` lists ``--strict`` iff the command's function
+    reads ``args.strict``."""
+    reads = "args.strict" in inspect.getsource(_subcommands()[command].get_default("func"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--strict" in capsys.readouterr().out) == reads

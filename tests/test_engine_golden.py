@@ -29,7 +29,7 @@ MODELS = ("sc", "tso", "pso", "weak")
 FUZZ_SEED = 7
 FUZZ_SLICE = range(10)
 
-GOLDEN_DIGEST = "d2a7979166b54df165e49f348bece73d"
+GOLDEN_DIGEST = "647559286cda38e49ba67a13e84ead0a"
 
 
 def _programs():

@@ -516,8 +516,7 @@ def test_every_oracle_declares_coverage_labels():
     for oracle in ORACLES:
         assert oracle.touches, f"{oracle.name} declares no coverage labels"
         for label in oracle.touches:
-            base = label.split("+")[0]
-            assert base in models, f"{oracle.name}: unknown label {label}"
+            assert label in models, f"{oracle.name}: unknown label {label}"
 
 
 def test_oracle_table_has_coverage_column():
@@ -530,7 +529,6 @@ def test_enumeration_reasons_labels():
     program = assemble_program(SOURCE)
     context = OracleContext(program, EnumerationLimits())
     context.result("sc")
-    context.result("weak", pruned=True)
+    context.result("weak")
     reasons = context.enumeration_reasons()
-    assert reasons["sc"] == "complete"
-    assert reasons["weak+pruned"] == "complete"
+    assert reasons == {"sc": "complete", "weak": "complete"}

@@ -1,6 +1,10 @@
-"""Tests for the per-thread dataflow framework (CFG, constants, aliasing)
-and its three consumers: the precise analyzer, the pruned enumerator, and
-the speculation-safety verdict."""
+"""Tests for the per-thread dataflow framework (CFG, constants, aliasing),
+its soundness against enumeration, and its consumers: the precise
+analyzer and the speculation-safety verdict."""
+
+import itertools
+
+import pytest
 
 from repro.analysis.static import (
     AliasVerdict,
@@ -17,6 +21,9 @@ from repro.isa.dsl import ProgramBuilder
 from repro.isa.lint import LintLevel, lint_program
 from repro.litmus.library import get_test
 from repro.models.registry import get_model
+from repro.testing.oracles import FUZZ_LIMITS
+from tests.test_engine_golden import MODELS
+from tests.test_engine_golden import _programs as golden_programs
 
 
 def build_diamond():
@@ -140,14 +147,6 @@ class TestLoops:
         assert facts.threads[1].maybe_uninit is None
         assert not facts.analyzable
 
-    def test_degraded_facts_never_change_outcomes(self):
-        program = build_loop()
-        facts = compute_static_facts(program)
-        model = get_model("weak")
-        baseline = enumerate_behaviors(program, model)
-        accelerated = enumerate_behaviors(program, model, facts=facts)
-        assert baseline.register_outcomes() == accelerated.register_outcomes()
-
     def test_lint_falls_back_to_linear_scan(self):
         builder = ProgramBuilder("loop-uninit")
         p0 = builder.thread("P0")
@@ -193,17 +192,39 @@ class TestDeadCode:
         assert any("memory address" in f.message for f in errors)
 
 
-class TestPrunedEnumeration:
-    def test_register_indirect_test_prunes_without_changing_outcomes(self):
-        program = get_test("MP+addr").program
-        facts = compute_static_facts(program)
-        for model_name in ("tso", "weak", "weak-spec"):
-            model = get_model(model_name)
-            baseline = enumerate_behaviors(program, model)
-            accelerated = enumerate_behaviors(program, model, facts=facts)
-            assert baseline.register_outcomes() == accelerated.register_outcomes()
-            assert accelerated.stats.candidates_pruned > 0
-            assert baseline.stats.candidates_pruned == 0
+class TestSoundnessAgainstEnumeration:
+    """The facts are sound for every execution the enumerator reaches: a
+    node's dynamic address lies in its slot's static address set, and the
+    must/never alias verdicts hold between the dynamic addresses."""
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_facts_hold_on_every_enumerated_execution(self, model_name):
+        model = get_model(model_name)
+        checked = 0
+        for name, program in golden_programs():
+            facts = compute_static_facts(program)
+            for execution in enumerate_behaviors(program, model, FUZZ_LIMITS).executions:
+                nodes = [
+                    node
+                    for node in execution.graph.nodes
+                    if node.is_memory and node.executed and node.static_index is not None
+                ]
+                for node in nodes:
+                    addresses = facts.address_set(node.tid, node.static_index)
+                    assert addresses is None or node.addr in addresses, (
+                        f"{name}/{model_name}: {node} at {node.addr!r} "
+                        f"outside {sorted(map(repr, addresses))}"
+                    )
+                for first, second in itertools.combinations(nodes, 2):
+                    verdict = facts.pair_verdict(
+                        first.tid, first.static_index, second.tid, second.static_index
+                    )
+                    if verdict == AliasVerdict.MUST:
+                        assert first.addr == second.addr, f"{name}: {first} {second}"
+                    elif verdict == AliasVerdict.NEVER:
+                        assert first.addr != second.addr, f"{name}: {first} {second}"
+                checked += len(nodes)
+        assert checked > 0
 
 
 class TestSpeculationSafety:
