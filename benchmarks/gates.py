@@ -21,7 +21,8 @@ skipped.
   cold one; the warm hit rate is ≥99%; cached results equal fresh ones;
   none of 20,000 novel keys is answered as a hit.
 * **fuzzcov** — a coverage-guided campaign covers strictly more 3-d grid
-  cells than the blind stream at equal budget; a campaign SIGKILL-ed and
+  cells than the blind stream at equal budget; a campaign SIGKILL-ed
+  after its first committed batch, before its budget is spent, and
   resumed reproduces the uninterrupted run's grid and corpus.
 
 ``--quick`` shrinks the model subsets and budgets; every gate and floor
@@ -482,8 +483,8 @@ FUZZ_QUICK_BUDGET = 24
 FUZZ_SEED = 2006
 #: Guided batch size (small, so feedback kicks in early even in --quick).
 FUZZ_BATCH_SIZE = 6
-#: Seconds the kill-resume subprocess runs before SIGKILL.
-KILL_AFTER = 3.0
+#: Seconds between polls of the kill-resume subprocess's campaign state.
+KILL_POLL = 0.02
 
 
 def _campaign_fingerprint(campaign_dir: Path) -> tuple:
@@ -495,7 +496,8 @@ def _campaign_fingerprint(campaign_dir: Path) -> tuple:
 
 
 def _killed_then_resumed(campaign_dir: Path, budget: int) -> tuple[tuple, bool, int]:
-    """Run a campaign in a subprocess, SIGKILL it mid-flight, resume it
+    """Run a campaign in a subprocess, SIGKILL it mid-flight (once a
+    batch is committed and before the budget is spent), resume it
     in-process to the same total budget; returns (fingerprint, whether
     the kill landed mid-flight, budget spent at the kill)."""
     code = (
@@ -508,14 +510,19 @@ def _killed_then_resumed(campaign_dir: Path, budget: int) -> tuple[tuple, bool, 
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
     )
     process = subprocess.Popen([sys.executable, "-c", code], env=env)
-    time.sleep(KILL_AFTER)
-    killed = process.poll() is None
-    if killed:
-        process.send_signal(signal.SIGKILL)
+    # Kill once one batch is committed and the budget is not yet spent,
+    # however fast the campaign runs.
+    while process.poll() is None:
+        state = load_campaign(campaign_dir)
+        if state is not None and FUZZ_BATCH_SIZE <= state.budget_spent < budget:
+            process.send_signal(signal.SIGKILL)
+            break
+        time.sleep(KILL_POLL)
     process.wait()
 
     state = load_campaign(campaign_dir)
     spent = 0 if state is None else state.budget_spent
+    killed = process.returncode == -signal.SIGKILL and spent < budget
     if budget > spent:
         run_guided_campaign(
             campaign_dir,
@@ -579,6 +586,12 @@ def gate_fuzzcov(quick: bool) -> tuple[dict, list[str]]:
         failures.append(
             f"guided generation covered {len(guided_cells)} 3-dim cells, blind "
             f"covered {len(blind_cells)} — guidance must win strictly"
+        )
+    if not killed:
+        failures.append(
+            f"the kill-resume subprocess was not killed mid-flight (budget spent "
+            f"{spent_at_kill} of {budget}), so the resume check compared two "
+            f"uninterrupted runs"
         )
     if resumed != uninterrupted:
         failures.append(

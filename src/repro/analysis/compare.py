@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.core.enumerate import EnumerationLimits, enumerate_behaviors, outcome_sort_key
 from repro.isa.program import Program
 from repro.models.base import MemoryModel
 from repro.models.registry import get_model
@@ -142,7 +142,7 @@ class RobustnessReport:
                 f"all behaviors are SC behaviors{caveat}"
             )
         samples = []
-        for outcome in sorted(self.extra_outcomes, key=repr)[:3]:
+        for outcome in sorted(self.extra_outcomes, key=outcome_sort_key)[:3]:
             samples.append(
                 "{"
                 + ", ".join(

@@ -37,6 +37,7 @@ from repro.core.enumerate import (
     EnumerationCheckpoint,
     EnumerationLimits,
     enumerate_behaviors,
+    outcome_sort_key,
     resume_enumeration,
 )
 from repro.experiments.base import parallel_map
@@ -351,7 +352,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if not result.complete and args.checkpoint:
         result.checkpoint.save(args.checkpoint)
         print(f"wrote checkpoint {args.checkpoint} (resume with --resume)")
-    for outcome in sorted(result.register_outcomes(), key=repr):
+    for outcome in sorted(result.register_outcomes(), key=outcome_sort_key):
         rendered = "  ".join(
             f"{thread}:{register}={value}"
             for (thread, register), value in sorted(outcome, key=repr)

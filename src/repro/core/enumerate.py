@@ -260,6 +260,18 @@ class EnumerationResult:
         return len(self.executions)
 
 
+def outcome_sort_key(outcome: frozenset) -> tuple:
+    """A listing order for register outcomes that does not depend on
+    string hashing: the outcome's sorted ``(thread, register, value)``
+    triples, with integer values ordered before location names."""
+    return tuple(
+        sorted(
+            (thread, register, isinstance(value, str), value)
+            for (thread, register), value in outcome
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 # approximate memory accounting (worklist + dedup set)
 

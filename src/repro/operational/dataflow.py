@@ -27,13 +27,19 @@ producers, the earlier instructions ordered ALWAYS or SAME_ADDRESS
 before each instruction, its kind, the final writer of each register —
 is computed once per call into static rows.  A state is the per-thread
 results tuples (None = not executed) plus the memory values in sorted
-location order.  Both are in one-to-one correspondence with the plain
-encoding (per-instruction ``(value,)`` cells and ``(location, value)``
-pairs), and successors are still generated thread by thread and
-instruction by instruction.  So the depth-first order, the ``seen``
-set, the outcomes, ``states_explored``, ``terminal_states`` and the
-``max_states`` error are exactly those of evaluating the table per
-state.
+location order.
+
+**Local-step reduction.**  A state in which some ready row is a
+``Compute`` or a fence executes that row alone — the lowest thread, then
+the lowest index, chosen by :func:`_local_row` — instead of expanding
+every ready row.  Such a row reads only results that are already fixed
+and writes only its own result cell; results are written once, and
+readiness only grows as results fill in, so the row commutes with every
+other ready row and nothing can disable it.  It is a singleton
+persistent set, every terminal state stays reachable, and each step
+fills one more cell, so the reduced graph has no cycles at all.  The
+outcome set is unchanged; ``states_explored`` and ``terminal_states``
+count the reduced search (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ from repro.models.registry import get_model
 #: Instruction kinds of a static row.
 _FENCE, _COMPUTE, _LOAD, _STORE, _RMW = range(5)
 _KINDS = {Fence: _FENCE, Compute: _COMPUTE, Load: _LOAD, Store: _STORE, Rmw: _RMW}
+#: Kinds whose ready rows are thread-private steps.
+_LOCAL_KINDS = (_COMPUTE, _FENCE)
 
 
 @dataclass
@@ -115,6 +123,44 @@ def _static_rows(thread: Thread, model: MemoryModel) -> tuple[tuple, dict[str, i
     return tuple(rows), last_writer
 
 
+def _value_of(results, source):
+    producer, constant = source
+    return constant if producer < 0 else results[producer]
+
+
+def _ready(results, row) -> bool:
+    """Whether a not-yet-executed instruction may execute now."""
+    _kind, _sources, address, waits, always, same_address, _instruction = row
+    for producer in waits:
+        if results[producer] is None:
+            return False
+    for earlier in always:
+        if results[earlier] is None:
+            return False
+    if same_address:
+        # SAME_ADDRESS: the earlier address must be known to differ.
+        my_address = None if address is None else _value_of(results, address)
+        for earlier, earlier_source in same_address:
+            if results[earlier] is not None:
+                continue
+            if earlier_source is None:
+                return False
+            earlier_address = _value_of(results, earlier_source)
+            if earlier_address is None or earlier_address == my_address:
+                return False
+    return True
+
+
+def _local_row(rows, states) -> tuple[int, int] | None:
+    """``(tid, index)`` of the lowest-tid, then lowest-index, ready
+    ``Compute`` or fence row of a state, or None when there is none."""
+    for tid, results in enumerate(states):
+        for index, row in enumerate(rows[tid]):
+            if row[0] in _LOCAL_KINDS and results[index] is None and _ready(results, row):
+                return tid, index
+    return None
+
+
 def run_dataflow(
     program: Program,
     model: MemoryModel | str = "weak",
@@ -149,32 +195,6 @@ def run_dataflow(
         tuple(program.initial_value(location) for location in locations),
     )
 
-    def value_of(results, source):
-        producer, constant = source
-        return constant if producer < 0 else results[producer]
-
-    def ready(results, row) -> bool:
-        """Whether a not-yet-executed instruction may execute now."""
-        _kind, _sources, address, waits, always, same_address, _instruction = row
-        for producer in waits:
-            if results[producer] is None:
-                return False
-        for earlier in always:
-            if results[earlier] is None:
-                return False
-        if same_address:
-            # SAME_ADDRESS: the earlier address must be known to differ.
-            my_address = None if address is None else value_of(results, address)
-            for earlier, earlier_source in same_address:
-                if results[earlier] is not None:
-                    continue
-                if earlier_source is None:
-                    return False
-                earlier_address = value_of(results, earlier_source)
-                if earlier_address is None or earlier_address == my_address:
-                    return False
-        return True
-
     def read(memory, address):
         position = slot.get(address)
         if position is None:
@@ -187,6 +207,35 @@ def run_dataflow(
             return memory
         return memory[:position] + (value,) + memory[position + 1 :]
 
+    def step(states, memory, tid, index):
+        """The successor when row ``index`` of thread ``tid`` executes."""
+        results = states[tid]
+        kind, sources, address, _waits, _always, _same, instruction = rows[tid][index]
+        successor_memory = memory
+        if kind == _FENCE:
+            value: Value = 0
+        elif kind == _COMPUTE:
+            value = alu_eval(instruction.op, tuple(_value_of(results, s) for s in sources))
+        elif kind == _LOAD:
+            value = read(memory, _value_of(results, address))
+        elif kind == _STORE:
+            value = _value_of(results, sources[1])
+            successor_memory = write(memory, _value_of(results, address), value)
+        else:
+            location = _value_of(results, address)
+            old = read(memory, location)
+            args = tuple(_value_of(results, s) for s in sources[1:])
+            stored = instruction.stored_value(old, args)
+            if stored is not None:
+                successor_memory = write(memory, location, stored)
+            value = old
+        return (
+            states[:tid]
+            + (results[:index] + (value,) + results[index + 1 :],)
+            + states[tid + 1 :],
+            successor_memory,
+        )
+
     stack = [initial]
     seen = {initial}
     outcomes = set()
@@ -196,52 +245,30 @@ def run_dataflow(
         states, memory = stack.pop()
         if len(seen) > max_states:
             raise EnumerationError(f"dataflow machine exceeded {max_states} states")
-        progressed = False
-        for tid, results in enumerate(states):
-            for index, row in enumerate(rows[tid]):
-                if results[index] is not None or not ready(results, row):
-                    continue
-                progressed = True
-                kind, sources, address, _waits, _always, _same, instruction = row
-                successor_memory = memory
-                if kind == _FENCE:
-                    value: Value = 0
-                elif kind == _COMPUTE:
-                    value = alu_eval(
-                        instruction.op, tuple(value_of(results, s) for s in sources)
+        local = _local_row(rows, states)
+        if local is not None:
+            successors = [step(states, memory, *local)]
+        else:
+            successors = [
+                step(states, memory, tid, index)
+                for tid, results in enumerate(states)
+                for index, row in enumerate(rows[tid])
+                if results[index] is None and _ready(results, row)
+            ]
+            if not successors:
+                terminal += 1
+                outcomes.add(
+                    frozenset(
+                        (key, results[index])
+                        for writers, results in zip(final_writers, states)
+                        for key, index in writers
+                        if results[index] is not None
                     )
-                elif kind == _LOAD:
-                    value = read(memory, value_of(results, address))
-                elif kind == _STORE:
-                    value = value_of(results, sources[1])
-                    successor_memory = write(memory, value_of(results, address), value)
-                else:
-                    location = value_of(results, address)
-                    old = read(memory, location)
-                    args = tuple(value_of(results, s) for s in sources[1:])
-                    stored = instruction.stored_value(old, args)
-                    if stored is not None:
-                        successor_memory = write(memory, location, stored)
-                    value = old
-                next_state = (
-                    states[:tid]
-                    + (results[:index] + (value,) + results[index + 1 :],)
-                    + states[tid + 1 :],
-                    successor_memory,
                 )
-                explored = len(seen)
-                seen.add(next_state)
-                if len(seen) > explored:  # new: one hash instead of two
-                    stack.append(next_state)
-        if not progressed:
-            terminal += 1
-            outcomes.add(
-                frozenset(
-                    (key, results[index])
-                    for writers, results in zip(final_writers, states)
-                    for key, index in writers
-                    if results[index] is not None
-                )
-            )
+        for next_state in successors:
+            explored = len(seen)
+            seen.add(next_state)
+            if len(seen) > explored:  # new: one hash instead of two
+                stack.append(next_state)
 
     return DataflowResult(frozenset(outcomes), len(seen), terminal)

@@ -13,6 +13,23 @@ The machine implements the hardware intuition behind Section 6:
 
 These machines are the reference baselines the axiomatic TSO/PSO models
 are validated against.
+
+**Local-step reduction.**  A state in which some thread's next step is
+thread-private takes that step alone — the lowest such thread, chosen by
+:func:`_local_step` — instead of expanding every drain and every thread.
+Thread-private steps are a ``Compute``, a forward ``Branch`` (successor
+pc greater than its own), an enabled fence (a non-draining kind, or any
+kind over an empty own buffer) and a ``Store`` entering its own buffer
+(unless it is a PSO release store waiting for a non-empty buffer).  Each
+touches only its thread's registers, pc and buffer tail: it commutes
+with every other thread's step and with the drains of its own buffer's
+head, and nothing can disable it, so it is a singleton persistent set
+and every terminal state stays reachable.  Loads are never taken alone,
+forwarded ones included: whether a buffered entry is still there to
+forward from depends on the drains.  Every local step strictly advances
+a pc, so every cycle of the reduced graph passes through a fully
+expanded state.  The outcome set is unchanged; ``states_explored`` and
+``terminal_states`` count the reduced search (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -20,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import EnumerationError
-from repro.isa.instructions import Fence, FenceKind, Load, Rmw, Store
+from repro.isa.instructions import Branch, Compute, Fence, FenceKind, Load, Rmw, Store
 from repro.isa.program import Program
-from repro.operational.sc import _initial_memory, _read, _write
+from repro.operational.sc import Memory, _initial_memory, _read, _write
 from repro.operational.state import (
     ArchThreadState,
     final_registers,
@@ -70,6 +87,98 @@ class StoreBufferResult:
     terminal_states: int = 0
 
 
+#: A machine state: per-thread architectural state, memory, buffers.
+State = tuple[tuple[ArchThreadState, ...], Memory, tuple[Buffer, ...]]
+
+
+def _step(program: Program, fifo: bool, state: State, tid: int) -> State | None:
+    """The successor of ``state`` when thread ``tid`` (not halted)
+    executes its next instruction, or None while that instruction waits
+    for the thread's buffer to drain."""
+    threads, memory, buffers = state
+    thread_state = threads[tid]
+    thread = program.threads[tid]
+    instruction = thread_state.current(thread)
+    buffer = buffers[tid]
+    successor_memory = memory
+    successor_buffer = buffer
+
+    local = step_local(thread_state, thread, instruction)
+    if local is not None:
+        successor_state = local
+    elif isinstance(instruction, Fence):
+        if instruction.kind in _DRAINING_FENCES and buffer:
+            return None  # blocked until the buffer drains
+        successor_state = thread_state.advance(thread_state.pc + 1)
+    elif isinstance(instruction, Load):
+        address = resolve_address(thread_state, instruction.addr)
+        forwarded = _forward(buffer, address)
+        value = forwarded[0] if forwarded is not None else _read(memory, address)
+        successor_state = thread_state.write(instruction.dst, value).advance(
+            thread_state.pc + 1
+        )
+    elif isinstance(instruction, Store):
+        if instruction.release and buffer and not fifo:
+            # A release store must not overtake earlier stores; with a
+            # non-FIFO (PSO) buffer that means waiting for it to drain
+            # first.  (FIFO buffers preserve the order anyway.)
+            return None
+        address = resolve_address(thread_state, instruction.addr)
+        value = thread_state.operand(instruction.value)
+        successor_buffer = buffer + ((address, value),)
+        successor_state = thread_state.advance(thread_state.pc + 1)
+    elif isinstance(instruction, Rmw):
+        if buffer:
+            return None  # atomics drain the buffer first
+        address = resolve_address(thread_state, instruction.addr)
+        old = _read(memory, address)
+        successor_state, stored = rmw_apply(thread_state, instruction, old)
+        if stored is not None:
+            successor_memory = _write(memory, address, stored)
+    else:  # pragma: no cover - exhaustive over the ISA
+        raise EnumerationError(f"store-buffer machine cannot execute {instruction}")
+
+    return (
+        threads[:tid] + (successor_state,) + threads[tid + 1 :],
+        successor_memory,
+        buffers[:tid] + (successor_buffer,) + buffers[tid + 1 :],
+    )
+
+
+def _local_step(program: Program, fifo: bool, state: State) -> State | None:
+    """The successor by the lowest-tid thread-private step of ``state``
+    (a ``Compute``, a forward ``Branch``, an enabled fence or a buffered
+    ``Store`` issue), or None when no thread's next step is one."""
+    threads = state[0]
+    for tid, thread_state in enumerate(threads):
+        thread = program.threads[tid]
+        if thread_state.done(thread):
+            continue
+        if isinstance(thread_state.current(thread), (Compute, Branch, Fence, Store)):
+            successor = _step(program, fifo, state, tid)
+            if successor is not None and successor[0][tid].pc > thread_state.pc:
+                return successor
+    return None
+
+
+def _drains(fifo: bool, state: State) -> list[State]:
+    """The successors of ``state`` by one buffered store draining."""
+    threads, memory, buffers = state
+    successors = []
+    for tid, buffer in enumerate(buffers):
+        for index in _drain_choices(buffer, fifo):
+            address, value = buffer[index]
+            drained = buffer[:index] + buffer[index + 1 :]
+            successors.append(
+                (
+                    threads,
+                    _write(memory, address, value),
+                    buffers[:tid] + (drained,) + buffers[tid + 1 :],
+                )
+            )
+    return successors
+
+
 def run_store_buffer(
     program: Program, fifo: bool = True, max_states: int = 4_000_000
 ) -> StoreBufferResult:
@@ -88,94 +197,36 @@ def run_store_buffer(
     outcomes = set()
     terminal = 0
 
-    def push(state) -> None:
-        if state not in seen:
-            seen.add(state)
-            stack.append(state)
-
     while stack:
-        threads, memory, buffers = stack.pop()
+        state = stack.pop()
         if len(seen) > max_states:
             raise EnumerationError(f"store-buffer search exceeded {max_states} states")
-        progressed = False
-
-        # Drain transitions.
-        for tid, buffer in enumerate(buffers):
-            for index in _drain_choices(buffer, fifo):
-                progressed = True
-                address, value = buffer[index]
-                next_buffers = tuple(
-                    buffer[:index] + buffer[index + 1 :] if b_tid == tid else other
-                    for b_tid, other in enumerate(buffers)
-                )
-                push((threads, _write(memory, address, value), next_buffers))
-
-        # Instruction transitions.
-        for tid, state in enumerate(threads):
-            thread = program.threads[tid]
-            if state.done(thread):
-                continue
-            instruction = state.current(thread)
-            buffer = buffers[tid]
-            successor_memory = memory
-            successor_buffer = buffer
-
-            local = step_local(state, thread, instruction)
-            if local is not None:
-                successor_state = local
-            elif isinstance(instruction, Fence):
-                if instruction.kind in _DRAINING_FENCES and buffer:
-                    continue  # blocked until the buffer drains
-                successor_state = state.advance(state.pc + 1)
-            elif isinstance(instruction, Load):
-                address = resolve_address(state, instruction.addr)
-                forwarded = _forward(buffer, address)
-                value = forwarded[0] if forwarded is not None else _read(memory, address)
-                successor_state = state.write(instruction.dst, value).advance(state.pc + 1)
-            elif isinstance(instruction, Store):
-                if instruction.release and buffer and not fifo:
-                    # A release store must not overtake earlier stores;
-                    # with a non-FIFO (PSO) buffer that means waiting for
-                    # it to drain first.  (FIFO buffers preserve the order
-                    # anyway.)
+        local = _local_step(program, fifo, state)
+        if local is not None:
+            successors = [local]
+        else:
+            threads, _memory, buffers = state
+            successors = _drains(fifo, state)
+            running = False
+            for tid, thread_state in enumerate(threads):
+                if thread_state.done(program.threads[tid]):
                     continue
-                address = resolve_address(state, instruction.addr)
-                value = state.operand(instruction.value)
-                successor_buffer = buffer + ((address, value),)
-                successor_state = state.advance(state.pc + 1)
-            elif isinstance(instruction, Rmw):
-                if buffer:
-                    continue  # atomics drain the buffer first
-                address = resolve_address(state, instruction.addr)
-                old = _read(memory, address)
-                successor_state, stored = rmw_apply(state, instruction, old)
-                if stored is not None:
-                    successor_memory = _write(memory, address, stored)
-            else:  # pragma: no cover - exhaustive over the ISA
-                raise EnumerationError(f"store-buffer machine cannot execute {instruction}")
-
-            progressed = True
-            next_threads = tuple(
-                successor_state if index == tid else other
-                for index, other in enumerate(threads)
-            )
-            next_buffers = tuple(
-                successor_buffer if index == tid else other
-                for index, other in enumerate(buffers)
-            )
-            push((next_threads, successor_memory, next_buffers))
-
-        all_done = all(
-            state.done(program.threads[tid]) for tid, state in enumerate(threads)
-        )
-        if all_done and not any(buffers):
-            terminal += 1
-            outcomes.add(final_registers(program, threads))
-        elif not progressed:
-            raise EnumerationError(
-                "store-buffer machine deadlocked (fence waiting on a buffer "
-                "that cannot drain?)"
-            )
+                running = True
+                successor = _step(program, fifo, state, tid)
+                if successor is not None:
+                    successors.append(successor)
+            if not running and not any(buffers):
+                terminal += 1
+                outcomes.add(final_registers(program, threads))
+            elif not successors:
+                raise EnumerationError(
+                    "store-buffer machine deadlocked (fence waiting on a buffer "
+                    "that cannot drain?)"
+                )
+        for successor in successors:
+            if successor not in seen:
+                seen.add(successor)
+                stack.append(successor)
 
     return StoreBufferResult(
         frozenset(outcomes), states_explored=len(seen), terminal_states=terminal

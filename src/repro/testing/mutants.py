@@ -184,6 +184,39 @@ def _install_forwarding_disabled() -> Undo:
     return undo
 
 
+def _install_forwarded_load_local() -> Undo:
+    """The unsound extension of the store-buffer local-step reduction:
+    a load that forwards from its own buffer is taken as a lone step
+    too.  Whether the entry is still buffered depends on the drains, so
+    CoWR under TSO loses the outcome where the load reads another
+    thread's later store after its own store drained."""
+    import repro.operational.storebuffer as storebuffer_module
+    from repro.isa.instructions import Load
+    from repro.operational.state import resolve_address
+
+    original = storebuffer_module._local_step
+
+    def mutated(program, fifo, state):
+        threads, _memory, buffers = state
+        for tid, thread_state in enumerate(threads):
+            thread = program.threads[tid]
+            if thread_state.done(thread):
+                continue
+            instruction = thread_state.current(thread)
+            if isinstance(instruction, Load):
+                address = resolve_address(thread_state, instruction.addr)
+                if storebuffer_module._forward(buffers[tid], address) is not None:
+                    return storebuffer_module._step(program, fifo, state, tid)
+        return original(program, fifo, state)
+
+    storebuffer_module._local_step = mutated
+
+    def undo() -> None:
+        storebuffer_module._local_step = original
+
+    return undo
+
+
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "sc-load-load-relaxed",
@@ -231,6 +264,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "forwarding-disabled",
         "store-buffer machines stop forwarding from the local buffer",
         _install_forwarding_disabled,
+    ),
+    Mutant(
+        "forwarded-load-local",
+        "store-buffer local-step reduction also takes a load forwarded "
+        "from the thread's own buffer as a lone step (machines lose outcomes)",
+        _install_forwarded_load_local,
     ),
 )
 

@@ -2,6 +2,9 @@
 
 import argparse
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +76,48 @@ class TestEnumerate:
     def test_missing_test_and_resume_is_an_error(self, capsys):
         assert main(["enumerate", "-m", "weak"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+#: More than one non-SC outcome under weak, so the listing has an order.
+SB_WIDE = """test sb-wide
+thread P0
+  S x, 1
+  r1 = L y
+  r2 = L z
+thread P1
+  S y, 1
+  S z, 1
+  r3 = L x
+exists (P0:r1=0 /\\ P1:r3=0)
+"""
+
+
+class TestDeterministicListings:
+    """Outcome listings are byte-identical whatever the string hashing:
+    a listing ordered by ``repr`` of a frozenset changed between
+    processes."""
+
+    @staticmethod
+    def _output(hash_seed: str, *argv: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).parent.parent,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hash_seed},
+        ).stdout
+
+    def test_enumerate_listing_ignores_hash_seed(self):
+        first = self._output("1", "enumerate", "WRC", "-m", "weak")
+        assert first.count("P1:r1=") == 8
+        assert first == self._output("2", "enumerate", "WRC", "-m", "weak")
+
+    def test_robustness_summary_ignores_hash_seed(self, tmp_path):
+        source = tmp_path / "sb-wide.litmus"
+        source.write_text(SB_WIDE)
+        first = self._output("1", "robust", str(source), "-m", "weak")
+        assert "3 non-SC outcome(s)" in first
+        assert first == self._output("2", "robust", str(source), "-m", "weak")
 
 
 class TestResilienceFlags:

@@ -4,12 +4,21 @@
 ``reference_find_critical_cycles`` and ``reference_run_dataflow`` are
 the two layers as they were before their static work was hoisted out of
 the search loops (successor rows and pruning; static instruction rows),
-kept verbatim apart from their names.  The fast versions must agree with
-them exactly: the same cycle tuples in the same order at every cap, the
-same outcomes, ``states_explored`` and ``terminal_states``, and the same
-``max_states`` error.  Below them, the regression test for the silent
-cycle cap: a search cut short by ``max_cycles`` must never certify
-robustness.
+kept verbatim apart from their names.  The fast cycle search must agree
+with its reference exactly: the same cycle tuples in the same order at
+every cap.  Below them, the regression test for the silent cycle cap: a
+search cut short by ``max_cycles`` must never certify robustness.
+
+The three operational machines take thread-private steps alone (the
+local-step reduction), so they are checked against full-interleaving
+references: ``reference_run_dataflow`` above, and
+``reference_run_sc`` and ``reference_run_store_buffer``, the SC and
+store-buffer machines as they were before the reduction, verbatim apart
+from their names.  A reduced machine must give exactly the reference's
+outcomes while exploring no more states and reaching no more terminal
+states; at every ``max_states`` cap, a reduced machine that raises must
+have a reference that raises too, and one that completes must give the
+uncapped reference's outcomes.
 
 Load Resolution gets the same treatment: ``reference_dedup_key`` and
 ``reference_resolve_load`` are the dedup key and the resolution step as
@@ -87,6 +96,7 @@ from repro.isa.dsl import ProgramBuilder
 from repro.isa.instructions import (
     Compute,
     Fence,
+    FenceKind,
     Instruction,
     Load,
     OpClass,
@@ -99,6 +109,15 @@ from repro.isa.program import Program
 from repro.litmus.library import all_tests
 from repro.models import MemoryModel, OrderRequirement, get_model
 from repro.operational.dataflow import DataflowResult, run_dataflow
+from repro.operational.sc import SCResult, run_sc
+from repro.operational.state import (
+    ArchThreadState,
+    final_registers,
+    resolve_address,
+    rmw_apply,
+    step_local,
+)
+from repro.operational.storebuffer import StoreBufferResult, run_store_buffer
 from repro.testing.fuzzgen import MIXED, derive_seed, generate_program, profile_for_index
 from repro.testing.oracles import FUZZ_LIMITS, OracleContext, OracleSkip, _check_static
 
@@ -382,6 +401,236 @@ def _final_registers(program: Program, states, producers) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# the SC and store-buffer machines before the local-step reduction, verbatim
+
+#: Memory snapshots are stored as sorted (location, value) tuples so the
+#: full machine state is hashable for memoization.
+Memory = tuple[tuple[str, object], ...]
+
+
+def _initial_memory(program: Program) -> Memory:
+    return tuple(sorted((loc, program.initial_value(loc)) for loc in program.locations()))
+
+
+def _read(memory: Memory, address: str):
+    for location, value in memory:
+        if location == address:
+            return value
+    raise EnumerationError(f"operational machine read from unknown location {address!r}")
+
+
+def _write(memory: Memory, address: str, value) -> Memory:
+    return tuple(
+        (location, value if location == address else old) for location, old in memory
+    )
+
+
+def reference_run_sc(program: Program, max_states: int = 2_000_000) -> SCResult:
+    """All final-register outcomes of ``program`` under interleaved SC."""
+    initial = (
+        tuple(ArchThreadState() for _ in program.threads),
+        _initial_memory(program),
+    )
+    stack = [initial]
+    seen = {initial}
+    outcomes = set()
+    terminal = 0
+
+    while stack:
+        threads, memory = stack.pop()
+        if len(seen) > max_states:
+            raise EnumerationError(f"SC interleaving exceeded {max_states} states")
+        progressed = False
+        for tid, state in enumerate(threads):
+            thread = program.threads[tid]
+            if state.done(thread):
+                continue
+            progressed = True
+            instruction = state.current(thread)
+            successor_memory = memory
+
+            local = step_local(state, thread, instruction)
+            if local is not None:
+                successor_state = local
+            elif isinstance(instruction, Fence):
+                successor_state = state.advance(state.pc + 1)
+            elif isinstance(instruction, Load):
+                address = resolve_address(state, instruction.addr)
+                value = _read(memory, address)
+                successor_state = state.write(instruction.dst, value).advance(state.pc + 1)
+            elif isinstance(instruction, Store):
+                address = resolve_address(state, instruction.addr)
+                value = state.operand(instruction.value)
+                successor_memory = _write(memory, address, value)
+                successor_state = state.advance(state.pc + 1)
+            elif isinstance(instruction, Rmw):
+                address = resolve_address(state, instruction.addr)
+                old = _read(memory, address)
+                successor_state, stored = rmw_apply(state, instruction, old)
+                if stored is not None:
+                    successor_memory = _write(memory, address, stored)
+            else:  # pragma: no cover - exhaustive over the ISA
+                raise EnumerationError(f"SC machine cannot execute {instruction}")
+
+            next_threads = tuple(
+                successor_state if index == tid else other
+                for index, other in enumerate(threads)
+            )
+            next_state = (next_threads, successor_memory)
+            if next_state not in seen:
+                seen.add(next_state)
+                stack.append(next_state)
+
+        if not progressed:
+            terminal += 1
+            outcomes.add(final_registers(program, threads))
+
+    return SCResult(frozenset(outcomes), states_explored=len(seen), terminal_states=terminal)
+
+
+#: A store buffer: oldest-first tuple of (address, value) entries.
+Buffer = tuple[tuple[str, object], ...]
+
+#: Fence kinds that must wait until the issuing thread's buffer drains.
+_DRAINING_FENCES = (FenceKind.FULL, FenceKind.STORE_LOAD, FenceKind.STORE_STORE)
+
+
+def _forward(buffer: Buffer, address: str):
+    """Newest buffered value for ``address``, or None if absent."""
+    for entry_address, value in reversed(buffer):
+        if entry_address == address:
+            return (value,)
+    return None
+
+
+def _drain_choices(buffer: Buffer, fifo: bool) -> list[int]:
+    """Indices of buffer entries that may drain next."""
+    if not buffer:
+        return []
+    if fifo:
+        return [0]
+    choices = []
+    seen_addresses: set[str] = set()
+    for index, (address, _) in enumerate(buffer):
+        if address not in seen_addresses:
+            choices.append(index)
+            seen_addresses.add(address)
+    return choices
+
+
+def reference_run_store_buffer(
+    program: Program, fifo: bool = True, max_states: int = 4_000_000
+) -> StoreBufferResult:
+    """All final-register outcomes under a store-buffer machine.
+
+    ``fifo=True`` is TSO; ``fifo=False`` relaxes draining to per-address
+    FIFO, which is PSO.
+    """
+    initial = (
+        tuple(ArchThreadState() for _ in program.threads),
+        _initial_memory(program),
+        tuple(() for _ in program.threads),
+    )
+    stack = [initial]
+    seen = {initial}
+    outcomes = set()
+    terminal = 0
+
+    def push(state) -> None:
+        if state not in seen:
+            seen.add(state)
+            stack.append(state)
+
+    while stack:
+        threads, memory, buffers = stack.pop()
+        if len(seen) > max_states:
+            raise EnumerationError(f"store-buffer search exceeded {max_states} states")
+        progressed = False
+
+        # Drain transitions.
+        for tid, buffer in enumerate(buffers):
+            for index in _drain_choices(buffer, fifo):
+                progressed = True
+                address, value = buffer[index]
+                next_buffers = tuple(
+                    buffer[:index] + buffer[index + 1 :] if b_tid == tid else other
+                    for b_tid, other in enumerate(buffers)
+                )
+                push((threads, _write(memory, address, value), next_buffers))
+
+        # Instruction transitions.
+        for tid, state in enumerate(threads):
+            thread = program.threads[tid]
+            if state.done(thread):
+                continue
+            instruction = state.current(thread)
+            buffer = buffers[tid]
+            successor_memory = memory
+            successor_buffer = buffer
+
+            local = step_local(state, thread, instruction)
+            if local is not None:
+                successor_state = local
+            elif isinstance(instruction, Fence):
+                if instruction.kind in _DRAINING_FENCES and buffer:
+                    continue  # blocked until the buffer drains
+                successor_state = state.advance(state.pc + 1)
+            elif isinstance(instruction, Load):
+                address = resolve_address(state, instruction.addr)
+                forwarded = _forward(buffer, address)
+                value = forwarded[0] if forwarded is not None else _read(memory, address)
+                successor_state = state.write(instruction.dst, value).advance(state.pc + 1)
+            elif isinstance(instruction, Store):
+                if instruction.release and buffer and not fifo:
+                    # A release store must not overtake earlier stores;
+                    # with a non-FIFO (PSO) buffer that means waiting for
+                    # it to drain first.  (FIFO buffers preserve the order
+                    # anyway.)
+                    continue
+                address = resolve_address(state, instruction.addr)
+                value = state.operand(instruction.value)
+                successor_buffer = buffer + ((address, value),)
+                successor_state = state.advance(state.pc + 1)
+            elif isinstance(instruction, Rmw):
+                if buffer:
+                    continue  # atomics drain the buffer first
+                address = resolve_address(state, instruction.addr)
+                old = _read(memory, address)
+                successor_state, stored = rmw_apply(state, instruction, old)
+                if stored is not None:
+                    successor_memory = _write(memory, address, stored)
+            else:  # pragma: no cover - exhaustive over the ISA
+                raise EnumerationError(f"store-buffer machine cannot execute {instruction}")
+
+            progressed = True
+            next_threads = tuple(
+                successor_state if index == tid else other
+                for index, other in enumerate(threads)
+            )
+            next_buffers = tuple(
+                successor_buffer if index == tid else other
+                for index, other in enumerate(buffers)
+            )
+            push((next_threads, successor_memory, next_buffers))
+
+        all_done = all(
+            state.done(program.threads[tid]) for tid, state in enumerate(threads)
+        )
+        if all_done and not any(buffers):
+            terminal += 1
+            outcomes.add(final_registers(program, threads))
+        elif not progressed:
+            raise EnumerationError(
+                "store-buffer machine deadlocked (fence waiting on a buffer "
+                "that cannot drain?)"
+            )
+
+    return StoreBufferResult(
+        frozenset(outcomes), states_explored=len(seen), terminal_states=terminal
+    )
+
+
+# ---------------------------------------------------------------------------
 # Load Resolution before the fragment memo and the second-close skip, verbatim
 
 
@@ -503,44 +752,115 @@ def test_delay_cycles_match_reference_on_straight_line_programs():
     assert compared > 30
 
 
+def _machine_programs():
+    yield from (test.program for test in all_tests())
+    yield from _fuzz(DATAFLOW_PROGRAMS)
+
+
 def _dataflow_cases():
-    programs = [test.program for test in all_tests()] + list(_fuzz(DATAFLOW_PROGRAMS))
-    for program in programs:
+    for program in _machine_programs():
         if not program.has_branches():
             yield program
 
 
-def _same_result(fast: DataflowResult, reference: DataflowResult) -> bool:
+#: ``(label, reduced machine, full-interleaving reference)`` per machine.
+MACHINE_PAIRS = (
+    ("sc", run_sc, reference_run_sc),
+    ("tso", run_store_buffer, reference_run_store_buffer),
+    (
+        "pso",
+        lambda program, **limits: run_store_buffer(program, fifo=False, **limits),
+        lambda program, **limits: reference_run_store_buffer(program, fifo=False, **limits),
+    ),
+)
+
+
+def _reduces(reduced, reference) -> bool:
+    """The reduced result has the reference's outcomes, from no more
+    states and no more terminal states."""
     return (
-        fast.outcomes == reference.outcomes
-        and fast.states_explored == reference.states_explored
-        and fast.terminal_states == reference.terminal_states
+        reduced.outcomes == reference.outcomes
+        and reduced.states_explored <= reference.states_explored
+        and reduced.terminal_states <= reference.terminal_states
     )
+
+
+def _capped(machine, program, max_states):
+    """The machine's outcomes under a state cap, or its error text."""
+    try:
+        return machine(program, max_states=max_states).outcomes
+    except EnumerationError as error:
+        return str(error)
+
+
+def _check_cap(reduced, reference, uncapped: frozenset, label) -> bool:
+    """Whether a reduced machine ran out of states at this cap; asserts
+    that its reference ran out too, or that it gave every outcome."""
+    if isinstance(reduced, str):
+        assert reduced == reference, label  # reduced raises => reference raises
+        return True
+    assert reduced == uncapped, label  # reduced completes => all outcomes
+    return False
+
+
+def test_sc_and_store_buffer_match_reference():
+    runs = reduced_runs = 0
+    for program in _machine_programs():
+        for label, machine, reference_machine in MACHINE_PAIRS:
+            reduced = machine(program)
+            reference = reference_machine(program)
+            assert _reduces(reduced, reference), (program.name, label)
+            runs += 1
+            reduced_runs += reduced.states_explored < reference.states_explored
+    assert runs > 300
+    assert reduced_runs > runs // 2, "the reduction must skip states on most programs"
+
+
+@pytest.mark.parametrize("max_states", [1, 5, 40, 300])
+def test_sc_and_store_buffer_state_limit_match_reference(max_states):
+    raised = 0
+    for program in list(_machine_programs())[:60]:
+        for label, machine, reference_machine in MACHINE_PAIRS:
+            raised += _check_cap(
+                _capped(machine, program, max_states),
+                _capped(reference_machine, program, max_states),
+                reference_machine(program).outcomes,
+                (program.name, label),
+            )
+    if max_states < 300:
+        assert raised, "some cap must cut a reduced search short"
 
 
 @pytest.mark.slow
 def test_dataflow_matches_reference():
-    runs = 0
+    runs = reduced_runs = 0
     for program in _dataflow_cases():
         for model_name in ("weak", "weak-corr", "sc", "weak-spec"):
             fast = run_dataflow(program, model_name)
             reference = reference_run_dataflow(program, model_name)
-            assert _same_result(fast, reference), (program.name, model_name)
+            assert _reduces(fast, reference), (program.name, model_name)
             runs += 1
+            reduced_runs += fast.states_explored < reference.states_explored
     assert runs > 150
+    assert reduced_runs > runs // 2, "the reduction must skip states on most programs"
 
 
 @pytest.mark.parametrize("max_states", [1, 5, 40, 300])
 def test_dataflow_state_limit_matches_reference(max_states):
+    raised = 0
     for program in list(_dataflow_cases())[:60]:
-        outcomes = []
-        for machine in (run_dataflow, reference_run_dataflow):
-            try:
-                result = machine(program, "weak", max_states=max_states)
-                outcomes.append((result.outcomes, result.states_explored, result.terminal_states))
-            except EnumerationError as error:
-                outcomes.append(str(error))
-        assert outcomes[0] == outcomes[1], program.name
+        raised += _check_cap(
+            _capped(lambda p, **limits: run_dataflow(p, "weak", **limits), program, max_states),
+            _capped(
+                lambda p, **limits: reference_run_dataflow(p, "weak", **limits),
+                program,
+                max_states,
+            ),
+            reference_run_dataflow(program, "weak").outcomes,
+            program.name,
+        )
+    if max_states < 300:
+        assert raised, "some cap must cut a reduced search short"
 
 
 # ---------------------------------------------------------------------------
