@@ -8,7 +8,8 @@ exits 1 when any gate failed.  A gate that raises fails; it is never
 skipped.
 
 * **hot-path** — copy-on-write ``Execution.copy()`` is ≥1.2x an eager
-  graph copy; per-branch copy+key is ≥1.1x the seed's.
+  graph copy; per-branch copy + dedup digest (what ``_branch`` pays) is
+  ≥1.1x the seed's eager copy + state key.
 * **solver** — the SAT/AllSAT solver's behavior sets are byte-identical
   (``loadstore_key``) to the enumerator's on the litmus library and the
   wide family; nothing truncates; on the wide family the stable-load
@@ -79,7 +80,7 @@ def _keys(result) -> list[str]:
 
 #: Acceptance floor for copy-on-write vs eager copy.
 MIN_COPY_RATIO = 1.2
-#: Acceptance floor for the combined per-branch cost (copy + state_key)
+#: Acceptance floor for the combined per-branch cost (copy + dedup digest)
 #: vs the seed's (eager copy + materialized-reachability key) — the
 #: number the search actually pays per Load-Resolution branch.
 MIN_BRANCH_RATIO = 1.1
@@ -154,7 +155,7 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
     loadstore_key_us = per_call_us(behavior.loadstore_key)
     seed_key_us = per_call_us(lambda: seed_style_state_key(behavior))
 
-    branch_us = cow_copy_us + state_key_us
+    branch_us = cow_copy_us + dedup_key_us
     seed_branch_us = eager_copy_us + seed_key_us
     copy_ratio = eager_copy_us / cow_copy_us if cow_copy_us else 0.0
     branch_ratio = seed_branch_us / branch_us if branch_us else 0.0
@@ -181,7 +182,7 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
         )
     if branch_ratio < MIN_BRANCH_RATIO:
         failures.append(
-            f"per-branch copy+key cost only {branch_ratio:.2f}x better than seed "
+            f"per-branch copy+digest cost only {branch_ratio:.2f}x better than seed "
             f"(floor {MIN_BRANCH_RATIO}x)"
         )
     return values, failures

@@ -24,17 +24,29 @@ Materialization has two regimes:
   --forbidden``, not as a fast path.)
 * **skeletons blocked on unresolved branches** (or a load assigned the
   "reads a post-branch store" pseudo-source) — the engine's own search
-  is re-run restricted to the assignment (its candidates and resolve
-  hooks), since new nodes appear only as branches resolve.
+  is re-run restricted to the assignment (its candidates hook), since
+  new nodes appear only as branches resolve.
 
 A :class:`CycleError` or :class:`AtomicityViolation` during replay is
 *order-independent* (every edge involved is forced by a subset of the
 assignment), so the whole assignment is rejected on the spot.
+
+Budgets.  One :class:`~repro.core.enumerate.EnumerationLimits` bounds
+the whole call through the enumerator's own check and error texts.
+``max_behaviors`` bounds the work, counted together: SAT calls, replay
+resolutions and restricted-search pops.  ``max_executions`` bounds the
+distinct behaviors kept.  ``deadline_seconds`` runs from the start of
+the call and is checked at every step of work; ``max_memory_mb`` is
+charged by the restricted search.  A branch past
+``max_nodes_per_thread`` is dropped and counted in ``truncated``, as the
+enumerator does.  A stop is the strict
+:class:`~repro.errors.EnumerationError` with ``reason`` set:
+:func:`solve_behaviors` returns a partial result, ``explain_forbidden``
+raises it.  A single CDCL call is never interrupted.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -46,7 +58,10 @@ from repro.core.enumerate import (
     EnumerationResult,
     EnumerationStats,
     ExhaustionReason,
+    _budget_exhausted,
+    _MemoryAccountant,
     _search,
+    _strict_error,
 )
 from repro.core.execution import Execution
 from repro.core.node import Node
@@ -74,23 +89,16 @@ class _Infeasible(Exception):
     """The current reads-from assignment admits no real execution."""
 
 
-class _Budget(Exception):
-    def __init__(self, reason: ExhaustionReason) -> None:
-        self.reason = reason
-        super().__init__(reason.value)
-
-
-class _Meter:
-    """Deterministic work cap shared across all materializations."""
-
-    def __init__(self, cap: int) -> None:
-        self.spent = 0
-        self.cap = cap
-
-    def tick(self) -> None:
-        self.spent += 1
-        if self.spent > self.cap:
-            raise _Budget(ExhaustionReason.EXECUTION_BUDGET)
+def _step(
+    encoding: Encoding, limits: EnumerationLimits, work: EnumerationStats, start: float
+) -> None:
+    """Count one step of ``work`` (a SAT call or a replay resolution),
+    first raising the enumerator's strict :class:`EnumerationError` if a
+    budget is spent.  Only the restricted :func:`_search` charges memory."""
+    reason = _budget_exhausted(limits, work, start, _MemoryAccountant(None), None)
+    if reason is not None:
+        raise _strict_error(reason, encoding.program, encoding.model, limits)
+    work.explored += 1
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +108,9 @@ class _Meter:
 def _replay(
     encoding: Encoding,
     assignment: dict[int, int | None],
-    stats: SolveStats,
-    meter: _Meter,
+    limits: EnumerationLimits,
+    work: EnumerationStats,
+    start: float,
 ) -> Execution | None:
     """The unique completion of a complete straight-line assignment, or
     ``None``.  Deferral (a load whose target is not yet a candidate —
@@ -122,9 +131,9 @@ def _replay(
             target = assignment[nid]
             if target not in {c.nid for c in candidate_stores(execution, load)}:
                 continue  # possibly resolvable after another load; defer
+            _step(encoding, limits, work, start)
+            work.resolutions += 1
             child = execution.copy()
-            meter.tick()
-            stats.resolutions += 1
             try:
                 child.resolve_load(nid, target)
             except (CycleError, AtomicityViolation):
@@ -141,19 +150,17 @@ def _replay(
         return None
 
 
-#: The shared :class:`_Meter` is the restricted search's only cap.
-_UNBOUNDED = EnumerationLimits(max_behaviors=sys.maxsize, max_executions=sys.maxsize)
-
-
 def _search_restricted(
     encoding: Encoding,
     assignment: dict[int, int | None],
-    stats: SolveStats,
-    meter: _Meter,
+    limits: EnumerationLimits,
+    work: EnumerationStats,
+    start: float,
 ) -> list[Execution]:
     """The engine's own branching search, restricted to ``assignment``:
     skeleton loads may only read their assigned source (``None`` = any
-    store materialized past a branch), post-branch loads are free."""
+    store materialized past a branch), post-branch loads are free.  Every
+    pop is one step of ``work``."""
     skeleton_size = len(encoding.base.graph)
 
     def assigned_candidates(execution: Execution, load: Node, _stats) -> list[Node]:
@@ -165,31 +172,24 @@ def _search_restricted(
             return [store for store in stores if store.nid >= skeleton_size]
         return [store for store in stores if store.nid == target]
 
-    def metered_resolve(child: Execution, load_nid: int, store_nid: int) -> None:
-        meter.tick()
-        stats.resolutions += 1
-        try:
-            child.resolve_load(load_nid, store_nid)
-        except EnumerationError:
-            raise _Budget(ExhaustionReason.EXECUTION_BUDGET) from None
-
     base = encoding.base
     return _search(
-        base.program, base.model, _UNBOUNDED, dedup=True, strict=True, token=None,
-        worklist=[base.copy()], seen_states=set(), finished={}, stats=EnumerationStats(),
-        candidates=assigned_candidates, resolve=metered_resolve,
+        base.program, base.model, limits, dedup=True, strict=True, token=None,
+        worklist=[base.copy()], seen_states=set(), finished={}, stats=work,
+        candidates=assigned_candidates, start=start,
     ).executions
 
 
 def _materialize(
     encoding: Encoding,
     assignment: dict[int, int | None],
-    stats: SolveStats,
-    meter: _Meter,
+    limits: EnumerationLimits,
+    work: EnumerationStats,
+    start: float,
 ) -> list[Execution]:
     if encoding.has_extension:
-        return _search_restricted(encoding, assignment, stats, meter)
-    execution = _replay(encoding, assignment, stats, meter)
+        return _search_restricted(encoding, assignment, limits, work, start)
+    execution = _replay(encoding, assignment, limits, work, start)
     return [] if execution is None else [execution]
 
 
@@ -220,36 +220,32 @@ def solve_behaviors_with_stats(
     )
     solver = encoding.solver
     stats = SolveStats()
-    meter = _Meter(limits.max_executions)
+    work = EnumerationStats()
     behaviors: dict[str, Execution] = {}
-    complete = True
     reason: ExhaustionReason | None = None
     try:
         while True:
-            if len(behaviors) >= limits.max_behaviors:
-                raise _Budget(ExhaustionReason.BEHAVIOR_BUDGET)
-            if stats.proposals >= limits.max_executions:
-                raise _Budget(ExhaustionReason.EXECUTION_BUDGET)
-            if (
-                limits.deadline_seconds is not None
-                and time.monotonic() - start >= limits.deadline_seconds
-            ):
-                raise _Budget(ExhaustionReason.DEADLINE)
+            _step(encoding, limits, work, start)
             if not solver.solve():
                 break
             stats.proposals += 1
             assignment = encoding.rf_assignment()
-            materialized = _materialize(encoding, assignment, stats, meter)
+            materialized = _materialize(encoding, assignment, limits, work, start)
             if materialized:
                 stats.feasible += 1
             else:
                 stats.infeasible += 1
             for execution in materialized:
-                behaviors.setdefault(repr(execution.loadstore_key()), execution)
+                key = repr(execution.loadstore_key())
+                if key not in behaviors and len(behaviors) >= limits.max_executions:
+                    raise _strict_error(ExhaustionReason.EXECUTION_BUDGET, program, model, limits)
+                behaviors.setdefault(key, execution)
             encoding.block(assignment)
-    except _Budget as budget:
-        complete = False
-        reason = budget.reason
+    except EnumerationError as stop:
+        if not isinstance(stop.reason, ExhaustionReason):
+            raise
+        reason = stop.reason
+    stats.resolutions = work.resolutions
     stats.behaviors = len(behaviors)
     stats.conflicts = solver.conflicts
     stats.decisions = solver.decisions
@@ -261,13 +257,14 @@ def solve_behaviors_with_stats(
         completed=stats.feasible,
         stuck=stats.infeasible,
         branched=0,
+        truncated=work.truncated,
     )
     result = EnumerationResult(
         program=program,
         model=model,
         executions=executions,
         stats=enumeration_stats,
-        complete=complete,
+        complete=reason is None,
         reason=reason,
     )
     return result, stats

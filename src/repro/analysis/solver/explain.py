@@ -25,9 +25,10 @@ witness execution.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
-from repro.analysis.solver.behaviors import _materialize, _Meter
+from repro.analysis.solver.behaviors import _materialize, _step
 from repro.analysis.solver.encode import (
     ClauseGroup,
     Encoding,
@@ -36,10 +37,9 @@ from repro.analysis.solver.encode import (
     _short,
     encode_program,
 )
-from repro.core.enumerate import EnumerationLimits
+from repro.core.enumerate import EnumerationLimits, EnumerationStats
 from repro.core.execution import Execution
 from repro.core.node import Node
-from repro.errors import EnumerationError
 from repro.isa.instructions import OpClass
 from repro.isa.operands import Value
 from repro.litmus.conditions import And, Expr, RegisterAtom
@@ -333,7 +333,11 @@ def explain_forbidden(
     limits: EnumerationLimits | None = None,
 ) -> ForbiddenExplanation:
     """Decide reachability of ``test``'s outcome expression under
-    ``model`` and explain the verdict (see the module docstring)."""
+    ``model`` and explain the verdict (see the module docstring).
+
+    ``limits`` bound it as they bound ``solve_behaviors``, but strictly:
+    a spent budget raises :class:`~repro.errors.EnumerationError`."""
+    start = time.monotonic()
     if isinstance(model, str):
         model = get_model(model)
     if limits is None:
@@ -357,22 +361,15 @@ def explain_forbidden(
         allowed_map = _restrict_outcome(encoding, atoms, outcome_group)
 
     assumptions = encoding.selectors()
-    meter = _Meter(limits.max_executions)
-    from repro.analysis.solver.behaviors import SolveStats
-
-    stats = SolveStats()
+    work = EnumerationStats()
     locations = test.condition.locations()
     blocked = 0
     while True:
-        if blocked > limits.max_executions:
-            raise EnumerationError(
-                f"explain: exceeded {limits.max_executions} rejected "
-                f"reads-from assignments for {test.name} under {model.name}"
-            )
+        _step(encoding, limits, work, start)
         if not solver.solve(assumptions):
             break
         assignment = encoding.rf_assignment()
-        for execution in _materialize(encoding, assignment, stats, meter):
+        for execution in _materialize(encoding, assignment, limits, work, start):
             registers = execution.final_registers()
             for memory in realizable_final_memory(execution, locations):
                 if test.condition.holds_in(registers, memory):

@@ -1131,9 +1131,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--forbidden",
         action="store_true",
         help="certify the outcome with the constraint solver: a minimal "
-        "violated-axiom unsat core plus a forced-ordering cycle witness",
+        "violated-axiom unsat core plus a forced-ordering cycle witness; "
+        "--max-nodes and --deadline apply only with --forbidden",
     )
-    add_common(p_explain)
+    add_common(p_explain, partial=False)
     p_explain.set_defaults(func=cmd_explain)
 
     p_solve = sub.add_parser(

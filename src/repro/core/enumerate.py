@@ -537,14 +537,17 @@ def _search(
     eligible=_eligible,
     candidates=_candidates,
     resolve=_resolve,
+    start: float | None = None,
 ) -> EnumerationResult:
     """The one Load-Resolution loop.  The well-sync check, value
     speculation and the solver's branchy replay reuse it by replacing
     the hooks: ``eligible(behavior)`` lists the loads to branch on,
     ``candidates(behavior, load, stats)`` their stores, and
     ``resolve(child, load_nid, store_nid)`` applies one choice to a copy
-    (raising CycleError or AtomicityViolation to roll it back)."""
-    start = time.monotonic()
+    (raising CycleError or AtomicityViolation to roll it back).  The
+    deadline runs from ``start``: now, unless the caller's budget began
+    earlier."""
+    start = time.monotonic() if start is None else start
     accountant = _MemoryAccountant(limits.max_memory_mb)
     if accountant.limit_bytes is not None:
         for queued in worklist:
@@ -554,7 +557,7 @@ def _search(
 
     reason: ExhaustionReason | None = None
     while worklist:
-        reason = _budget_exhausted(limits, stats, finished, start, accountant, token)
+        reason = _budget_exhausted(limits, stats, start, accountant, token)
         if reason is not None:
             if strict:
                 raise _strict_error(reason, program, model, limits)
@@ -677,12 +680,11 @@ def _branch(
 def _budget_exhausted(
     limits: EnumerationLimits,
     stats: EnumerationStats,
-    finished: dict,
     start: float,
     accountant: _MemoryAccountant,
     token: CancellationToken | None,
 ) -> ExhaustionReason | None:
-    """The pre-pop budget check, cheapest test first."""
+    """The one budget check (before each pop, and each solver step), cheapest test first."""
     if token is not None and token.cancelled:
         return ExhaustionReason.CANCELLED
     if stats.explored >= limits.max_behaviors:

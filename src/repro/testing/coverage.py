@@ -891,8 +891,7 @@ def run_guided_campaign(
     byte-identical to an uninterrupted one of the same total budget.
     """
     from repro.experiments.base import parallel_map
-    from repro.testing.corpus import CorpusEntry, save_entry
-    from repro.testing.fuzz import minimize_discrepancy, _renamed
+    from repro.testing.fuzz import _shrink_and_bank
 
     if profile != MIXED:
         get_profile(profile)
@@ -969,19 +968,12 @@ def run_guided_campaign(
                 continue
             program = assemble(verdict["text"]).program
             for discrepancy in verdict["discrepancies"]:
-                result = minimize_discrepancy(program, discrepancy)
-                path = None
-                if corpus_dir is not None:
-                    entry = CorpusEntry(
-                        program=_renamed(result.program, f"{program.name}-min"),
-                        seed=verdict["seed"],
-                        profile=verdict["profile"],
-                        oracle=discrepancy.oracle,
-                        note=f"minimized from {result.original_instructions} "
-                        f"instructions (guided campaign)",
+                report.minimized.append(
+                    _shrink_and_bank(
+                        program, discrepancy, verdict["seed"], verdict["profile"],
+                        corpus_dir, note_suffix=" (guided campaign)",
                     )
-                    path = save_entry(entry, corpus_dir)
-                report.minimized.append((discrepancy, result, path))
+                )
     return report
 
 

@@ -186,19 +186,41 @@ def run_campaign(
         for verdict in verdicts:
             for discrepancy in verdict.discrepancies:
                 program = generate_program(verdict.seed, get_profile(verdict.profile))
-                result = minimize_discrepancy(program, discrepancy)
-                path = None
-                if corpus_dir is not None:
-                    entry = CorpusEntry(
-                        program=_renamed(result.program, f"{program.name}-min"),
-                        seed=verdict.seed,
-                        profile=verdict.profile,
-                        oracle=discrepancy.oracle,
-                        note=f"minimized from {result.original_instructions} instructions",
+                report.minimized.append(
+                    _shrink_and_bank(
+                        program, discrepancy, verdict.seed, verdict.profile, corpus_dir
                     )
-                    path = save_entry(entry, corpus_dir)
-                report.minimized.append((discrepancy, result, path))
+                )
     return report
+
+
+def _shrink_and_bank(
+    program: Program,
+    discrepancy: Discrepancy,
+    seed: int,
+    profile: str,
+    corpus_dir: Path | None,
+    *,
+    note_suffix: str = "",
+    mutant: str | None = None,
+) -> tuple[Discrepancy, ShrinkResult, Path | None]:
+    """Minimize ``program`` against ``discrepancy``'s oracle and bank the
+    reproducer as ``<name>-min`` in ``corpus_dir``, if given."""
+    result = minimize_discrepancy(program, discrepancy)
+    path = None
+    if corpus_dir is not None:
+        shrunk = result.program
+        entry = CorpusEntry(
+            program=Program(shrunk.threads, dict(shrunk.initial_memory), f"{program.name}-min"),
+            seed=seed,
+            profile=profile,
+            oracle=discrepancy.oracle,
+            mutant=mutant,
+            note=f"minimized from {result.original_instructions} instructions"
+            + note_suffix,
+        )
+        path = save_entry(entry, corpus_dir)
+    return discrepancy, result, path
 
 
 def minimize_discrepancy(program: Program, discrepancy: Discrepancy) -> ShrinkResult:
@@ -210,10 +232,6 @@ def minimize_discrepancy(program: Program, discrepancy: Discrepancy) -> ShrinkRe
         return bool(found)
 
     return shrink(program, still_fails)
-
-
-def _renamed(program: Program, name: str) -> Program:
-    return Program(program.threads, dict(program.initial_memory), name)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +320,11 @@ def hunt_mutant(
         if not do_shrink:
             return kill
         program = generate_program(detection.seed, get_profile(detection.profile))
-        result = minimize_discrepancy(program, discrepancy)
-        kill.shrink_result = result
-
-        if corpus_dir is not None:
-            entry = CorpusEntry(
-                program=_renamed(result.program, f"{program.name}-min"),
-                seed=detection.seed,
-                profile=detection.profile,
-                oracle=discrepancy.oracle,
-                mutant=mutant.name,
-                note=f"minimized from {result.original_instructions} instructions",
-            )
-            kill.corpus_path = save_entry(entry, corpus_dir)
+        _, kill.shrink_result, kill.corpus_path = _shrink_and_bank(
+            program, discrepancy, detection.seed, detection.profile, corpus_dir,
+            mutant=mutant.name,
+        )
+        if kill.corpus_path is not None:
             kill.replay_fails_under_mutant = bool(
                 replay_path(kill.corpus_path, mutated=True)[0]
             )

@@ -201,6 +201,26 @@ class TestWellsync:
         assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
+class TestExplain:
+    def test_exhausted_deadline_exits_2(self, capsys):
+        assert main(["explain", "SB", "-m", "sc", "--forbidden", "--deadline", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error: exceeded the 0.0s deadline for 'SB'" in captured.err
+        assert "FORBIDDEN" not in captured.out
+
+    def test_shows_only_the_flags_it_honours(self, capsys):
+        """``explain --forbidden`` is always strict: the deadline help
+        promises the exit 2, not a partial result, and says which mode
+        reads the budget flags."""
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--strict" not in text and "partial result" not in text
+        assert "an exhausted deadline exits 2 with 'error:'" in text
+        assert "--max-nodes and --deadline apply only with --forbidden" in text
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     (action,) = [
         action

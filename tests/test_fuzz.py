@@ -13,6 +13,7 @@ from repro.isa.disassembler import disassemble
 from repro.isa.instructions import Store
 from repro.isa.operands import Const
 from repro.testing.corpus import CorpusEntry, load_entry, save_entry
+from repro.testing.coverage import run_guided_campaign
 from repro.testing.fuzz import (
     MutantKill,
     campaign_items,
@@ -183,6 +184,32 @@ class TestCampaign:
         text = report.summary()
         assert "programs checked : 2" in text
         assert "discrepancies    : 0" in text
+
+    def test_both_campaigns_bank_minimized_reproducers(self, tmp_path):
+        """Under a mutant, the blind and the guided campaign shrink each
+        counterexample and bank it as ``<name>-min``; the guided one says
+        so in the note.  File names and texts are pinned byte for byte."""
+        oracles = ("axiomatic-vs-sc",)
+        with get_mutant("candidates-drop-init").applied():
+            blind = run_campaign(0, 6, oracle_names=oracles, corpus_dir=tmp_path / "blind")
+            guided = run_guided_campaign(
+                tmp_path / "campaign", 0, 6, oracle_names=oracles, batch_size=6,
+                corpus_dir=tmp_path / "guided", fsync=False,
+            )
+        assert [path.name for _, _, path in blind.minimized] == ["fz-fences-5-min.litmus"]
+        assert (tmp_path / "blind" / "fz-fences-5-min.litmus").read_text() == (
+            "# fuzz-seed: 5\n# fuzz-profile: fences\n# fuzz-oracle: axiomatic-vs-sc\n"
+            "# fuzz-note: minimized from 4 instructions\n"
+            "test fz-fences-5-min\n\nthread P0\n    r1 = L x\n\nthread P1\n    S x, 1\n"
+        )
+        notes = {
+            path.name: load_entry(path).note for _, _, path in guided.minimized
+        }
+        assert notes == {
+            "fz-default-6-min.litmus": "minimized from 7 instructions (guided campaign)",
+            "fz-dataflow-12-min.litmus": "minimized from 15 instructions (guided campaign)",
+            "fz-branchy-18-min.litmus": "minimized from 10 instructions (guided campaign)",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ Last, the three worklists that copied the enumerator's loop before the
 well-sync check, value speculation and the solver's branchy replay ran
 through its ``_search``: ``reference_check_well_synchronized``,
 ``reference_enumerate_value_speculation`` and
-``reference_search_restricted``, verbatim apart from their names (and
-the solver's two private names qualified).  Races in order and
+``reference_search_restricted``, verbatim apart from their names (the
+last also keeps its own copy of the solver's work counting and budget
+stops, and drops node-limit branches as truncated).  Races in order and
 ``resolutions_checked``, value-speculation keys and counters (all but
 ``branched``, which the old loop never counted), and the solver's
 ``SolveStats`` and keys must all be the same.
@@ -49,7 +50,7 @@ import pytest
 from repro.analysis.delays import _collect_accesses as delay_accesses
 from repro.analysis.delays import find_critical_cycles as delay_cycles
 from repro.analysis.solver import behaviors as solver_behaviors
-from repro.analysis.solver.behaviors import SolveStats, solve_behaviors_with_stats
+from repro.analysis.solver.behaviors import solve_behaviors_with_stats
 from repro.analysis.solver.encode import Encoding
 from repro.analysis.static import (
     analyze_program,
@@ -71,7 +72,12 @@ from repro.analysis.wellsync import RaceReport, WellSyncReport, check_well_synch
 from repro.core import enumerate as engine
 from repro.core.atomicity import close_store_atomicity
 from repro.core.candidates import candidate_stores
-from repro.core.enumerate import EnumerationLimits, ExhaustionReason, enumerate_behaviors
+from repro.core.enumerate import (
+    EnumerationLimits,
+    EnumerationStats,
+    ExhaustionReason,
+    enumerate_behaviors,
+)
 from repro.core.execution import Execution
 from repro.core.graph import EdgeKind
 from repro.core.valuespec import (
@@ -1182,17 +1188,30 @@ def reference_enumerate_value_speculation(
 def reference_search_restricted(
     encoding: Encoding,
     assignment: dict[int, int | None],
-    stats: SolveStats,
-    meter: solver_behaviors._Meter,
+    limits: EnumerationLimits,
+    work: EnumerationStats,
+    start: float,
 ) -> list[Execution]:
     skeleton_size = len(encoding.base.graph)
     found: dict[str, Execution] = {}
     seen: set[bytes] = set()
     stack = [encoding.base.copy()]
     while stack:
+        # The solver's work counting, kept here: every pop is one step
+        # of ``work`` against ``max_behaviors``, and at most
+        # ``max_executions`` behaviors are kept (FUZZ_LIMITS sets no
+        # deadline or memory budget).
+        if work.explored >= limits.max_behaviors:
+            raise EnumerationError("behavior budget", reason=ExhaustionReason.BEHAVIOR_BUDGET)
         execution = stack.pop()
+        work.explored += 1
         if execution.completed():
-            found.setdefault(repr(execution.loadstore_key()), execution)
+            key = repr(execution.loadstore_key())
+            if key not in found and len(found) >= limits.max_executions:
+                raise EnumerationError(
+                    "execution budget", reason=ExhaustionReason.EXECUTION_BUDGET
+                )
+            found.setdefault(key, execution)
             continue
         for load in execution.eligible_loads():
             nid = load.nid
@@ -1204,17 +1223,15 @@ def reference_search_restricted(
                             continue
                     elif store.nid != target:
                         continue
+                work.resolutions += 1
                 child = execution.copy()
-                meter.tick()
-                stats.resolutions += 1
                 try:
                     child.resolve_load(nid, store.nid)
                 except (CycleError, AtomicityViolation):
                     continue
                 except EnumerationError:
-                    raise solver_behaviors._Budget(
-                        ExhaustionReason.EXECUTION_BUDGET
-                    ) from None
+                    work.truncated += 1
+                    continue
                 key = child.dedup_digest()
                 if key not in seen:
                     seen.add(key)
@@ -1299,13 +1316,15 @@ def _solve_outcome(program: Program, model_name: str):
         asdict(stats),
         result.complete,
         result.reason,
+        result.stats.truncated,
         [execution.loadstore_key() for execution in result.executions],
     )
 
 
 @pytest.mark.slow
 def test_solver_restricted_search_matches_reference(monkeypatch):
-    """``SolveStats`` and keys on every branchy program, all four models."""
+    """``SolveStats``, completeness, truncation and keys on every branchy
+    program, all four models."""
     cases = [
         (program, model_name)
         for program in _resolution_programs()

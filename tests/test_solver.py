@@ -28,6 +28,7 @@ from repro.analysis.solver import (
 )
 from repro.analysis.solver.sat import _UNDEF, _luby
 from repro.core.enumerate import EnumerationLimits, ExhaustionReason, enumerate_behaviors
+from repro.errors import EnumerationError
 from repro.experiments.scaling import chain_program
 from repro.litmus.library import all_tests, get_test
 from repro.litmus.runner import run_litmus
@@ -440,6 +441,49 @@ def test_solve_cli_reports_an_exhausted_deadline(capsys):
     main(["solve", "IRIW", "-m", "weak", "--deadline", "0.001"])
     out = capsys.readouterr().out
     assert "[partial (deadline)]" in out and "[complete]" not in out
+
+
+#: Node limits at which the branchy library tests truncate, and the default.
+NODE_LIMITS = (3, 4, 5, 6, 8, 64)
+
+
+def test_solver_completeness_matches_enumerator_at_the_node_limit():
+    """A branch past ``max_nodes_per_thread`` is dropped and counted in
+    ``truncated`` by both searches; it is not a budget stop.  On every
+    branchy library test, model and node limit, the solver's
+    ``complete`` flag and behaviors equal the enumerator's."""
+    compared = truncated = 0
+    for test in all_tests():
+        if not test.program.has_branches():
+            continue
+        for model_name, max_nodes in itertools.product(MODELS, NODE_LIMITS):
+            limits = EnumerationLimits(max_nodes_per_thread=max_nodes)
+            try:
+                enumerated = enumerate_behaviors(test.program, get_model(model_name), limits)
+            except EnumerationError:
+                # The skeleton itself exceeds the limit: both refuse.
+                with pytest.raises(EnumerationError):
+                    solve_behaviors(test.program, model_name, limits)
+                continue
+            solved = solve_behaviors(test.program, model_name, limits)
+            assert (solved.complete, _keys(solved)) == (
+                enumerated.complete,
+                _keys(enumerated),
+            ), (test.name, model_name, max_nodes)
+            compared += 1
+            truncated += solved.stats.truncated > 0
+    assert compared == 116
+    assert truncated > 0
+
+
+def test_explain_forbidden_honours_the_deadline():
+    """``explain_forbidden`` is strict: an exhausted deadline raises
+    with ``reason=DEADLINE`` instead of returning a verdict."""
+    for test in all_tests():
+        for model_name in ("sc", "tso", "weak"):
+            with pytest.raises(EnumerationError) as exc:
+                explain_forbidden(test, model_name, EnumerationLimits(deadline_seconds=0.0))
+            assert exc.value.reason is ExhaustionReason.DEADLINE, (test.name, model_name)
 
 
 def test_encoding_has_selector_groups():
