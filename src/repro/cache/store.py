@@ -7,9 +7,10 @@ be memoized under the canonical
 forever.  An entry is written once and never updated, so
 :class:`BehaviorCache` keeps one file per key, ``<dir>/<key hex>.bin``,
 fronted by a per-process LRU of decoded results (repeat hits inside one
-process pay a dict lookup, not an unpickle).  Entry layout::
+process pay a dict lookup, not an unpickle).  An entry is a
+:func:`~repro.storage.seal`-ed payload::
 
-    magic[4] = b"RBEH"  version[1]  blake2b-8(payload)[8]  payload
+    magic[4] = b"RBEH"  version[1] = 1  blake2b-8(payload)[8]  payload
 
 where ``payload`` is two pickles back to back.  The first is the entry
 header ``{"version", "key", "request"}``: the payload version, the cache
@@ -50,7 +51,6 @@ Safety model
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import pickle
@@ -66,7 +66,7 @@ from repro.core.enumerate import (
 )
 from repro.core.serialization import behavior_cache_key
 from repro.errors import CacheError, CacheIntegrityWarning
-from repro.storage import atomic_write
+from repro.storage import atomic_write, seal, unseal
 
 #: Version stamped into every pickled payload; unknown versions decode
 #: to misses (a cache directory is shareable across builds, not a
@@ -78,13 +78,9 @@ from repro.storage import atomic_write
 CACHE_PAYLOAD_VERSION = 3
 
 _ENTRY_SUFFIX = ".bin"
-_HEADER = b"RBEH\x01"  #: magic ("repro behaviors") + entry format version
-_CHECKSUM_SIZE = 8
+_MAGIC = b"RBEH"  #: "repro behaviors"
+_ENTRY_VERSION = 1  #: the sealed framing's version byte
 _LRU_SIZE = 128  #: decoded entries kept per process
-
-
-def _payload_checksum(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=_CHECKSUM_SIZE).digest()
 
 
 class _RequestPickler(pickle.Pickler):
@@ -261,12 +257,10 @@ class BehaviorCache:
         )
 
     def _decode(self, key: bytes, raw: bytes, request: tuple | None) -> CachedBehaviors | None:
-        checksum_end = len(_HEADER) + _CHECKSUM_SIZE
-        if raw[: len(_HEADER)] != _HEADER:
-            return self._damaged(key, "has an unrecognized header")
-        payload = raw[checksum_end:]
-        if _payload_checksum(payload) != raw[len(_HEADER) : checksum_end]:
-            return self._damaged(key, "failed its checksum")
+        try:
+            payload = unseal(_MAGIC, _ENTRY_VERSION, raw)
+        except ValueError as exc:
+            return self._damaged(key, str(exc))
         stream = io.BytesIO(payload)
         try:
             header = pickle.load(stream)
@@ -315,7 +309,7 @@ class BehaviorCache:
             self.counters.duplicate_puts += 1
             return False
         payload = _encode(key, program, model, limits, executions, stats)
-        data = _HEADER + _payload_checksum(payload) + payload
+        data = seal(_MAGIC, _ENTRY_VERSION, payload)
         try:
             try:
                 atomic_write(path, data, fsync=False)

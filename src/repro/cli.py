@@ -698,7 +698,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.campaign_dir:
         from repro.testing.coverage import DEFAULT_BATCH_SIZE, run_guided_campaign
 
-        guided = run_guided_campaign(
+        report = run_guided_campaign(
             campaign_dir=Path(args.campaign_dir),
             seed=args.seed,
             budget=args.budget,
@@ -710,17 +710,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             resume=args.resume,
             batch_size=args.batch_size or DEFAULT_BATCH_SIZE,
         )
-        print(guided.summary())
-        return 0 if guided.clean else 1
-    report = run_campaign(
-        seed=args.seed,
-        budget=args.budget,
-        profile=args.profile,
-        jobs=args.jobs,
-        do_shrink=not args.no_shrink,
-        corpus_dir=corpus_dir,
-        cache_dir=cache_dir,
-    )
+    else:
+        report = run_campaign(
+            seed=args.seed,
+            budget=args.budget,
+            profile=args.profile,
+            jobs=args.jobs,
+            do_shrink=not args.no_shrink,
+            corpus_dir=corpus_dir,
+            cache_dir=cache_dir,
+        )
     print(report.summary())
     return 0 if report.clean else 1
 
@@ -915,15 +914,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="memory model name (repeatable)",
     )
     p_analyze.add_argument(
-        "--precise",
-        action="store_true",
-        help="use the dataflow layer for alias/constant precision (default)",
-    )
-    p_analyze.add_argument(
         "--syntactic",
         action="store_true",
-        help="disable the dataflow layer (PR-2 behavior: dynamic "
-        "addresses alias everything)",
+        help="disable the dataflow layer, which is on by default "
+        "(dynamic addresses then alias everything)",
     )
     p_analyze.add_argument(
         "--jobs",

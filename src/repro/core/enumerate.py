@@ -56,7 +56,7 @@ from repro.core.candidates import candidate_stores
 from repro.core.execution import Execution
 from repro.isa.program import Program
 from repro.models.base import MemoryModel
-from repro.storage import atomic_write
+from repro.storage import atomic_write, seal, unseal
 
 if TYPE_CHECKING:
     from repro.cache.store import BehaviorCache
@@ -132,9 +132,9 @@ class EnumerationStats:
         return self.explored == self.completed + self.stuck + self.branched
 
 
-#: Version stamped into every saved checkpoint.  Bump it whenever the
-#: pickled layout changes incompatibly; :meth:`EnumerationCheckpoint.load`
-#: rejects anything it does not positively recognize.  Version 2:
+#: Version stamped into every saved checkpoint's sealed framing.  Bump it
+#: whenever the pickled layout changes incompatibly;
+#: :meth:`EnumerationCheckpoint.load` rejects any other version.  Version 2:
 #: ``Node`` gained construction-time slots that version-1 pickles lack.
 #: Version 3: the ``dedup_exact`` field is gone — every dedup set holds
 #: digests, and a version-2 checkpoint may hold full-tuple keys instead.
@@ -144,10 +144,12 @@ class EnumerationStats:
 #: Version 5: the search branches on one stable load where it can
 #: (:func:`_stable_eligible`), so a version-4 worklist is a prefix of
 #: another search and its dedup set holds states this one never reaches.
-CHECKPOINT_FORMAT_VERSION = 5
+#: Version 6: the pickle is :func:`~repro.storage.seal`-ed (magic, version
+#: byte, blake2b-8 of the payload), so a damaged file is refused before
+#: it is unpickled; versions 1–5 were bare pickles.
+CHECKPOINT_FORMAT_VERSION = 6
 
-#: Versions this build can still resume from.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({CHECKPOINT_FORMAT_VERSION})
+_CHECKPOINT_MAGIC = b"RCKP"  #: "repro checkpoint"
 
 
 @dataclass
@@ -159,10 +161,10 @@ class EnumerationCheckpoint:
     search exactly where it stopped, so a resumed run reaches the same
     behavior set as an unbudgeted run would have.
 
-    ``format_version`` stamps the on-disk layout: :meth:`load` refuses a
-    checkpoint whose version is missing (pre-versioning file) or unknown
-    (written by a newer build) with a clear :class:`EnumerationError`
-    instead of resuming from undefined unpickle behavior.
+    On disk the checkpoint is a sealed pickle: :meth:`load` refuses a
+    file whose framing, :data:`CHECKPOINT_FORMAT_VERSION` or checksum
+    does not match with a clear :class:`EnumerationError` instead of
+    unpickling damaged or foreign bytes.
     """
 
     program: Program
@@ -173,27 +175,39 @@ class EnumerationCheckpoint:
     seen_states: set
     finished: dict
     stats: EnumerationStats
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
     def save(self, path: str | Path) -> None:
-        """Serialize the checkpoint to ``path`` (pickle format) with
+        """Serialize the checkpoint to ``path`` (a sealed pickle) with
         :func:`~repro.storage.atomic_write`: a run killed mid-save can
         never leave a truncated checkpoint behind (at worst the previous
         complete one survives)."""
-        atomic_write(path, pickle.dumps(self), fsync=False)
+        data = seal(_CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, pickle.dumps(self))
+        atomic_write(path, data, fsync=False)
 
     @staticmethod
     def load(path: str | Path) -> "EnumerationCheckpoint":
         """Load a checkpoint previously written by :meth:`save`."""
         try:
-            with open(path, "rb") as handle:
-                checkpoint = pickle.load(handle)
+            payload = unseal(
+                _CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, Path(path).read_bytes()
+            )
+        except OSError as exc:
+            raise EnumerationError(
+                f"cannot load checkpoint {str(path)!r}: {exc}"
+            ) from exc
+        except ValueError as exc:
+            raise EnumerationError(
+                f"checkpoint {str(path)!r} {exc}; this build supports "
+                f"version {CHECKPOINT_FORMAT_VERSION} — re-run the original "
+                f"enumeration instead of resuming"
+            ) from exc
+        try:
+            checkpoint = pickle.loads(payload)
         except (
-            OSError,
             pickle.UnpicklingError,
             EOFError,
-            # Corrupt/truncated streams surface as any of these from the
-            # pickle VM, not just UnpicklingError:
+            # A sealed payload this build cannot rebuild (a layout change
+            # without a version bump) surfaces as any of these:
             ValueError,
             AttributeError,
             ImportError,
@@ -206,18 +220,6 @@ class EnumerationCheckpoint:
             raise EnumerationError(
                 f"{str(path)!r} does not contain an enumeration checkpoint "
                 f"(found {type(checkpoint).__name__})"
-            )
-        # The version must be present in the *instance* state: pickle
-        # restores __dict__ directly, so an unversioned (pre-PR-6) file
-        # would otherwise silently inherit the class default.
-        version = vars(checkpoint).get("format_version")
-        if version not in SUPPORTED_CHECKPOINT_VERSIONS:
-            supported = ", ".join(str(v) for v in sorted(SUPPORTED_CHECKPOINT_VERSIONS))
-            described = "no format version" if version is None else f"version {version!r}"
-            raise EnumerationError(
-                f"checkpoint {str(path)!r} has {described}; this build "
-                f"supports version(s) {supported} — re-run the original "
-                f"enumeration instead of resuming"
             )
         return checkpoint
 

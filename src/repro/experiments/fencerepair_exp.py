@@ -5,7 +5,10 @@ model) pair the purely static set-cover repair of
 :mod:`repro.analysis.static.fencerepair` returns *byte-identical*
 minimal fence sets to the enumerative ground truth
 ``synthesize_fences(..., target="robust")`` — same solutions, same
-order — while running orders of magnitude faster.  Alongside it:
+order.  Both sweeps are timed and the ratio is reported in the details,
+but no claim rests on wall-clock time: the ≥10x floor is enforced by
+the fencesynth gate of ``benchmarks/gates.py`` (``MIN_FENCE_SPEEDUP``),
+which times the same sweep.  Alongside it:
 
 * every static **SC-robust** certificate is confirmed by enumeration
   (the model's behavior signature collapses to SC's),
@@ -215,15 +218,7 @@ def run() -> ExperimentResult:
         sb_step.verdict,
     )
 
-    # -- the speedup claim ---------------------------------------------
     speedup = enum_seconds / static_seconds if static_seconds > 0 else float("inf")
-    result.claim(
-        "the static sweep is at least 10x faster than the enumerative "
-        "sweep over the full library",
-        True,
-        speedup >= 10.0,
-    )
-
     robust_pairs = sum(
         1 for repair in static_results.values() if repair.already_robust
     )
@@ -232,7 +227,8 @@ def run() -> ExperimentResult:
             f"pairs: {pairs} ({len(tests)} tests x {len(MODELS)} models), "
             f"{robust_pairs} already robust",
             f"static sweep: {static_seconds:.3f}s   "
-            f"enumerative sweep: {enum_seconds:.3f}s   speedup: {speedup:.1f}x",
+            f"enumerative sweep: {enum_seconds:.3f}s   speedup: {speedup:.1f}x "
+            f"(floor enforced by benchmarks/gates.py, not here)",
             "",
             static_results[("MP", "weak")].summary(),
             static_results[("MP", "pso")].summary(),

@@ -9,7 +9,11 @@
 * :mod:`repro.testing.shrink` — delta-debugging counterexample minimizer.
 * :mod:`repro.testing.corpus` — replayable ``tests/corpus/`` file format.
 * :mod:`repro.testing.mutants` — seeded bugs for mutation-kill proofs.
-* :mod:`repro.testing.fuzz` — campaign driver behind ``repro fuzz``.
+* :mod:`repro.testing.coverage` — the one fuzz work unit
+  (:func:`~repro.testing.coverage.guided_one` and its verdict dict),
+  the coverage grid, and the resumable guided campaign.
+* :mod:`repro.testing.fuzz` — the blind stream, the mutation hunt, the
+  one report and shrink path, and corpus replay behind ``repro fuzz``.
 """
 
 from repro.testing.corpus import CorpusEntry, load_corpus, load_entry, save_entry
@@ -24,7 +28,6 @@ from repro.testing.faults import (
 from repro.testing.fuzz import (
     CampaignReport,
     MutantKill,
-    ProgramVerdict,
     run_campaign,
     run_mutation_kill,
 )
@@ -49,7 +52,6 @@ __all__ = [
     "ORACLES",
     "Oracle",
     "PROFILES",
-    "ProgramVerdict",
     "ShrinkResult",
     "generate_program",
     "get_mutant",

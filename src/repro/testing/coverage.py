@@ -50,6 +50,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
+from typing import ClassVar
 
 from repro.errors import ReproError
 from repro.isa.assembler import assemble
@@ -59,6 +60,7 @@ from repro.isa.operands import Const, Reg
 from repro.isa.program import Program, Thread
 from repro.service.wal import WriteAheadLog, replay_wal
 from repro.storage import atomic_write, checksum
+from repro.testing.fuzz import CampaignReport, run_campaign
 from repro.testing.fuzzgen import (
     MIXED,
     MIXED_ORDER,
@@ -71,7 +73,6 @@ from repro.testing.fuzzgen import (
 from repro.testing.oracles import (
     FUZZ_LIMITS,
     ORACLES,
-    Discrepancy,
     OracleContext,
     get_oracle,
     run_oracles,
@@ -86,12 +87,13 @@ WAL_FILE = "campaign.wal"
 CORPUS_SUBDIR = "corpus"
 
 DEFAULT_BATCH_SIZE = 12
-DEFAULT_MUTATE_RATE = 0.45
-DEFAULT_CORPUS_LIMIT = 256
+MUTATE_RATE = 0.45  #: chance a slot's first attempts mutate a corpus entry
+CORPUS_LIMIT = 256  #: mutation-corpus entries kept per campaign
 
 #: Format 2: the seen-program set is an exact sorted list of digest
-#: prefixes (format 1 held a bloom filter).
-_STATE_FORMAT = 2
+#: prefixes (format 1 held a bloom filter).  Format 3: the config no
+#: longer carries the mutation rate and corpus limit (both constants).
+_STATE_FORMAT = 3
 _PLAN_ATTEMPTS = 6  #: dedup retries per slot before accepting a duplicate
 _MUTANT_ATTEMPTS = 3  #: of those, how many may draw from the corpus
 _CHECKPOINT_EVERY = 4  #: batches between state.json checkpoints
@@ -371,8 +373,6 @@ class CampaignConfig:
     profile: str = MIXED
     oracles: tuple[str, ...] | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
-    mutate_rate: float = DEFAULT_MUTATE_RATE
-    corpus_limit: int = DEFAULT_CORPUS_LIMIT
     tables: str = ""
 
     def to_json(self) -> dict:
@@ -381,8 +381,6 @@ class CampaignConfig:
             "profile": self.profile,
             "oracles": list(self.oracles) if self.oracles is not None else None,
             "batch_size": self.batch_size,
-            "mutate_rate": self.mutate_rate,
-            "corpus_limit": self.corpus_limit,
             "tables": self.tables,
         }
 
@@ -394,8 +392,6 @@ class CampaignConfig:
             profile=str(payload["profile"]),
             oracles=tuple(oracles) if oracles is not None else None,
             batch_size=int(payload["batch_size"]),
-            mutate_rate=float(payload["mutate_rate"]),
-            corpus_limit=int(payload["corpus_limit"]),
             tables=str(payload["tables"]),
         )
 
@@ -551,7 +547,7 @@ def _fold_batch(state: CampaignState, items: list[dict]) -> frozenset[Cell]:
         new_cells |= new
         state.profile_novelty[profile] = state.profile_novelty.get(profile, 0) + len(new)
         state.seen.add(_seen_key(item["digest"]))
-        if new and len(state.corpus) < state.config.corpus_limit:
+        if new and len(state.corpus) < CORPUS_LIMIT:
             state.corpus.append(
                 CorpusRecord(
                     index=int(item["index"]),
@@ -587,7 +583,7 @@ def open_campaign(
     the directory is marked).  An existing campaign requires
     ``resume=True`` — continuing one by accident would silently append
     history — and its pinned config (seed, profile, oracle set, batch
-    size, mutation rate) must match exactly, as must the
+    size) must match exactly, as must the
     :func:`model_tables_digest` (resuming a grid measured under edited
     model semantics would compare incomparable coverage).
     """
@@ -705,7 +701,7 @@ def plan_batch(state: CampaignState, count: int) -> list[PlannedProgram]:
             if (
                 state.corpus
                 and attempt < _MUTANT_ATTEMPTS
-                and rng.random() < state.config.mutate_rate
+                and rng.random() < MUTATE_RATE
             ):
                 record = _pick_corpus_record(state, rng)
                 try:
@@ -739,15 +735,20 @@ def plan_batch(state: CampaignState, count: int) -> list[PlannedProgram]:
 
 
 def guided_one(item: tuple) -> dict:
-    """Picklable guided-campaign work unit: ``(index, seed, profile,
-    source, text | None, digest, oracle_names | None, cache_dir | None)``
-    → a verdict dict carrying the program's grid cells, oracle statuses,
-    and (for the driver only — never the WAL) its discrepancies."""
+    """The picklable fuzz work unit of every driver (the blind stream,
+    the guided campaign, the mutation hunt, :func:`blind_grid`):
+    ``(index, seed, profile, source, text | None, digest, oracle_names |
+    None, cache_dir | None)`` → a verdict dict carrying the program's
+    text, grid cells, oracle statuses, and (for the driver only — never
+    the WAL) its discrepancies and skips."""
     index, seed, profile_name, source, text, digest, oracle_names, cache_dir = item
     cache = None
     if cache_dir is not None:
         from repro.cache import BehaviorCache
 
+        # One shared instance per worker process, so its LRU survives
+        # across programs; entries land on disk as they are stored, so
+        # enumeration budget accumulates across campaigns.
         cache = BehaviorCache.shared(cache_dir)
     if text is not None:
         program = assemble(text).program
@@ -789,57 +790,30 @@ _WAL_ITEM_KEYS = ("index", "seed", "profile", "source", "digest", "text", "cells
 # the campaign driver
 
 
-@dataclass
-class GuidedReport:
+@dataclass(kw_only=True)
+class GuidedReport(CampaignReport):
     """What one guided run did (this run's slice of the campaign)."""
 
+    note_suffix: ClassVar[str] = " (guided campaign)"
+
     campaign_dir: Path
-    seed: int
-    budget: int
-    profile: str
     resumed_from: int  #: budget already spent when this run started
-    verdicts: list[dict] = field(default_factory=list)
-    minimized: list = field(default_factory=list)
     new_cells: int = 0
     state: CampaignState | None = None
 
-    @property
-    def discrepancies(self) -> list[Discrepancy]:
-        return [d for verdict in self.verdicts for d in verdict["discrepancies"]]
-
-    @property
-    def clean(self) -> bool:
-        return not self.discrepancies
-
     def summary(self) -> str:
         state = self.state
-        skip_counts: dict[str, int] = {}
-        for verdict in self.verdicts:
-            for name in verdict["skipped"]:
-                skip_counts[name] = skip_counts.get(name, 0) + 1
         mutants = sum(1 for v in self.verdicts if v["source"] == "mutant")
-        lines = [
+        return self._render(
             f"guided campaign {self.campaign_dir}: seed={self.seed} "
             f"budget=+{self.budget} profile={self.profile}",
-            f"  programs checked : {len(self.verdicts)} "
-            f"({mutants} mutated; campaign total {state.budget_spent})",
-            f"  discrepancies    : {len(self.discrepancies)}",
-            f"  grid cells       : {len(state.grid)} (+{self.new_cells} this run)",
-            f"  3-dim cells      : {len(state.grid.project())} (edge × model × reason)",
-            f"  mutation corpus  : {len(state.corpus)} / {state.config.corpus_limit} entries",
-        ]
-        for name, count in sorted(skip_counts.items()):
-            lines.append(f"  skipped {name}: {count}")
-        for discrepancy in self.discrepancies:
-            lines.append(f"  FAIL {discrepancy}")
-        for discrepancy, result, path in self.minimized:
-            where = f" -> {path}" if path else ""
-            lines.append(
-                f"  minimized {discrepancy.program}: "
-                f"{result.original_instructions} -> {result.instructions} "
-                f"instructions{where}"
-            )
-        return "\n".join(lines)
+            f" ({mutants} mutated; campaign total {state.budget_spent})",
+            (
+                f"  grid cells       : {len(state.grid)} (+{self.new_cells} this run)",
+                f"  3-dim cells      : {len(state.grid.project())} (edge × model × reason)",
+                f"  mutation corpus  : {len(state.corpus)} / {CORPUS_LIMIT} entries",
+            ),
+        )
 
 
 def _export_corpus_files(state: CampaignState, campaign_dir: Path) -> None:
@@ -877,9 +851,6 @@ def run_guided_campaign(
     do_shrink: bool = True,
     resume: bool = False,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    mutate_rate: float = DEFAULT_MUTATE_RATE,
-    corpus_limit: int = DEFAULT_CORPUS_LIMIT,
-    fsync: bool = True,
 ) -> GuidedReport:
     """Add ``budget`` programs to the campaign in ``campaign_dir``.
 
@@ -891,7 +862,6 @@ def run_guided_campaign(
     byte-identical to an uninterrupted one of the same total budget.
     """
     from repro.experiments.base import parallel_map
-    from repro.testing.fuzz import _shrink_and_bank
 
     if profile != MIXED:
         get_profile(profile)
@@ -900,8 +870,6 @@ def run_guided_campaign(
         profile=profile,
         oracles=tuple(oracle_names) if oracle_names is not None else None,
         batch_size=batch_size,
-        mutate_rate=mutate_rate,
-        corpus_limit=corpus_limit,
         tables=model_tables_digest(),
     )
     campaign_dir = Path(campaign_dir)
@@ -913,7 +881,7 @@ def run_guided_campaign(
         profile=profile,
         resumed_from=state.budget_spent,
     )
-    wal = WriteAheadLog(campaign_dir / WAL_FILE, fsync=fsync)
+    wal = WriteAheadLog(campaign_dir / WAL_FILE, fsync=True)
     try:
         done = 0
         batches = 0
@@ -961,19 +929,8 @@ def run_guided_campaign(
         wal.close()
     report.new_cells = len(new_cells)
     report.state = state
-
     if do_shrink:
-        for verdict in report.verdicts:
-            if not verdict["discrepancies"]:
-                continue
-            program = assemble(verdict["text"]).program
-            for discrepancy in verdict["discrepancies"]:
-                report.minimized.append(
-                    _shrink_and_bank(
-                        program, discrepancy, verdict["seed"], verdict["profile"],
-                        corpus_dir, note_suffix=" (guided campaign)",
-                    )
-                )
+        report.bank_minimized(corpus_dir)
     return report
 
 
@@ -992,16 +949,9 @@ def blind_grid(
     same grid.  The fuzzcov gate in ``benchmarks/gates.py`` requires
     guided coverage strictly above this at equal budget."""
     grid = CoverageGrid()
-    for index in range(budget):
-        resolved = profile_for_index(profile, index)
-        item = (
-            index, derive_seed(seed, index), resolved.name, "fresh", None,
-            "", oracle_names, None,
-        )
-        result = guided_one(item)
-        grid.add(
-            frozenset((str(k), str(m), str(r), str(o)) for k, m, r, o in result["cells"])
-        )
+    stream = run_campaign(seed, budget, profile, oracle_names=oracle_names, do_shrink=False)
+    for verdict in stream.verdicts:
+        grid.add(tuple(cell) for cell in verdict["cells"])
     return grid
 
 
@@ -1020,7 +970,7 @@ def coverage_report(campaign_dir: Path) -> str:
         f"campaign {campaign_dir}",
         f"  config       : seed={config.seed} profile={config.profile} "
         f"oracles={oracles} batch={config.batch_size} "
-        f"mutate-rate={config.mutate_rate}",
+        f"mutate-rate={MUTATE_RATE}",
         f"  model tables : {config.tables}",
         f"  budget spent : {state.budget_spent} (next index {state.next_index})",
         f"  discrepancies: {state.discrepancies}",
@@ -1030,7 +980,7 @@ def coverage_report(campaign_dir: Path) -> str:
         f"{len(state.grid.axis_values(1))} models, "
         f"{len(state.grid.axis_values(2))} reasons, "
         f"{len(state.grid.axis_values(3))} outcomes",
-        f"  corpus       : {len(state.corpus)} / {config.corpus_limit} entries",
+        f"  corpus       : {len(state.corpus)} / {CORPUS_LIMIT} entries",
         "  profile yield (programs / new cells):",
     ]
     for name in MIXED_ORDER:
@@ -1047,10 +997,10 @@ __all__ = [
     "CampaignState",
     "CorpusRecord",
     "CoverageGrid",
+    "CORPUS_LIMIT",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_CORPUS_LIMIT",
-    "DEFAULT_MUTATE_RATE",
     "GuidedReport",
+    "MUTATE_RATE",
     "PlannedProgram",
     "blind_grid",
     "coverage_report",

@@ -1,36 +1,41 @@
 """Differential fuzzing campaigns: generate → check → shrink → bank.
 
-:func:`run_campaign` drives the healthy-tree loop — ``budget`` seeded
-programs through every applicable oracle, optionally fanned out over
-processes with :func:`repro.experiments.base.parallel_map`.  A campaign
-is deterministic: the same ``(seed, budget, profile)`` produces the same
-programs, verdicts, and skip lists, regardless of ``jobs`` (enumeration
-budgets are counting budgets; nothing consults the clock).
+Every fuzzed program, in every driver, goes through one work unit,
+:func:`repro.testing.coverage.guided_one`, and comes back as one verdict
+dict; a :class:`CampaignReport` summarizes a list of them, and
+:meth:`CampaignReport.bank_minimized` is the one shrink path.  The
+drivers differ only in which programs they feed the work unit:
 
-:func:`run_mutation_kill` proves the subsystem can catch real bugs:
-every seeded :data:`~repro.testing.mutants.MUTANTS` entry must be
-detected within the budget, shrunk to a small reproducer, banked as a
-corpus file, and the file must replay — fail under the mutant, pass on
-the healthy tree.  Mutation campaigns always run in-process
-(``jobs=1``): monkeypatched mutants are invisible to subprocess workers.
+* :func:`run_campaign` is the blind stream — ``budget`` seeded fresh
+  draws (:func:`campaign_items`) through every applicable oracle,
+  optionally fanned out over processes with
+  :func:`repro.experiments.base.parallel_map`.  It is deterministic: the
+  same ``(seed, budget, profile)`` produces the same programs, verdicts,
+  and skip lists, regardless of ``jobs`` (enumeration budgets are
+  counting budgets; nothing consults the clock).
+* :func:`~repro.testing.coverage.run_guided_campaign` plans its
+  programs from coverage feedback and persists what it learned.
+* :func:`run_mutation_kill` proves the subsystem can catch real bugs:
+  every seeded :data:`~repro.testing.mutants.MUTANTS` entry must be
+  detected within the budget, shrunk to a small reproducer, banked as a
+  corpus file, and the file must replay — fail under the mutant, pass
+  on the healthy tree.  Mutation campaigns always run in-process
+  (``jobs=1``): monkeypatched mutants are invisible to subprocess
+  workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from repro.errors import ReproError
 from repro.experiments.base import parallel_map
+from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.testing.corpus import CorpusEntry, save_entry
-from repro.testing.fuzzgen import (
-    MIXED,
-    derive_seed,
-    generate_program,
-    get_profile,
-    profile_for_index,
-)
+from repro.testing.fuzzgen import MIXED, derive_seed, get_profile, profile_for_index
 from repro.testing.mutants import MUTANTS, Mutant
 from repro.testing.oracles import FUZZ_LIMITS, Discrepancy, run_oracles
 from repro.testing.shrink import ShrinkResult, shrink
@@ -49,81 +54,49 @@ KILL_ORACLES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ProgramVerdict:
-    """One fuzzed program's oracle results."""
-
-    index: int
-    seed: int
-    profile: str
-    program_name: str
-    instructions: int
-    discrepancies: tuple[Discrepancy, ...]
-    skipped: tuple[str, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.discrepancies
-
-
-def fuzz_one(item: tuple) -> ProgramVerdict:
-    """Picklable campaign work unit: ``(index, seed, profile_name,
-    oracle_names | None[, cache_dir | None])`` → :class:`ProgramVerdict`."""
-    index, seed, profile_name, oracle_names, *rest = item
-    cache_dir = rest[0] if rest else None
-    cache = None
-    if cache_dir is not None:
-        from repro.cache import BehaviorCache
-
-        # One shared instance per worker process, so its LRU survives
-        # across programs; entries land on disk as they are stored, so
-        # enumeration budget accumulates across campaigns.
-        cache = BehaviorCache.shared(cache_dir)
-    program = generate_program(seed, get_profile(profile_name))
-    discrepancies, skipped = run_oracles(
-        program, names=oracle_names, limits=FUZZ_LIMITS, cache=cache
-    )
-    return ProgramVerdict(
-        index=index,
-        seed=seed,
-        profile=profile_name,
-        program_name=program.name,
-        instructions=program.instruction_count(),
-        discrepancies=tuple(discrepancies),
-        skipped=tuple(skipped),
-    )
-
-
 @dataclass
 class CampaignReport:
-    """Everything a fuzz run learned, in deterministic order."""
+    """Everything a fuzz run learned, in deterministic order: one
+    :func:`~repro.testing.coverage.guided_one` verdict dict per program,
+    in index order, and the minimized reproducers of its discrepancies."""
 
     seed: int
     budget: int
     profile: str
-    verdicts: list[ProgramVerdict] = field(default_factory=list)
+    verdicts: list[dict] = field(default_factory=list)
     minimized: list[tuple[Discrepancy, ShrinkResult, Path | None]] = field(
         default_factory=list
     )
 
+    #: appended to the note of every reproducer this report banks
+    note_suffix: ClassVar[str] = ""
+
     @property
     def discrepancies(self) -> list[Discrepancy]:
-        return [d for verdict in self.verdicts for d in verdict.discrepancies]
+        return [d for verdict in self.verdicts for d in verdict["discrepancies"]]
 
     @property
     def clean(self) -> bool:
         return not self.discrepancies
 
     def summary(self) -> str:
+        return self._render(
+            f"fuzz campaign: seed={self.seed} budget={self.budget} "
+            f"profile={self.profile}"
+        )
+
+    def _render(self, title: str, checked: str = "", extra: tuple[str, ...] = ()) -> str:
+        """The summary lines every campaign prints, around a driver's
+        own ``title``, programs-checked note and ``extra`` lines."""
         skip_counts: dict[str, int] = {}
         for verdict in self.verdicts:
-            for name in verdict.skipped:
+            for name in verdict["skipped"]:
                 skip_counts[name] = skip_counts.get(name, 0) + 1
         lines = [
-            f"fuzz campaign: seed={self.seed} budget={self.budget} "
-            f"profile={self.profile}",
-            f"  programs checked : {len(self.verdicts)}",
+            title,
+            f"  programs checked : {len(self.verdicts)}{checked}",
             f"  discrepancies    : {len(self.discrepancies)}",
+            *extra,
         ]
         for name, count in sorted(skip_counts.items()):
             lines.append(f"  skipped {name}: {count}")
@@ -138,6 +111,17 @@ class CampaignReport:
             )
         return "\n".join(lines)
 
+    def bank_minimized(self, corpus_dir: Path | None) -> None:
+        """Shrink every discrepancy and bank its reproducer in
+        ``corpus_dir``, if given (see :func:`_shrink_and_bank`)."""
+        for verdict in self.verdicts:
+            for discrepancy in verdict["discrepancies"]:
+                self.minimized.append(
+                    _shrink_and_bank(
+                        verdict, discrepancy, corpus_dir, note_suffix=self.note_suffix
+                    )
+                )
+
 
 def campaign_items(
     seed: int,
@@ -146,14 +130,16 @@ def campaign_items(
     oracle_names: tuple[str, ...] | None = None,
     cache_dir: Path | None = None,
 ) -> list[tuple]:
-    """The deterministic work list for a campaign (chunking-independent)."""
-    items = []
-    for index in range(budget):
-        resolved = profile_for_index(profile, index)
-        items.append(
-            (index, derive_seed(seed, index), resolved.name, oracle_names, cache_dir)
+    """The blind stream's work list: one fresh
+    :func:`~repro.testing.coverage.guided_one` item per index, seeded
+    ``derive_seed(seed, index)`` (chunking-independent)."""
+    return [
+        (
+            index, derive_seed(seed, index), profile_for_index(profile, index).name,
+            "fresh", None, "", oracle_names, cache_dir,
         )
-    return items
+        for index in range(budget)
+    ]
 
 
 def run_campaign(
@@ -173,47 +159,43 @@ def run_campaign(
     oracles, repeat programs, and successive campaigns.  Verdicts are
     identical with and without it.
     """
+    from repro.testing.coverage import guided_one
+
     if profile != MIXED:
         get_profile(profile)  # validate the name before spawning workers
     items = campaign_items(seed, budget, profile, oracle_names, cache_dir)
-    if jobs > 1:
-        verdicts = list(parallel_map(fuzz_one, items, jobs=jobs))
-    else:
-        verdicts = [fuzz_one(item) for item in items]
-    report = CampaignReport(seed=seed, budget=budget, profile=profile, verdicts=verdicts)
-
+    report = CampaignReport(
+        seed=seed,
+        budget=budget,
+        profile=profile,
+        verdicts=parallel_map(guided_one, items, jobs=jobs),
+    )
     if do_shrink:
-        for verdict in verdicts:
-            for discrepancy in verdict.discrepancies:
-                program = generate_program(verdict.seed, get_profile(verdict.profile))
-                report.minimized.append(
-                    _shrink_and_bank(
-                        program, discrepancy, verdict.seed, verdict.profile, corpus_dir
-                    )
-                )
+        report.bank_minimized(corpus_dir)
     return report
 
 
 def _shrink_and_bank(
-    program: Program,
+    verdict: dict,
     discrepancy: Discrepancy,
-    seed: int,
-    profile: str,
     corpus_dir: Path | None,
     *,
     note_suffix: str = "",
     mutant: str | None = None,
 ) -> tuple[Discrepancy, ShrinkResult, Path | None]:
-    """Minimize ``program`` against ``discrepancy``'s oracle and bank the
-    reproducer as ``<name>-min`` in ``corpus_dir``, if given."""
+    """Minimize ``verdict``'s program against ``discrepancy``'s oracle
+    and bank the reproducer as ``<name>-min`` in ``corpus_dir``, if
+    given.  The one shrink path of the stream, the guided campaign and
+    the mutation hunt."""
+    program = assemble(verdict["text"]).program
     result = minimize_discrepancy(program, discrepancy)
     path = None
     if corpus_dir is not None:
         shrunk = result.program
         entry = CorpusEntry(
             program=Program(shrunk.threads, dict(shrunk.initial_memory), f"{program.name}-min"),
-            seed=seed,
-            profile=profile,
+            seed=verdict["seed"],
+            profile=verdict["profile"],
             oracle=discrepancy.oracle,
             mutant=mutant,
             note=f"minimized from {result.original_instructions} instructions"
@@ -295,34 +277,34 @@ def hunt_mutant(
     invisible to the cache key, so a warm cache would replay healthy
     pre-mutant behaviors and mask the kill.
     """
+    from repro.testing.coverage import guided_one
+
     items = campaign_items(seed, budget, profile, KILL_ORACLES)
     detection = None
     programs_run = 0
     with mutant.applied():
         for item in items:
             programs_run += 1
-            verdict = fuzz_one(item)
-            if verdict.discrepancies:
+            verdict = guided_one(item)
+            if verdict["discrepancies"]:
                 detection = verdict
                 break
         if detection is None:
             return MutantKill(mutant.name, detected=False, programs_run=programs_run)
-        discrepancy = detection.discrepancies[0]
+        discrepancy = detection["discrepancies"][0]
         kill = MutantKill(
             mutant.name,
             detected=True,
             programs_run=programs_run,
             oracle=discrepancy.oracle,
-            program_name=detection.program_name,
-            seed=detection.seed,
-            profile=detection.profile,
+            program_name=discrepancy.program,
+            seed=detection["seed"],
+            profile=detection["profile"],
         )
         if not do_shrink:
             return kill
-        program = generate_program(detection.seed, get_profile(detection.profile))
         _, kill.shrink_result, kill.corpus_path = _shrink_and_bank(
-            program, discrepancy, detection.seed, detection.profile, corpus_dir,
-            mutant=mutant.name,
+            detection, discrepancy, corpus_dir, mutant=mutant.name
         )
         if kill.corpus_path is not None:
             kill.replay_fails_under_mutant = bool(
@@ -446,9 +428,7 @@ __all__ = [
     "KILL_ORACLES",
     "CampaignReport",
     "MutantKill",
-    "ProgramVerdict",
     "campaign_items",
-    "fuzz_one",
     "hunt_mutant",
     "minimize_discrepancy",
     "replay_entry",

@@ -657,18 +657,19 @@ class TestKillNineSafety:
 
 class TestOracleEquivalence:
     def test_fuzz_verdicts_identical_with_and_without_cache(self, tmp_path):
-        from repro.testing.fuzz import campaign_items, fuzz_one
+        from repro.testing.coverage import guided_one
+        from repro.testing.fuzz import campaign_items
 
-        baseline = [fuzz_one(item) for item in campaign_items(3, 6)]
+        baseline = [guided_one(item) for item in campaign_items(3, 6)]
         cached_cold = [
-            fuzz_one(item) for item in campaign_items(3, 6, cache_dir=tmp_path)
+            guided_one(item) for item in campaign_items(3, 6, cache_dir=tmp_path)
         ]
         cached_warm = [
-            fuzz_one(item) for item in campaign_items(3, 6, cache_dir=tmp_path)
+            guided_one(item) for item in campaign_items(3, 6, cache_dir=tmp_path)
         ]
         for off, cold, warm in zip(baseline, cached_cold, cached_warm):
-            assert off.discrepancies == cold.discrepancies == warm.discrepancies
-            assert off.skipped == cold.skipped == warm.skipped
+            assert off["discrepancies"] == cold["discrepancies"] == warm["discrepancies"]
+            assert off["skipped"] == cold["skipped"] == warm["skipped"]
         shared = BehaviorCache.shared(tmp_path)
         assert shared.counters.hits > 0  # the warm pass actually hit
 

@@ -13,16 +13,14 @@ from repro.isa.disassembler import disassemble
 from repro.isa.instructions import Store
 from repro.isa.operands import Const
 from repro.testing.corpus import CorpusEntry, load_entry, save_entry
-from repro.testing.coverage import run_guided_campaign
+from repro.testing.coverage import guided_one, run_guided_campaign
 from repro.testing.fuzz import (
     MutantKill,
     campaign_items,
-    fuzz_one,
     hunt_mutant,
     run_campaign,
 )
 from repro.testing.fuzzgen import (
-    MIXED,
     PROFILES,
     generate_program,
     get_profile,
@@ -172,12 +170,18 @@ class TestCampaign:
         whole = campaign_items(9, 6)
         assert whole[:3] == campaign_items(9, 3)
 
-    def test_fuzz_one_is_picklable_unit(self):
+    def test_guided_one_is_picklable_unit(self):
         import pickle
 
         item = campaign_items(1, 1)[0]
-        verdict = fuzz_one(item)
+        verdict = guided_one(item)
         assert pickle.loads(pickle.dumps(verdict)) == verdict
+
+    def test_stream_runs_the_one_work_unit(self):
+        """The blind stream is the shared work unit over
+        :func:`campaign_items`: same verdict dicts, same order."""
+        report = run_campaign(seed=5, budget=4, do_shrink=False)
+        assert report.verdicts == [guided_one(item) for item in campaign_items(5, 4)]
 
     def test_summary_mentions_failures(self):
         report = run_campaign(seed=3, budget=2, do_shrink=False)
@@ -194,7 +198,7 @@ class TestCampaign:
             blind = run_campaign(0, 6, oracle_names=oracles, corpus_dir=tmp_path / "blind")
             guided = run_guided_campaign(
                 tmp_path / "campaign", 0, 6, oracle_names=oracles, batch_size=6,
-                corpus_dir=tmp_path / "guided", fsync=False,
+                corpus_dir=tmp_path / "guided",
             )
         assert [path.name for _, _, path in blind.minimized] == ["fz-fences-5-min.litmus"]
         assert (tmp_path / "blind" / "fz-fences-5-min.litmus").read_text() == (

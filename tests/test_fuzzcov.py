@@ -26,6 +26,7 @@ from repro.errors import ReproError
 from repro.isa.assembler import assemble_program
 from repro.isa.disassembler import disassemble
 from repro.models.registry import get_model
+from repro.storage import checksum
 from repro.testing.coverage import (
     CampaignConfig,
     CampaignState,
@@ -71,7 +72,6 @@ def _run(campaign_dir, budget, *, resume=False, jobs=1, batch_size=4, seed=7):
         jobs=jobs,
         oracle_names=FAST_ORACLES,
         resume=resume,
-        fsync=False,
     )
 
 
@@ -198,7 +198,7 @@ def test_state_roundtrip_and_crc(tmp_path):
     assert loaded.profile_programs == {"relaxed": 3}
     assert loaded.seen == {b"\x01" * 8, b"\x02" * 8}
     on_disk = json.loads((directory / "state.json").read_text())
-    assert on_disk["format"] == 2
+    assert on_disk["format"] == 3
     assert on_disk["seen"] == ["01" * 8, "02" * 8]  # exact, sorted
 
     # Any body tamper breaks the checksum.
@@ -207,6 +207,21 @@ def test_state_roundtrip_and_crc(tmp_path):
     payload["budget_spent"] = 999
     path.write_text(json.dumps(payload))
     with pytest.raises(ReproError, match="checksum"):
+        load_campaign(directory)
+
+
+def test_format_2_state_is_refused(tmp_path):
+    """A format-2 ``state.json`` (its config still carrying the mutation
+    rate and corpus limit, now constants) is refused, not reinterpreted."""
+    _state, directory = _synthetic_state(tmp_path)
+    path = directory / "state.json"
+    payload = json.loads(path.read_text())
+    del payload["crc"]
+    payload["format"] = 2
+    payload["config"].update(mutate_rate=0.45, corpus_limit=256)
+    payload["crc"] = checksum(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ReproError, match="unsupported format 2"):
         load_campaign(directory)
 
 

@@ -1,7 +1,9 @@
 """Tests for the resilience layer: budgets, graceful degradation,
 checkpoints/resume, cancellation, and stuck-behavior surfacing."""
 
+import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -23,6 +25,7 @@ from repro.core.execution import Execution
 from repro.isa.dsl import ProgramBuilder
 from repro.litmus.library import get_test
 from repro.models.registry import get_model
+from repro.storage import seal
 
 from tests.conftest import build_sb, version_1_dumps
 
@@ -186,8 +189,6 @@ class TestCheckpointResume:
         assert resumed.register_outcomes() == full.register_outcomes()
 
     def test_load_rejects_non_checkpoint(self, tmp_path):
-        import pickle
-
         path = tmp_path / "junk.pkl"
         path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
         with pytest.raises(EnumerationError):
@@ -287,113 +288,82 @@ class TestCrossProcessResume:
 
 
 class TestCheckpointVersioning:
-    """The format-version stamp: save writes it, load rejects files from
-    an unknown (or pre-versioning) format instead of resuming from state
-    it may misinterpret."""
+    """The sealed format-version stamp: save writes it, load rejects a
+    file stamped with another version, or a bare pickle from before the
+    seal, without unpickling it.  Every refusal names the version this
+    build supports."""
 
     def _partial_checkpoint(self):
         return enumerate_behaviors(
             build_heavy3(), get_model("weak"), EnumerationLimits(max_behaviors=50)
         ).checkpoint
 
-    def test_save_stamps_current_version(self, tmp_path):
-        path = tmp_path / "search.ckpt"
-        self._partial_checkpoint().save(path)
-        loaded = EnumerationCheckpoint.load(path)
-        assert loaded.format_version == CHECKPOINT_FORMAT_VERSION
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        import pickle
-
-        checkpoint = self._partial_checkpoint()
-        checkpoint.format_version = 999
-        path = tmp_path / "future.ckpt"
-        path.write_bytes(pickle.dumps(checkpoint))
+    def _refusal(self, path, data: bytes) -> str:
+        path.write_bytes(data)
         with pytest.raises(EnumerationError) as info:
             EnumerationCheckpoint.load(path)
-        assert "version 999" in str(info.value)
-        assert "re-run the original enumeration" in str(info.value)
+        message = str(info.value)
+        assert f"supports version {CHECKPOINT_FORMAT_VERSION}" in message
+        assert "re-run the original enumeration" in message
+        return message
+
+    def _stamped(self, version: int) -> bytes:
+        """The current checkpoint, sealed as a build stamping
+        ``version`` would seal it."""
+        return seal(b"RCKP", version, pickle.dumps(self._partial_checkpoint()))
+
+    def test_save_stamps_current_version(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        checkpoint = self._partial_checkpoint()
+        checkpoint.save(path)
+        raw = path.read_bytes()
+        assert raw[:5] == b"RCKP" + bytes((CHECKPOINT_FORMAT_VERSION,))
+        assert raw[5:13] == hashlib.blake2b(raw[13:], digest_size=8).digest()
+        assert EnumerationCheckpoint.load(path).stats == checkpoint.stats
+
+    def test_load_rejects_unknown_version(self, tmp_path):
+        message = self._refusal(tmp_path / "future.ckpt", self._stamped(255))
+        assert "has an unrecognized header" in message
 
     def test_load_rejects_version_2_checkpoint(self, tmp_path):
         """A version-2 checkpoint may carry ``dedup_exact=True`` and a
         dedup set of full state-key tuples that the digest-only search
         would never match; it is refused rather than resumed."""
-        import pickle
-
-        checkpoint = self._partial_checkpoint()
-        checkpoint.format_version = 2
-        vars(checkpoint)["dedup_exact"] = True
-        path = tmp_path / "v2.ckpt"
-        path.write_bytes(pickle.dumps(checkpoint))
-        with pytest.raises(EnumerationError) as info:
-            EnumerationCheckpoint.load(path)
-        assert "version 2" in str(info.value)
-        assert f"supports version(s) {CHECKPOINT_FORMAT_VERSION}" in str(info.value)
+        message = self._refusal(tmp_path / "v2.ckpt", self._stamped(2))
+        assert "has an unrecognized header" in message
 
     def test_load_rejects_version_3_checkpoint(self, tmp_path):
         """A version-3 dedup set holds digests of the whole ``repr`` of
         each state key; the piecewise digests of version 4 never match
         them, so resuming would re-explore every state already seen.  It
         is refused rather than resumed."""
-        import pickle
-
-        checkpoint = self._partial_checkpoint()
-        checkpoint.format_version = 3
-        path = tmp_path / "v3.ckpt"
-        path.write_bytes(pickle.dumps(checkpoint))
-        with pytest.raises(EnumerationError) as info:
-            EnumerationCheckpoint.load(path)
-        assert "version 3" in str(info.value)
-        assert f"supports version(s) {CHECKPOINT_FORMAT_VERSION}" in str(info.value)
-        assert "re-run the original enumeration" in str(info.value)
+        message = self._refusal(tmp_path / "v3.ckpt", self._stamped(3))
+        assert "has an unrecognized header" in message
 
     def test_load_rejects_version_4_checkpoint(self, tmp_path):
         """A version-4 worklist and dedup set come from the search that
         branched on every eligible load; resuming one under the
         stable-load rule would mix two searches' prefixes.  It is
         refused rather than resumed."""
-        import pickle
-
-        checkpoint = self._partial_checkpoint()
-        checkpoint.format_version = 4
-        path = tmp_path / "v4.ckpt"
-        path.write_bytes(pickle.dumps(checkpoint))
-        with pytest.raises(EnumerationError) as info:
-            EnumerationCheckpoint.load(path)
-        assert "version 4" in str(info.value)
-        assert f"supports version(s) {CHECKPOINT_FORMAT_VERSION}" in str(info.value)
+        message = self._refusal(tmp_path / "v4.ckpt", self._stamped(4))
+        assert "has an unrecognized header" in message
 
     def test_load_rejects_pre_versioning_checkpoint(self, tmp_path):
-        """A file written before the stamp existed has no
-        ``format_version`` in its pickled ``__dict__`` — the class-level
-        default must NOT paper over that."""
-        import pickle
-
-        checkpoint = self._partial_checkpoint()
-        state = dict(vars(checkpoint))
-        del state["format_version"]
-        vars(checkpoint).clear()
-        vars(checkpoint).update(state)
-        path = tmp_path / "legacy.ckpt"
-        path.write_bytes(pickle.dumps(checkpoint))
-        with pytest.raises(EnumerationError) as info:
-            EnumerationCheckpoint.load(path)
-        assert "no format version" in str(info.value)
-
-    def _version_1_checkpoint(self) -> bytes:
-        """A checkpoint as the version-1 build pickled it: stamped 1, its
-        nodes without the predicate slots."""
-        checkpoint = self._partial_checkpoint()
-        checkpoint.format_version = 1
-        return version_1_dumps(checkpoint)
+        """Versions 1-5 (and files from before any stamp) were bare
+        pickles; they carry no sealed header and are refused without
+        being unpickled."""
+        message = self._refusal(
+            tmp_path / "legacy.ckpt", pickle.dumps(self._partial_checkpoint())
+        )
+        assert "has an unrecognized header" in message
 
     def test_load_rejects_version_1_checkpoint(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(self._version_1_checkpoint())
-        with pytest.raises(EnumerationError) as info:
-            EnumerationCheckpoint.load(path)
-        assert "version 1" in str(info.value)
-        assert "re-run the original enumeration" in str(info.value)
+        """A checkpoint as the version-1 build pickled it: its nodes
+        without the predicate slots, and no seal."""
+        message = self._refusal(
+            tmp_path / "v1.ckpt", version_1_dumps(self._partial_checkpoint())
+        )
+        assert "has an unrecognized header" in message
 
 
 class TestStatsAccounting:

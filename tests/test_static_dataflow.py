@@ -248,5 +248,14 @@ class TestCli:
         # exit 1 = races predicted, the analyze subcommand's contract
         assert main(["analyze", "MP+addr", "--syntactic"]) == 1
         assert "[conservative" in capsys.readouterr().out
-        assert main(["analyze", "MP+addr", "--precise"]) == 1
+        assert main(["analyze", "MP+addr"]) == 1
         assert "[conservative" not in capsys.readouterr().out
+
+    def test_analyze_offers_no_precise_flag(self, capsys):
+        """The dataflow layer is the default; only ``--syntactic`` is
+        read, so no no-op ``--precise`` flag is offered."""
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--syntactic" in help_text
+        assert "--precise" not in help_text

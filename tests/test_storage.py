@@ -11,9 +11,13 @@ from pathlib import Path
 import pytest
 
 from repro.cache import BehaviorCache
-from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
+from repro.core.enumerate import (
+    EnumerationCheckpoint,
+    EnumerationLimits,
+    enumerate_behaviors,
+)
 from repro.core.serialization import behavior_cache_key
-from repro.errors import CacheError
+from repro.errors import CacheError, EnumerationError
 from repro.litmus.library import get_test
 from repro.models.registry import get_model
 from repro.service.wal import WALRecord, WriteAheadLog, replay_wal
@@ -53,6 +57,26 @@ class TestFormatPins:
 
     def test_campaign_state_crc(self):
         assert _state_crc(PINNED_STATE_BODY) == PINNED_STATE_CRC
+
+
+def test_any_damaged_checkpoint_byte_is_refused(tmp_path):
+    """A checkpoint is sealed: flipping any single byte of a saved file,
+    in the header, the checksum or the pickle, makes ``load`` raise
+    :class:`EnumerationError` instead of resuming from (or crashing on)
+    damaged state."""
+    result = enumerate_behaviors(
+        get_test("IRIW").program, get_model("weak"), EnumerationLimits(max_behaviors=6)
+    )
+    path = tmp_path / "search.ckpt"
+    result.checkpoint.save(path)
+    saved = path.read_bytes()
+    assert EnumerationCheckpoint.load(path).stats == result.checkpoint.stats
+    for position in range(len(saved)):
+        damaged = bytearray(saved)
+        damaged[position] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(EnumerationError):
+            EnumerationCheckpoint.load(path)
 
 
 # ----------------------------------------------------------------------
