@@ -17,7 +17,9 @@ skipped.
   makes exactly ``t`` resolutions, and fanout-4x1/weak makes no
   duplicate.
 * **fencesynth** — static and enumerative minimal fence sets agree;
-  nothing truncates; the static sweep is ≥10x faster.
+  nothing truncates; the static sweep is ≥10x faster; TAB-STATIC's
+  static race analysis of the library is ≥10x faster than its dynamic
+  wellsync + fencesynth passes.
 * **cache** — a warm sweep of the behavior cache is ≥5x faster than a
   cold one; the warm hit rate is ≥99%; cached results equal fresh ones;
   none of 20,000 novel keys is answered as a hit.
@@ -55,8 +57,10 @@ from pathlib import Path
 
 from repro.analysis.fencesynth import synthesize_fences
 from repro.analysis.solver import solve_behaviors
+from repro.analysis.static import analyze_program
 from repro.analysis.static.dataflow import compute_static_facts
 from repro.analysis.static.fencerepair import repair_fences
+from repro.analysis.wellsync import check_well_synchronized
 from repro.cache import BehaviorCache
 from repro.core.enumerate import (
     EnumerationLimits,
@@ -215,7 +219,7 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
     reduction's speedup and work.
 
     The solver is an independent oracle, a second derivation of every
-    behavior set, and the engine behind ``explain --forbidden``; it is
+    behavior set, and the engine behind ``repro explain``; it is
     not a fast path.  Since the enumerator branches on one stable load
     where it can, the enumerator beats it on every scaling item.  So the
     speed floor measures what the wide family was built to expose: the
@@ -310,12 +314,35 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
 
 #: Acceptance floor for the static repair sweep's aggregate speedup.
 MIN_FENCE_SPEEDUP = 10.0
+#: Acceptance floor for TAB-STATIC's two passes over the library: the
+#: static race analysis against dynamic wellsync + fencesynth.
+MIN_STATIC_SPEEDUP = 10.0
+
+
+def _static_analysis_passes() -> tuple[float, float]:
+    """The two passes TAB-STATIC times: ``analyze_program`` under weak on
+    every library test, and the dynamic wellsync race check under weak
+    plus ``synthesize_fences`` under tso/pso/weak.  Returns (static
+    seconds, dynamic seconds)."""
+    tests = all_tests()
+    start = time.perf_counter()
+    for test in tests:
+        analyze_program(test.program, "weak")
+    static_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    for test in tests:
+        check_well_synchronized(test.program, "weak", frozenset())
+    for model in ("tso", "pso", "weak"):
+        for test in tests:
+            synthesize_fences(test, model)
+    return static_seconds, time.perf_counter() - start
 
 
 def gate_fencesynth(quick: bool) -> tuple[dict, list[str]]:
     """Each (test, model) pair's minimal SC-robustness repairs, once by
     the static set-cover solver (dataflow facts shared per test) and once
-    by enumerative ``synthesize_fences(..., target="robust")``."""
+    by enumerative ``synthesize_fences(..., target="robust")``; then
+    TAB-STATIC's static race analysis against its dynamic passes."""
     models = (
         ("tso", "pso", "weak")
         if quick
@@ -342,6 +369,8 @@ def gate_fencesynth(quick: bool) -> tuple[dict, list[str]]:
                 mismatches.append(label)
 
     speedup = enum_total / static_total if static_total > 0 else float("inf")
+    analysis_static, analysis_dynamic = _static_analysis_passes()
+    analysis_speedup = analysis_dynamic / max(analysis_static, 1e-9)
     values = {
         "models": list(models),
         "pairs": len(all_tests()) * len(models),
@@ -351,6 +380,10 @@ def gate_fencesynth(quick: bool) -> tuple[dict, list[str]]:
         "seconds_enum_total": enum_total,
         "speedup": speedup,
         "min_speedup": MIN_FENCE_SPEEDUP,
+        "seconds_static_analysis": analysis_static,
+        "seconds_dynamic_analysis": analysis_dynamic,
+        "static_analysis_speedup": analysis_speedup,
+        "min_static_analysis_speedup": MIN_STATIC_SPEEDUP,
     }
     failures = []
     if mismatches:
@@ -361,6 +394,11 @@ def gate_fencesynth(quick: bool) -> tuple[dict, list[str]]:
         failures.append(f"search truncated on {', '.join(truncated)}")
     if speedup < MIN_FENCE_SPEEDUP:
         failures.append(f"speedup {speedup:.1f}x < {MIN_FENCE_SPEEDUP:.0f}x floor")
+    if analysis_speedup < MIN_STATIC_SPEEDUP:
+        failures.append(
+            f"TAB-STATIC static analysis only {analysis_speedup:.1f}x faster than "
+            f"wellsync + fencesynth < {MIN_STATIC_SPEEDUP:.0f}x floor"
+        )
     return values, failures
 
 

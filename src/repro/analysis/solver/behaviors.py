@@ -20,8 +20,8 @@ Materialization has two regimes:
   whose behavior count is tiny but whose interleaving lattice is
   exponential cost one replay per behavior here.  (The enumerator's
   stable-load reduction avoids that lattice too, so the solver serves
-  as an independent oracle and the engine behind ``explain
-  --forbidden``, not as a fast path.)
+  as an independent oracle and the engine behind ``repro explain``,
+  not as a fast path.)
 * **skeletons blocked on unresolved branches** (or a load assigned the
   "reads a post-branch store" pseudo-source) — the engine's own search
   is re-run restricted to the assignment (its candidates hook), since
@@ -117,37 +117,54 @@ def _replay(
     e.g. its source's own priors are unresolved, or buffer visibility
     under bypass) is order-*sensitive*, so failed frontiers backtrack;
     cycles and atomicity violations are order-independent and abort."""
-    failed: set[frozenset[int]] = set()
-
-    def attempt(execution: Execution, pending: frozenset[int]) -> Execution | None:
-        if not pending:
-            return execution if execution.completed() else None
-        if pending in failed:
-            return None
-        for load in execution.eligible_loads():
-            nid = load.nid
-            if nid not in pending:
-                continue
-            target = assignment[nid]
-            if target not in {c.nid for c in candidate_stores(execution, load)}:
-                continue  # possibly resolvable after another load; defer
-            _step(encoding, limits, work, start)
-            work.resolutions += 1
-            child = execution.copy()
-            try:
-                child.resolve_load(nid, target)
-            except (CycleError, AtomicityViolation):
-                raise _Infeasible from None
-            found = attempt(child, pending - {nid})
-            if found is not None:
-                return found
-        failed.add(pending)
-        return None
-
     try:
-        return attempt(encoding.base.copy(), frozenset(assignment))
+        return _attempt(
+            encoding, assignment, limits, work, start, set(),
+            encoding.base.copy(), frozenset(assignment),
+        )
     except _Infeasible:
         return None
+
+
+def _attempt(
+    encoding: Encoding,
+    assignment: dict[int, int | None],
+    limits: EnumerationLimits,
+    work: EnumerationStats,
+    start: float,
+    failed: set[frozenset[int]],
+    execution: Execution,
+    pending: frozenset[int],
+) -> Execution | None:
+    """One frontier of :func:`_replay`: resolve a ``pending`` load now, then
+    the rest.  ``failed`` memoizes the frontiers that led nowhere.  (A
+    module-level function, not a closure: a self-recursive closure would
+    keep the whole ``encoding`` alive until the cyclic collector runs.)"""
+    if not pending:
+        return execution if execution.completed() else None
+    if pending in failed:
+        return None
+    for load in execution.eligible_loads():
+        nid = load.nid
+        if nid not in pending:
+            continue
+        target = assignment[nid]
+        if target not in {c.nid for c in candidate_stores(execution, load)}:
+            continue  # possibly resolvable after another load; defer
+        _step(encoding, limits, work, start)
+        work.resolutions += 1
+        child = execution.copy()
+        try:
+            child.resolve_load(nid, target)
+        except (CycleError, AtomicityViolation):
+            raise _Infeasible from None
+        found = _attempt(
+            encoding, assignment, limits, work, start, failed, child, pending - {nid}
+        )
+        if found is not None:
+            return found
+    failed.add(pending)
+    return None
 
 
 def _search_restricted(

@@ -90,16 +90,7 @@ class ThreadCFG:
         if not self.blocks:
             return ()
         order: list[int] = []
-        visited: set[int] = set()
-
-        def visit(bid: int) -> None:
-            visited.add(bid)
-            for succ in self.successors(bid):
-                if succ != EXIT and succ not in visited:
-                    visit(succ)
-            order.append(bid)
-
-        visit(0)
+        _postorder(self, 0, set(), order)
         return tuple(reversed(order))
 
     # -- reachability --------------------------------------------------
@@ -217,20 +208,34 @@ def build_cfg(thread: Thread) -> ThreadCFG:
     )
 
 
+# The two depth-first walks are module-level functions, not nested
+# closures: a self-recursive closure is a reference cycle that outlives
+# every call until the cyclic collector runs.
+
+
+def _postorder(cfg: ThreadCFG, bid: int, visited: set[int], order: list[int]) -> None:
+    visited.add(bid)
+    for succ in cfg.successors(bid):
+        if succ != EXIT and succ not in visited:
+            _postorder(cfg, succ, visited, order)
+    order.append(bid)
+
+
 def _has_cycle(cfg: ThreadCFG) -> bool:
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+    return bool(cfg.blocks) and _reaches_back(cfg, 0, {})
 
-    def visit(bid: int) -> bool:
-        state[bid] = 1
-        for succ in cfg.successors(bid):
-            if succ == EXIT:
-                continue
-            mark = state.get(succ)
-            if mark == 1:
-                return True
-            if mark is None and visit(succ):
-                return True
-        state[bid] = 2
-        return False
 
-    return bool(cfg.blocks) and visit(0)
+def _reaches_back(cfg: ThreadCFG, bid: int, state: dict[int, int]) -> bool:
+    """True when a back edge is reachable from ``bid``.  ``state``: 1 = on
+    the stack, 2 = done."""
+    state[bid] = 1
+    for succ in cfg.successors(bid):
+        if succ == EXIT:
+            continue
+        mark = state.get(succ)
+        if mark == 1:
+            return True
+        if mark is None and _reaches_back(cfg, succ, state):
+            return True
+    state[bid] = 2
+    return False

@@ -76,6 +76,15 @@ def _limits(args: argparse.Namespace) -> EnumerationLimits:
     )
 
 
+class _OneModel(argparse.Action):
+    """``-m`` for a command that runs under exactly one model: stored as a
+    one-element list like the repeatable flag, and a second ``-m`` is a
+    usage error rather than silently ignored."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} takes one model (got a second: {values})")
+        setattr(namespace, self.dest, [values])
 
 
 def _cache(args: argparse.Namespace):
@@ -529,20 +538,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    test = _load_test(args.test)
-    if args.forbidden:
-        from repro.analysis.solver import explain_forbidden
+    from repro.analysis.solver import explain_forbidden
 
-        solved = explain_forbidden(test, args.model[0], _limits(args))
-        print(solved.render())
-        return 0 if solved.forbidden else 1
-    from repro.analysis.explain import explain_trace, trace_from_litmus
-
-    trace = trace_from_litmus(test)
-    explanation = explain_trace(trace, args.model[0])
-    print(f"{test.name}: {test.condition}")
-    print(explanation.render())
-    return 0 if explanation.forbidden else 1
+    solved = explain_forbidden(_load_test(args.test), args.model[0], _limits(args))
+    print(solved.render())
+    return 0 if solved.forbidden else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -845,9 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--model",
             "-m",
-            action="append" if multi_model else "store",
+            action="append" if multi_model else _OneModel,
             default=None,
-            help="memory model name (repeatable)" if multi_model else "memory model",
+            help="memory model name (repeatable)" if multi_model else "memory model name (one)",
         )
         p.add_argument(
             "--max-nodes",
@@ -1118,17 +1118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.set_defaults(func=cmd_export)
 
     p_explain = sub.add_parser(
-        "explain", help="explain WHY a test's condition is (un)observable"
+        "explain",
+        help="certify a test's outcome with the constraint solver: a "
+        "minimal violated-axiom core plus a forced-ordering cycle when "
+        "forbidden, a witness execution when reachable",
     )
     p_explain.add_argument("test")
-    p_explain.add_argument(
-        "--forbidden",
-        action="store_true",
-        help="certify the outcome with the constraint solver: a minimal "
-        "violated-axiom unsat core plus a forced-ordering cycle witness; "
-        "--max-nodes and --deadline apply only with --forbidden",
-    )
-    add_common(p_explain, partial=False)
+    add_common(p_explain, multi_model=False, partial=False)
     p_explain.set_defaults(func=cmd_explain)
 
     p_solve = sub.add_parser(

@@ -8,7 +8,10 @@ site `fencesynth` synthesizes must be predicted (or over-approximated)
 statically.  Soundness is asserted — zero misses — and precision is
 reported, alongside the model-linter verdicts (only the Figure 11
 ``naive-tso`` strawman errors) and the statically-proved
-``SC ⊆ TSO ⊆ PSO ⊆ WEAK`` lattice.
+``SC ⊆ TSO ⊆ PSO ⊆ WEAK`` lattice.  Both passes are timed and the ratio
+is reported in the details, but no claim rests on wall-clock time: the
+≥10x floor is enforced by the fencesynth gate of ``benchmarks/gates.py``
+(``MIN_STATIC_SPEEDUP``), which times the same passes.
 """
 
 from __future__ import annotations
@@ -126,19 +129,12 @@ def run() -> ExperimentResult:
             sorted((s.thread, s.position) for s in static.fence_sites),
         )
 
-    # --- speed: the whole point of the static layer --------------------
     speedup = dynamic_seconds / max(static_seconds, 1e-9)
-    result.claim(
-        "static analysis of the whole library is ≥10× faster than the "
-        "dynamic wellsync + fencesynth runs",
-        True,
-        speedup >= 10.0,
-    )
-
     result.details = "\n".join(
         [
             f"library: {len(tests)} tests; static pass {static_seconds * 1e3:.1f} ms, "
-            f"dynamic pass {dynamic_seconds * 1e3:.1f} ms (speedup {speedup:.0f}×)",
+            f"dynamic pass {dynamic_seconds * 1e3:.1f} ms (speedup {speedup:.0f}×, "
+            "floor enforced by benchmarks/gates.py)",
             f"races: {dynamic_races} dynamic, {static_races} statically predicted "
             f"(precision {dynamic_races / max(static_races, 1):.2f})",
             "",

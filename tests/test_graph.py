@@ -162,6 +162,23 @@ class TestQueries:
         assert graph.reachability_pairs() == frozenset({(0, 1), (1, 2), (0, 2)})
 
 
+class TestFindPath:
+    def test_path_through_intermediate(self):
+        graph = graph_with(3)
+        graph.add_edge(0, 1, EdgeKind.PROGRAM)
+        graph.add_edge(1, 2, EdgeKind.DATA)
+        path = graph.find_path(0, 2)
+        assert [(u, v) for u, v, _ in path] == [(0, 1), (1, 2)]
+
+    def test_no_path(self):
+        assert graph_with(2).find_path(0, 1) is None
+
+    def test_bypass_edges_do_not_carry_paths(self):
+        graph = graph_with(2)
+        graph.add_edge(0, 1, EdgeKind.BYPASS)
+        assert graph.find_path(0, 1) is None
+
+
 class TestCopy:
     def test_copy_is_independent(self):
         graph = graph_with(3)

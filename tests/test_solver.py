@@ -584,6 +584,24 @@ def test_explain_core_is_minimal():
             )
 
 
+def test_solver_leaves_no_cyclic_garbage():
+    """Each call's encoding, CFGs and replay frontiers are freed by
+    reference counting alone, not left for the cyclic collector."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("SB", "MP+ctrl", "IRIW", "CoRR", "dekker"):
+            test = get_test(name)
+            for model_name in MODELS:
+                solve_behaviors(test.program, model_name)
+                explain_forbidden(test, model_name)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_explain_verdicts_match_runner():
     for test in all_tests():
         for model_name in MODELS:

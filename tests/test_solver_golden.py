@@ -3,7 +3,7 @@
 One blake2b digest over, for every (program, model) pair: the
 ``SolveStats`` of ``solve_behaviors_with_stats`` (proposals, conflicts,
 decisions, propagations, ...) and the sorted ``loadstore_key`` reprs of
-its behaviors.  A second digest covers the ``explain --forbidden`` text
+its behaviors.  A second digest covers the ``repro explain`` text
 of a few forbidden library outcomes, so the unsat cores the solver hands
 the explainer are pinned too.
 
@@ -31,7 +31,7 @@ MODELS = ("sc", "tso", "pso", "weak")
 FUZZ_SEED = 7
 FUZZ_SLICE = range(10)
 WIDE_WIDTHS = (8, 10)
-#: (test, model) outcomes whose ``explain --forbidden`` text is pinned.
+#: (test, model) outcomes whose ``repro explain`` text is pinned.
 FORBIDDEN = (
     ("SB", "sc"),
     ("MP+fences", "weak"),

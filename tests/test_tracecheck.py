@@ -97,6 +97,7 @@ class TestModelDiscrimination:
 class TestTsotoolGap:
     def test_single_fig5_no_gap(self):
         assert check_trace(fig5_trace(2, 4, 6, 8), "weak").accepted
+        assert not check_trace(fig5_trace(2, 4, 6, 1), "weak").accepted
         for l9 in (0, 1, 8):
             trace = fig5_trace(2, 4, 6, l9)
             assert (
