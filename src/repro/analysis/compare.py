@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.fencesynth import behavior_signature
 from repro.core.enumerate import EnumerationLimits, enumerate_behaviors, outcome_sort_key
 from repro.isa.program import Program
 from repro.models.base import MemoryModel
@@ -131,7 +132,8 @@ class RobustnessReport:
     program_name: str
     model_name: str
     robust: bool
-    extra_outcomes: frozenset  #: outcomes possible under the model but not SC
+    #: (registers, final memory) pairs possible under the model but not SC
+    extra_behaviors: frozenset
     complete: bool = True  #: False when either enumeration was budget-limited
 
     def summary(self) -> str:
@@ -142,20 +144,21 @@ class RobustnessReport:
                 f"all behaviors are SC behaviors{caveat}"
             )
         samples = []
-        for outcome in sorted(self.extra_outcomes, key=outcome_sort_key)[:3]:
-            samples.append(
-                "{"
-                + ", ".join(
-                    f"{thread}:{register}={value}"
-                    for (thread, register), value in sorted(outcome, key=repr)
-                )
-                + "}"
-            )
+        for registers, memory in sorted(self.extra_behaviors, key=_behavior_sort_key)[:3]:
+            atoms = [f"{t}:{r}={value}" for t, r, _, value in outcome_sort_key(registers)]
+            atoms += [f"[{location}]={value}" for location, value in sorted(memory)]
+            samples.append("{" + ", ".join(atoms) + "}")
         return (
             f"{self.program_name} is NOT robust against {self.model_name}: "
-            f"{len(self.extra_outcomes)} non-SC outcome(s), e.g. {'; '.join(samples)}"
+            f"{len(self.extra_behaviors)} non-SC behavior(s), e.g. {'; '.join(samples)}"
             f"{caveat}"
         )
+
+
+def _behavior_sort_key(behavior: tuple[frozenset, frozenset]) -> tuple:
+    """Registers, then final memory, each ordered by :func:`outcome_sort_key`."""
+    registers, memory = behavior
+    return outcome_sort_key(registers), outcome_sort_key(((loc, ""), v) for loc, v in memory)
 
 
 def check_robustness(
@@ -163,21 +166,27 @@ def check_robustness(
     model: str | MemoryModel = "weak",
     limits: EnumerationLimits | None = None,
 ) -> RobustnessReport:
-    """Decide SC-robustness by exhaustive enumeration under both models.
+    """Decide SC-robustness by exhaustive enumeration under both models,
+    comparing their :func:`~repro.analysis.fencesynth.behavior_signature`
+    over every location of the program: register outcomes alone miss
+    store-only relaxations such as 2+2W, whose non-SC outcome lives
+    entirely in final memory.
 
     When either enumeration stops at a budget the verdict is a lower
-    bound (``complete=False``): extra outcomes found are real, but a
+    bound (``complete=False``): extra behaviors found are real, but a
     "robust" verdict may miss behaviors beyond the budget."""
     resolved = get_model(model) if isinstance(model, str) else model
+    locations = program.locations()
     sc_result = enumerate_behaviors(program, get_model("sc"), limits)
-    weak_result = enumerate_behaviors(program, resolved, limits)
-    extra = weak_result.register_outcomes() - sc_result.register_outcomes()
+    model_result = enumerate_behaviors(program, resolved, limits)
+    extra = behavior_signature(model_result, locations)
+    extra -= behavior_signature(sc_result, locations)
     return RobustnessReport(
         program_name=program.name,
         model_name=resolved.name,
         robust=not extra,
-        extra_outcomes=frozenset(extra),
-        complete=sc_result.complete and weak_result.complete,
+        extra_behaviors=extra,
+        complete=sc_result.complete and model_result.complete,
     )
 
 

@@ -33,7 +33,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.solver.sat import SatSolver
 from repro.analysis.static.dataflow import StaticFacts, compute_static_facts
+from repro.analysis.static.dataflow import may_alias, must_alias
+from repro.core.atomicity import close_store_atomicity
 from repro.core.execution import Execution
+from repro.core.graph import EdgeKind
 from repro.core.node import Node
 from repro.isa.instructions import OpClass, Rmw, RmwKind
 from repro.isa.operands import Value
@@ -136,24 +139,32 @@ def _address_set(node: Node, facts: StaticFacts) -> frozenset[Value] | None:
     return facts.address_set(node.tid, node.static_index)
 
 
-def _static_address(node: Node, facts: StaticFacts) -> Value | None:
-    """The single address ``node`` certainly touches, if known."""
-    addresses = _address_set(node, facts)
-    if addresses is not None and len(addresses) == 1:
-        return next(iter(addresses))
-    return None
-
-
 def _may_alias(a: Node, b: Node, facts: StaticFacts) -> bool:
-    set_a, set_b = _address_set(a, facts), _address_set(b, facts)
-    if set_a is None or set_b is None:
-        return True
-    return bool(set_a & set_b)
+    return may_alias(_address_set(a, facts), _address_set(b, facts))
 
 
 def _definitely_same(a: Node, b: Node, facts: StaticFacts) -> bool:
-    addr_a = _static_address(a, facts)
-    return addr_a is not None and addr_a == _static_address(b, facts)
+    return must_alias(_address_set(a, facts), _address_set(b, facts))
+
+
+def _settle_alias_pairs(base: Execution, facts: StaticFacts) -> None:
+    """Settle the skeleton's deferred ``x ≠ y`` pairs statically: a
+    must-alias pair is ordered now, a never-alias pair is dropped (its
+    §5.1 dependency stays: the machine still waits for the address to
+    check, Figure 8's S7/L8), a may-alias pair waits for replay."""
+    graph = base.graph
+    pending = []
+    ordered = False
+    for earlier, later in base.pending_alias:
+        first, second = graph.node(earlier), graph.node(later)
+        if _definitely_same(first, second, facts):
+            graph.add_edge(earlier, later, EdgeKind.PROGRAM)
+            ordered = True
+        elif _may_alias(first, second, facts):
+            pending.append((earlier, later))
+    base.pending_alias = pending
+    if ordered:
+        close_store_atomicity(graph)
 
 
 def _definite_writer(node: Node) -> bool:
@@ -193,7 +204,8 @@ def encode_program(
     """
     if facts is None:
         facts = compute_static_facts(program)
-    base = Execution.initial(program, model, max_nodes_per_thread, facts)
+    base = Execution.initial(program, model, max_nodes_per_thread)
+    _settle_alias_pairs(base, facts)
     solver = SatSolver()
     graph = base.graph
     memory_nodes = [node for node in graph.nodes if node.is_memory]

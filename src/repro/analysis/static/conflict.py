@@ -47,6 +47,8 @@ from repro.analysis.static.dataflow import (
     ThreadFacts,
     collect_memory_accesses,
     compute_static_facts,
+    may_alias,
+    must_alias,
     static_location,
 )
 from repro.isa.instructions import Branch, OpClass
@@ -91,17 +93,11 @@ class StaticAccess:
         return self.must_execute and locations is not None and len(locations) == 1
 
     def may_alias(self, other: "StaticAccess") -> bool:
-        mine = self.effective_locations()
-        theirs = other.effective_locations()
-        if mine is None or theirs is None:
-            return True
-        return bool(mine & theirs)
+        return may_alias(self.effective_locations(), other.effective_locations())
 
     def must_alias(self, other: "StaticAccess") -> bool:
         """Both accesses certainly target the same single address."""
-        mine = self.effective_locations()
-        theirs = other.effective_locations()
-        return mine is not None and len(mine) == 1 and mine == theirs
+        return must_alias(self.effective_locations(), other.effective_locations())
 
     def __str__(self) -> str:
         where = self.location if self.location is not None else "?"
@@ -246,10 +242,6 @@ class StaticReport:
         return "\n".join(lines)
 
 
-def _static_location(instruction) -> str | None:
-    return static_location(instruction)
-
-
 def collect_accesses(
     program: Program, facts: StaticFacts | None = None
 ) -> tuple[StaticAccess, ...]:
@@ -381,12 +373,10 @@ def enforced_order(
             return (
                 first is not None
                 and second is not None
-                and first.addresses is not None
-                and len(first.addresses) == 1
-                and first.addresses == second.addresses
+                and must_alias(first.addresses, second.addresses)
             )
-        first_loc = _static_location(thread.code[i])
-        second_loc = _static_location(thread.code[j])
+        first_loc = static_location(thread.code[i])
+        second_loc = static_location(thread.code[j])
         return first_loc is not None and first_loc == second_loc
 
     forwarded: list[tuple[int, int]] = []
@@ -441,7 +431,11 @@ MAX_CYCLES = 10_000
 
 
 def _conflicting(a: StaticAccess, b: StaticAccess) -> bool:
-    return a.thread != b.thread and a.may_alias(b) and (a.writes() or b.writes())
+    return (
+        a.thread != b.thread
+        and may_alias(a.effective_locations(), b.effective_locations())
+        and (a.writes() or b.writes())
+    )
 
 
 def find_critical_cycles(

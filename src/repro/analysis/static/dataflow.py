@@ -173,6 +173,16 @@ class AliasVerdict:
     NEVER = "never"
 
 
+def may_alias(first: ValueSet, second: ValueSet) -> bool:
+    """May two address sets meet?  ``None`` (unknown) meets everything."""
+    return first is None or second is None or not first.isdisjoint(second)
+
+
+def must_alias(first: ValueSet, second: ValueSet) -> bool:
+    """Are both address sets the same single address?"""
+    return first is not None and len(first) == 1 and first == second
+
+
 @dataclass(frozen=True)
 class ThreadFacts:
     """Dataflow results for one thread.
@@ -246,11 +256,9 @@ class StaticFacts:
         """Must/may/never alias verdict for two access slots."""
         first = self.address_set(tid1, index1)
         second = self.address_set(tid2, index2)
-        if first is None or second is None:
-            return AliasVerdict.MAY
-        if not (first & second):
+        if not may_alias(first, second):
             return AliasVerdict.NEVER
-        if len(first) == 1 and first == second:
+        if must_alias(first, second):
             return AliasVerdict.MUST
         return AliasVerdict.MAY
 

@@ -335,15 +335,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # defaults let an exhausted search make progress.
         checkpoint = EnumerationCheckpoint.load(args.resume)
         result = resume_enumeration(checkpoint, _limits(args), strict=args.strict)
-        name = checkpoint.program.name
-        model_name = checkpoint.model.name
-    else:
-        test = _load_test(args.test)
-        lint_exit = _auto_lint(test, args)
-        if lint_exit is not None:
-            return lint_exit
-        name = test.name
-        model_name = args.model[0]
+        _print_enumeration(args, checkpoint.program.name, checkpoint.model.name, result)
+        return 0
+    if args.checkpoint and len(args.model) > 1:
+        raise ReproError("--checkpoint saves one search: give exactly one -m")
+    test = _load_test(args.test)
+    lint_exit = _auto_lint(test, args)
+    if lint_exit is not None:
+        return lint_exit
+    for model_name in args.model:
         result = enumerate_behaviors(
             test.program,
             get_model(model_name),
@@ -351,6 +351,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             strict=args.strict,
             cache=_cache(args),
         )
+        _print_enumeration(args, test.name, model_name, result)
+    return 0
+
+
+def _print_enumeration(args: argparse.Namespace, name: str, model_name: str, result) -> None:
+    """One search's summary, checkpoint (``--checkpoint``), outcomes and graphs."""
     print(
         f"{name} under {model_name}: {len(result)} distinct executions "
         f"(explored {result.stats.explored} behaviors, "
@@ -373,7 +379,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for execution in result.executions[: args.graphs]:
             print()
             print(render(execution.graph))
-    return 0
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -437,9 +442,12 @@ def cmd_robust(args: argparse.Namespace) -> int:
             print(certificate.summary())
             exit_code |= 0 if certificate.robust else 1
         return exit_code
-    report = check_robustness(test.program, args.model[0], _limits(args))
-    print(report.summary())
-    return 0 if report.robust else 1
+    exit_code = 0
+    for model_name in args.model:
+        report = check_robustness(test.program, model_name, _limits(args))
+        print(report.summary())
+        exit_code |= 0 if report.robust else 1
+    return exit_code
 
 
 def cmd_delays(args: argparse.Namespace) -> int:
@@ -1025,7 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ws = sub.add_parser("wellsync", help="check the §8 well-sync discipline")
     p_ws.add_argument("test")
-    add_common(p_ws, partial=False)
+    add_common(p_ws, multi_model=False, partial=False)
     p_ws.add_argument("--sync", default="", help="comma-separated sync locations")
     p_ws.set_defaults(func=cmd_wellsync)
 
@@ -1058,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         "delays", help="Shasha-Snir delay-set analysis of a test"
     )
     p_delays.add_argument("test")
-    add_common(p_delays)
+    add_common(p_delays, multi_model=False)
     p_delays.add_argument(
         "--verify",
         action="store_true",
@@ -1068,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fences = sub.add_parser("fences", help="synthesize minimal fences")
     p_fences.add_argument("test")
-    add_common(p_fences)
+    add_common(p_fences, multi_model=False)
     p_fences.add_argument("--max-fences", type=int, default=None)
     p_fences.add_argument(
         "--max-subsets",
@@ -1368,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--url", default="http://127.0.0.1:8642", help="server base URL"
     )
-    add_common(p_submit)
+    add_common(p_submit, multi_model=False)
     p_submit.add_argument(
         "--max-behaviors", type=int, default=None, help="behavior-exploration budget"
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.errors import EnumerationError, ExecutionError, GraphError
 from repro.core.atomicity import close_store_atomicity
@@ -44,9 +43,6 @@ from repro.isa.instructions import (
 from repro.isa.operands import Const, Operand, Reg, Value
 from repro.isa.program import Program
 from repro.models.base import MemoryModel, OrderRequirement
-
-if TYPE_CHECKING:
-    from repro.analysis.static.dataflow import StaticFacts
 
 #: Sentinel meaning "operand value not yet available".
 _UNAVAILABLE = object()
@@ -127,15 +123,10 @@ class Execution:
         program: Program,
         model: MemoryModel,
         max_nodes_per_thread: int = 64,
-        facts: "StaticFacts | None" = None,
     ) -> None:
         self.program = program
         self.model = model
         self.max_nodes_per_thread = max_nodes_per_thread
-        #: optional dataflow facts (repro.analysis.static.dataflow): the
-        #: solver skeleton's input (repro.analysis.solver.encode), used to
-        #: settle statically-certain alias pairs at generation time.
-        self.facts = facts
         self.graph = ExecutionGraph()
         self.threads: list[ThreadState] = [ThreadState() for _ in program.threads]
         self.init_nodes: dict[Value, int] = {}
@@ -152,10 +143,9 @@ class Execution:
         program: Program,
         model: MemoryModel,
         max_nodes_per_thread: int = 64,
-        facts: "StaticFacts | None" = None,
     ) -> "Execution":
         """The starting behavior: init stores + saturated generation."""
-        execution = cls(program, model, max_nodes_per_thread, facts)
+        execution = cls(program, model, max_nodes_per_thread)
         execution.stabilize()
         return execution
 
@@ -195,7 +185,6 @@ class Execution:
         dup.program = self.program
         dup.model = self.model
         dup.max_nodes_per_thread = self.max_nodes_per_thread
-        dup.facts = self.facts
         dup.graph = self.graph.copy_on_write()
         dup.threads = [ts if ts.halted else ts.copy() for ts in self.threads]
         dup.init_nodes = self.init_nodes  # write-once at construction
@@ -285,14 +274,6 @@ class Execution:
         Otherwise the pair is deferred until both addresses resolve; in the
         non-speculative model the later operation additionally depends on
         the instruction producing the earlier operation's address (§5.1).
-
-        Dataflow facts settle register-computed pairs statically: a
-        must-alias pair gets its ordering edge at generation time (the
-        address producer is then ordered transitively, so no separate
-        §5.1 edge is needed), a must-not-alias pair will never produce a
-        same-address edge so the deferred check is dropped — but its
-        §5.1 address-resolution dependency is *kept*: the machine still
-        waits for the address to perform the check (Figure 8's S7/L8).
         """
         prior_addr = prior.instruction.addr_operand() if prior.instruction else None
         node_addr = node.instruction.addr_operand() if node.instruction else None
@@ -300,23 +281,7 @@ class Execution:
             if prior_addr.value == node_addr.value:
                 self.graph.add_edge(prior.nid, node.nid, EdgeKind.PROGRAM)
             return
-        if (
-            self.facts is not None
-            and prior.static_index is not None
-            and node.static_index is not None
-        ):
-            from repro.analysis.static.dataflow import AliasVerdict
-
-            verdict = self.facts.pair_verdict(
-                prior.tid, prior.static_index, node.tid, node.static_index
-            )
-            if verdict == AliasVerdict.MUST:
-                self.graph.add_edge(prior.nid, node.nid, EdgeKind.PROGRAM)
-                return
-            if verdict == AliasVerdict.MAY:
-                self.pending_alias.append((prior.nid, node.nid))
-        else:
-            self.pending_alias.append((prior.nid, node.nid))
+        self.pending_alias.append((prior.nid, node.nid))
         if not self.model.speculative_aliasing and isinstance(prior_addr, Reg):
             producer = prior.operand_sources[0]  # addr is operand 0 for memory ops
             if producer is not None:

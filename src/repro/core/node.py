@@ -39,8 +39,8 @@ class Node:
         or None when the operand is a constant or an unwritten register.
       * ``static_index`` — the instruction's position in the thread's
         static code (differs from ``index`` after a backwards branch;
-        None for init stores).  Keys the node into the dataflow facts of
-        :mod:`repro.analysis.static.dataflow`.
+        None for init stores).  Keys the node into per-instruction
+        static facts.
 
     Derived (set at construction from ``tid`` and ``op_class``, which
     never change; plain attributes because the engine's hot loops read

@@ -224,15 +224,7 @@ def behavior_cache_key(program, model, limits=None, *, digest_size: int = 16) ->
     payload = {
         "version": BEHAVIOR_CACHE_KEY_VERSION,
         "program": disassemble(program),
-        "model": {
-            "name": model.name,
-            "store_load_bypass": bool(model.store_load_bypass),
-            "speculative_aliasing": bool(model.speculative_aliasing),
-            "table": sorted(
-                (first.value, second.value, int(requirement))
-                for (first, second), requirement in model.table.entries.items()
-            ),
-        },
+        "model": model.canonical_form(),
         "limits": limits_fields,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

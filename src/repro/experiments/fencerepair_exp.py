@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.fencesynth import behavior_signature, synthesize_fences
+from repro.analysis.compare import check_robustness
+from repro.analysis.fencesynth import synthesize_fences
 from repro.analysis.sites import FenceSite
 from repro.analysis.static import (
     apply_repairs,
@@ -37,10 +38,8 @@ from repro.analysis.static import (
     repair_upgrades,
 )
 from repro.analysis.static.dataflow import compute_static_facts
-from repro.core.enumerate import enumerate_behaviors
 from repro.experiments.base import ExperimentResult
 from repro.litmus.library import all_tests, get_test
-from repro.models.registry import get_model
 
 EXPERIMENT_ID = "TAB-FENCEREPAIR"
 
@@ -61,13 +60,8 @@ EXPECTED_STATIC = {
 def _sc_robust_confirmed(program) -> bool:
     """Enumerative confirmation of a robust certificate: the model's
     behavior signature is contained in SC's."""
-    locations = program.locations()
-    sc_signature = behavior_signature(
-        enumerate_behaviors(program, get_model("sc")), locations
-    )
     return all(
-        behavior_signature(enumerate_behaviors(program, get_model(name)), locations)
-        <= sc_signature
+        check_robustness(program, name).robust
         for name in ("tso", "pso", "weak")
         if certify_robustness(program, name).robust
     )
@@ -180,19 +174,11 @@ def run() -> ExperimentResult:
         (upgrades.best_cost, rel_acq is not None),
     )
     if rel_acq is not None:
-        repaired = apply_repairs(mp, rel_acq)
-        locations = mp.locations()
-        sc_signature = behavior_signature(
-            enumerate_behaviors(mp, get_model("sc")), locations
-        )
-        weak_signature = behavior_signature(
-            enumerate_behaviors(repaired, get_model("weak")), locations
-        )
         result.claim(
             "applying the release/acquire plan makes MP enumeratively "
             "SC-robust under WEAK",
             True,
-            weak_signature <= sc_signature,
+            check_robustness(apply_repairs(mp, rel_acq), "weak").robust,
         )
 
     # -- portability down the lattice ----------------------------------

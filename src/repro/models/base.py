@@ -168,6 +168,19 @@ class MemoryModel:
             return OrderRequirement.ALWAYS
         return self.table.lookup(first, second)
 
+    def canonical_form(self) -> dict:
+        """The model's full semantic content as JSON-ready data (what
+        cache keys and the campaign's model digest hash)."""
+        return {
+            "name": self.name,
+            "store_load_bypass": bool(self.store_load_bypass),
+            "speculative_aliasing": bool(self.speculative_aliasing),
+            "table": sorted(
+                (first.value, second.value, int(requirement))
+                for (first, second), requirement in self.table.entries.items()
+            ),
+        }
+
     def __str__(self) -> str:
         flags = []
         if self.store_load_bypass:

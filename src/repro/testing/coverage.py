@@ -263,18 +263,7 @@ def model_tables_digest(digest_size: int = 16) -> str:
     resuming a grid measured under different semantics."""
     from repro.models.registry import all_models
 
-    payload = [
-        {
-            "name": model.name,
-            "store_load_bypass": bool(model.store_load_bypass),
-            "speculative_aliasing": bool(model.speculative_aliasing),
-            "table": sorted(
-                (first.value, second.value, int(requirement))
-                for (first, second), requirement in model.table.entries.items()
-            ),
-        }
-        for model in all_models()
-    ]
+    payload = [model.canonical_form() for model in all_models()]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=digest_size).hexdigest()
 

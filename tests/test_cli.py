@@ -116,7 +116,7 @@ class TestDeterministicListings:
         source = tmp_path / "sb-wide.litmus"
         source.write_text(SB_WIDE)
         first = self._output("1", "robust", str(source), "-m", "weak")
-        assert "3 non-SC outcome(s)" in first
+        assert "3 non-SC behavior(s)" in first
         assert first == self._output("2", "robust", str(source), "-m", "weak")
 
 
@@ -131,6 +131,16 @@ class TestResilienceFlags:
         )
         assert code == 2
         assert "exceeded 5 explored behaviors" in capsys.readouterr().err
+
+    def test_enumerate_answers_for_every_model(self, capsys):
+        assert main(["enumerate", "SB", "-m", "sc", "-m", "weak"]) == 0
+        out = capsys.readouterr().out
+        assert "SB under sc: 3 distinct" in out and "SB under weak: 4 distinct" in out
+
+    def test_checkpoint_takes_one_model(self, tmp_path, capsys):
+        argv = ["enumerate", "SB", "-m", "sc", "-m", "weak"]
+        assert main(argv + ["--checkpoint", str(tmp_path / "sb.ckpt")]) == 2
+        assert "--checkpoint saves one search" in capsys.readouterr().err
 
     def test_checkpoint_and_resume_roundtrip(self, tmp_path, capsys):
         checkpoint = tmp_path / "wrc.ckpt"
@@ -229,9 +239,13 @@ class TestExplain:
         assert ("FORBIDDEN" in capsys.readouterr().out) == (expected == 0)
 
     def test_second_model_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["explain", "SB", "-m", "sc", "-m", "tso"])
-        assert exc.value.code == 2 and "takes one model" in capsys.readouterr().err
+        """Every command that answers for one model refuses a second
+        ``-m`` instead of silently dropping it."""
+        for command in ("explain", "wellsync", "fences", "delays", "submit"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "SB", "-m", "sc", "-m", "tso"])
+            assert exc.value.code == 2, command
+            assert "takes one model" in capsys.readouterr().err, command
 
     def test_exhausted_deadline_exits_2(self, capsys):
         assert main(["explain", "SB", "-m", "sc", "--deadline", "0"]) == 2

@@ -5,6 +5,7 @@ reproduce them exactly, or every WAL and campaign state already on disk
 silently stops verifying.
 """
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from repro.core.enumerate import (
 )
 from repro.core.serialization import behavior_cache_key
 from repro.errors import CacheError, EnumerationError
-from repro.litmus.library import get_test
+from repro.litmus.library import all_tests, get_test
 from repro.models.registry import get_model
 from repro.service.wal import WALRecord, WriteAheadLog, replay_wal
 from repro.storage import atomic_write
@@ -37,6 +38,11 @@ PINNED_STATE_BODY = {
     "seen": ["0123456789abcdef", "fedcba9876543210"],
 }
 PINNED_STATE_CRC = "247742fed2b0fa9d"
+#: blake2b-16 over ``behavior_cache_key`` of every library test under
+#: each model below, in library order: every cache entry on disk is
+#: filed under one of these keys.
+PINNED_LIBRARY_KEYS_DIGEST = "5063d262f74513cfcf8edd8030b2e43c"
+PINNED_KEY_MODELS = ("sc", "tso", "pso", "weak", "weak-spec")
 
 
 class TestFormatPins:
@@ -57,6 +63,13 @@ class TestFormatPins:
 
     def test_campaign_state_crc(self):
         assert _state_crc(PINNED_STATE_BODY) == PINNED_STATE_CRC
+
+    def test_behavior_cache_keys_over_the_library(self):
+        digest = hashlib.blake2b(digest_size=16)
+        for test in all_tests():
+            for name in PINNED_KEY_MODELS:
+                digest.update(behavior_cache_key(test.program, get_model(name)))
+        assert digest.hexdigest() == PINNED_LIBRARY_KEYS_DIGEST
 
 
 def test_any_damaged_checkpoint_byte_is_refused(tmp_path):
