@@ -31,6 +31,12 @@ A :class:`CycleError` or :class:`AtomicityViolation` during replay is
 *order-independent* (every edge involved is forced by a subset of the
 assignment), so the whole assignment is rejected on the spot.
 
+Static facts are computed on first need, by the encoder (see
+:attr:`~repro.analysis.solver.encode.Encoding.facts`): a program whose
+skeleton knows every address never computes them.  ``facts=`` supplies
+them instead (the ``solver-vs-axiomatic`` oracle shares one object
+across models).
+
 Budgets.  One :class:`~repro.core.enumerate.EnumerationLimits` bounds
 the whole call through the enumerator's own check and error texts.
 ``max_behaviors`` bounds the work, counted together: SAT calls, replay
@@ -51,7 +57,7 @@ import time
 from dataclasses import dataclass
 
 from repro.analysis.solver.encode import Encoding, encode_program
-from repro.analysis.static.dataflow import StaticFacts, compute_static_facts
+from repro.analysis.static.dataflow import StaticFacts
 from repro.core.candidates import candidate_stores
 from repro.core.enumerate import (
     EnumerationLimits,
@@ -227,8 +233,6 @@ def solve_behaviors_with_stats(
         model = get_model(model)
     if limits is None:
         limits = EnumerationLimits()
-    if facts is None:
-        facts = compute_static_facts(program)
     encoding = encode_program(
         program,
         model,

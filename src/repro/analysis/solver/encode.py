@@ -21,6 +21,24 @@ dynamically-discovered same-address edges, value flow) is rejected
 there and blocked.  Value consistency is therefore enforced exactly by
 replay rather than approximated in CNF.
 
+**Order variables only where an axiom orders.**  Every clause of the
+axiom groups (source edge, store-buffer drain, atomicity rules (a) and
+(b)) names accesses to one address: a load, its candidate sources and
+the same-address stores the rules instantiate.  Those are the *order
+nodes*; "a ⊑ b" gets a variable, a skeleton unit and the partial-order
+laws only for order nodes a, b.  This loses no behavior and admits none:
+a model over the order nodes extends to every memory node by closing its
+order together with the skeleton ⊑, because a path through a dropped
+node leaves and re-enters the order nodes along skeleton edges, and
+``graph.before`` is reachability, so that detour is already a unit
+between order nodes.  The closure therefore adds no pair among order
+nodes and no cycle (a cycle with no order node would be a skeleton
+cycle), and the satisfying reads-from assignments are the same set.
+
+Static facts are computed on first need (:attr:`Encoding.facts`): only
+for an access whose address the skeleton has not computed, and by the
+explainer.  Most straight-line programs never compute them.
+
 With ``with_selectors=True`` every axiom group is guarded by a fresh
 selector variable so :mod:`repro.analysis.solver.explain` can solve
 under assumptions and shrink failed-assumption sets to a minimal
@@ -30,6 +48,7 @@ violated-axiom core.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.solver.sat import SatSolver
 from repro.analysis.static.dataflow import StaticFacts, compute_static_facts
@@ -74,17 +93,29 @@ class Encoding:
 
     program: Program
     model: MemoryModel
-    facts: StaticFacts
     base: Execution  #: the stabilized skeleton the variables refer to
     solver: SatSolver
-    memory_nodes: list[Node]  #: skeleton memory operations (incl. init)
-    loads: list[Node]  #: memory nodes that need a reads-from source
-    order_var: dict[tuple[int, int], int]  #: (a, b) -> var for "a ⊑ b"
-    rf_var: dict[tuple[int, int], int]  #: (load, store) -> var "L reads S"
-    ext_var: dict[int, int]  #: load -> var "L reads a post-branch store"
-    candidates: dict[int, list[int]]  #: load nid -> candidate store nids
-    has_extension: bool  #: some thread is blocked on an unresolved branch
+    #: the order nodes: skeleton memory operations (incl. init) that
+    #: some axiom orders, in node order
+    memory_nodes: list[Node] = field(default_factory=list)
+    #: memory nodes that need a reads-from source
+    loads: list[Node] = field(default_factory=list)
+    #: (a, b) -> var for "a ⊑ b", over the order nodes
+    order_var: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: (load, store) -> var "L reads S"
+    rf_var: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: load -> var "L reads a post-branch store"
+    ext_var: dict[int, int] = field(default_factory=dict)
+    #: load nid -> candidate store nids
+    candidates: dict[int, list[int]] = field(default_factory=dict)
+    has_extension: bool = False  #: some thread is blocked on an unresolved branch
     groups: list[ClauseGroup] = field(default_factory=list)
+
+    @cached_property
+    def facts(self) -> StaticFacts:
+        """The program's static facts, computed the first time they are
+        read (assigning ``facts`` supplies them instead)."""
+        return compute_static_facts(self.program)
 
     # -- model interpretation ------------------------------------------
 
@@ -130,37 +161,39 @@ class Encoding:
 # static address reasoning
 
 
-def _address_set(node: Node, facts: StaticFacts) -> frozenset[Value] | None:
-    """Addresses ``node`` may touch (``None`` = unknown, i.e. any)."""
+def _address_set(node: Node, encoding: Encoding) -> frozenset[Value] | None:
+    """Addresses ``node`` may touch (``None`` = unknown, i.e. any).  Only
+    an address the skeleton has not computed reads the static facts."""
     if node.addr is not None:
         return frozenset((node.addr,))
     if node.tid < 0 or node.static_index is None:
         return None
-    return facts.address_set(node.tid, node.static_index)
+    return encoding.facts.address_set(node.tid, node.static_index)
 
 
-def _may_alias(a: Node, b: Node, facts: StaticFacts) -> bool:
-    return may_alias(_address_set(a, facts), _address_set(b, facts))
+def _may_alias(a: Node, b: Node, encoding: Encoding) -> bool:
+    return may_alias(_address_set(a, encoding), _address_set(b, encoding))
 
 
-def _definitely_same(a: Node, b: Node, facts: StaticFacts) -> bool:
-    return must_alias(_address_set(a, facts), _address_set(b, facts))
+def _definitely_same(a: Node, b: Node, encoding: Encoding) -> bool:
+    return must_alias(_address_set(a, encoding), _address_set(b, encoding))
 
 
-def _settle_alias_pairs(base: Execution, facts: StaticFacts) -> None:
+def _settle_alias_pairs(encoding: Encoding) -> None:
     """Settle the skeleton's deferred ``x ≠ y`` pairs statically: a
     must-alias pair is ordered now, a never-alias pair is dropped (its
     §5.1 dependency stays: the machine still waits for the address to
     check, Figure 8's S7/L8), a may-alias pair waits for replay."""
+    base = encoding.base
     graph = base.graph
     pending = []
     ordered = False
     for earlier, later in base.pending_alias:
         first, second = graph.node(earlier), graph.node(later)
-        if _definitely_same(first, second, facts):
+        if _definitely_same(first, second, encoding):
             graph.add_edge(earlier, later, EdgeKind.PROGRAM)
             ordered = True
-        elif _may_alias(first, second, facts):
+        elif _may_alias(first, second, encoding):
             pending.append((earlier, later))
     base.pending_alias = pending
     if ordered:
@@ -187,6 +220,12 @@ def _short(node: Node) -> str:
 # ----------------------------------------------------------------------
 # the encoder
 
+#: One clause of groups 4-7, before its variables exist: (group key,
+#: (load, source; ``None`` for a post-branch store), premise pair or
+#: ``None``, conclusion pair) reads "if the load reads that source and
+#: the premise pair is ordered, the conclusion pair is ordered".
+_Schema = tuple[str, tuple[int, int | None], tuple[int, int] | None, tuple[int, int]]
+
 
 def encode_program(
     program: Program,
@@ -202,31 +241,104 @@ def encode_program(
     itself exceeds the node budget (unbounded loop) — the same contract
     as :func:`~repro.core.enumerate.enumerate_behaviors`.
     """
-    if facts is None:
-        facts = compute_static_facts(program)
     base = Execution.initial(program, model, max_nodes_per_thread)
-    _settle_alias_pairs(base, facts)
     solver = SatSolver()
+    encoding = Encoding(program=program, model=model, base=base, solver=solver)
+    if facts is not None:
+        encoding.facts = facts
+    _settle_alias_pairs(encoding)
     graph = base.graph
-    memory_nodes = [node for node in graph.nodes if node.is_memory]
-    loads = [node for node in memory_nodes if node.reads_memory]
-    stores = [node for node in memory_nodes if node.writes_memory]
-    has_extension = any(not state.halted for state in base.threads)
-
-    encoding = Encoding(
-        program=program,
-        model=model,
-        facts=facts,
-        base=base,
-        solver=solver,
-        memory_nodes=memory_nodes,
-        loads=loads,
-        order_var={},
-        rf_var={},
-        ext_var={},
-        candidates={},
-        has_extension=has_extension,
+    memory = [node for node in graph.nodes if node.is_memory]
+    loads = encoding.loads = [node for node in memory if node.reads_memory]
+    stores = [node for node in memory if node.writes_memory]
+    has_extension = encoding.has_extension = any(
+        not state.halted for state in base.threads
     )
+    candidates = encoding.candidates
+    for load in loads:
+        candidates[load.nid] = [
+            store.nid
+            for store in stores
+            # an RMW never reads its own write; a source ⊑-after the
+            # load is a cycle outright
+            if store.nid != load.nid
+            and not graph.before(load.nid, store.nid)
+            and _may_alias(load, store, encoding)
+        ]
+
+    def forwardable(load: Node, store: Node) -> bool:
+        """May resolving ``load`` from ``store`` be a store-buffer
+        forward (grey BYPASS edge, no ⊑)?  Mirrors ``is_local_forward``
+        in :meth:`Execution.resolve_load`."""
+        return (
+            model.store_load_bypass
+            and load.op_class is OpClass.LOAD
+            and store.tid == load.tid
+            and store.index < load.index
+        )
+
+    # -- the axiom schemas of groups 4-7, before any variable -----------
+    schemas: list[_Schema] = []
+    # group 4: a load is ⊑-after its source (unless forwarded)
+    for load in loads:
+        for store_nid in candidates[load.nid]:
+            if not forwardable(load, graph.node(store_nid)):
+                schemas.append(
+                    (GROUP_SOURCE_ORDER, (load.nid, store_nid), None, (store_nid, load.nid))
+                )
+    # group 5: reading past the buffer drains it (bypass models)
+    if model.store_load_bypass:
+        for load in loads:
+            if load.op_class is not OpClass.LOAD:
+                continue
+            for local in stores:
+                if not (
+                    local.tid == load.tid
+                    and local.index < load.index
+                    and _definite_writer(local)
+                    and _definitely_same(local, load, encoding)
+                ):
+                    continue
+                drained = (local.nid, load.nid)
+                for store_nid in candidates[load.nid]:
+                    if store_nid != local.nid and not forwardable(
+                        load, graph.node(store_nid)
+                    ):
+                        schemas.append((GROUP_DRAIN, (load.nid, store_nid), None, drained))
+                if has_extension:
+                    schemas.append((GROUP_DRAIN, (load.nid, None), None, drained))
+    # groups 6 and 7: store atomicity rules (a) and (b)
+    for load in loads:
+        same_address = [
+            store.nid
+            for store in stores
+            if _definite_writer(store) and _definitely_same(store, load, encoding)
+        ]
+        for src_nid in candidates[load.nid]:
+            choice = (load.nid, src_nid)
+            for store_nid in same_address:
+                if store_nid in choice:
+                    continue
+                schemas.append(
+                    (GROUP_ATOMICITY_A, choice, (store_nid, load.nid), (store_nid, src_nid))
+                )
+                schemas.append(
+                    (GROUP_ATOMICITY_B, choice, (src_nid, store_nid), (load.nid, store_nid))
+                )
+
+    # -- variables: "a ⊑ b" over the order nodes only -------------------
+    ordered = {nid for *_, premise, conclusion in schemas for nid in (premise or ()) + conclusion}
+    memory_nodes = encoding.memory_nodes = [node for node in memory if node.nid in ordered]
+    order = encoding.order_var
+    for a in memory_nodes:
+        for b in memory_nodes:
+            if a.nid != b.nid:
+                order[(a.nid, b.nid)] = solver.new_var()
+    for load in loads:
+        for store_nid in candidates[load.nid]:
+            encoding.rf_var[(load.nid, store_nid)] = solver.new_var()
+        if has_extension:
+            encoding.ext_var[load.nid] = solver.new_var()
 
     def group(key: str, description: str, *, guarded: bool) -> ClauseGroup:
         selector = solver.new_var() if (guarded and with_selectors) else None
@@ -240,32 +352,17 @@ def encode_program(
         else:
             solver.add_clause(lits)
 
-    # -- variables ------------------------------------------------------
-    for a in memory_nodes:
-        for b in memory_nodes:
-            if a.nid != b.nid:
-                encoding.order_var[(a.nid, b.nid)] = solver.new_var()
-    for load in loads:
-        chosen: list[int] = []
-        for store in stores:
-            if store.nid == load.nid:
-                continue  # an RMW never reads its own write
-            if graph.before(load.nid, store.nid):
-                continue  # a source ⊑-after the load is a cycle outright
-            if not _may_alias(load, store, facts):
-                continue
-            chosen.append(store.nid)
-            encoding.rf_var[(load.nid, store.nid)] = solver.new_var()
-        encoding.candidates[load.nid] = chosen
-        if has_extension:
-            encoding.ext_var[load.nid] = solver.new_var()
-
-    order = encoding.order_var
+    # Clauses no selector guards go straight to the solver: transitivity
+    # alone is cubic in the order nodes.
+    add_clause = solver.add_clause
 
     # -- group 1: skeleton program order (one guarded unit per pair) ----
     for a in memory_nodes:
         for b in memory_nodes:
             if a.nid == b.nid or not graph.before(a.nid, b.nid):
+                continue
+            if not with_selectors:
+                add_clause([order[(a.nid, b.nid)]])
                 continue
             path = graph.find_path(a.nid, b.nid)
             kinds = ", ".join(
@@ -277,11 +374,6 @@ def encode_program(
                 guarded=True,
             )
             add(made, [order[(a.nid, b.nid)]])
-
-    # The structural groups below are never guarded, so their clauses go
-    # straight to the solver: transitivity alone is cubic in the memory
-    # operations.
-    add_clause = solver.add_clause
 
     # -- group 2: ⊑ is a strict partial order (structural, never guarded)
     group(GROUP_PARTIAL_ORDER, "⊑ is a strict partial order", guarded=False)
@@ -326,7 +418,7 @@ def encode_program(
     # -- group 3: every load reads exactly one source (structural) ------
     group(GROUP_RF_CHOICE, "every load reads exactly one store", guarded=False)
     for load in loads:
-        options = [encoding.rf_var[(load.nid, s)] for s in encoding.candidates[load.nid]]
+        options = [encoding.rf_var[(load.nid, s)] for s in candidates[load.nid]]
         if has_extension:
             options.append(encoding.ext_var[load.nid])
         add_clause(options)
@@ -334,85 +426,42 @@ def encode_program(
             for second in options[i + 1 :]:
                 add_clause([-first, -second])
 
-    # -- group 4: a load is ⊑-after its source (unless forwarded) -------
-    def forwardable(load: Node, store: Node) -> bool:
-        """May resolving ``load`` from ``store`` be a store-buffer
-        forward (grey BYPASS edge, no ⊑)?  Mirrors ``is_local_forward``
-        in :meth:`Execution.resolve_load`."""
-        return (
-            model.store_load_bypass
-            and load.op_class is OpClass.LOAD
-            and store.tid == load.tid
-            and store.index < load.index
+    # -- groups 4-7: the axiom schemas collected above ------------------
+    axioms = {
+        GROUP_SOURCE_ORDER: group(
+            GROUP_SOURCE_ORDER,
+            "a load is ordered after the store it reads (source edge)",
+            guarded=True,
         )
-
-    source = group(
-        GROUP_SOURCE_ORDER,
-        "a load is ordered after the store it reads (source edge)",
-        guarded=True,
-    )
-    for (load_nid, store_nid), var in encoding.rf_var.items():
-        load, store = graph.node(load_nid), graph.node(store_nid)
-        if not forwardable(load, store):
-            add(source, [-var, order[(store_nid, load_nid)]])
-
-    # -- group 5: reading past the buffer drains it (bypass models) ----
+    }
     if model.store_load_bypass:
-        drain = group(
+        axioms[GROUP_DRAIN] = group(
             GROUP_DRAIN,
             "a load that bypasses the store buffer drains earlier local "
             "stores to its address",
             guarded=True,
         )
-        for load in loads:
-            if load.op_class is not OpClass.LOAD:
-                continue
-            earlier = [
-                store
-                for store in stores
-                if store.tid == load.tid
-                and store.index < load.index
-                and _definite_writer(store)
-                and _definitely_same(store, load, facts)
-            ]
-            if not earlier:
-                continue
-            for local in earlier:
-                for store_nid in encoding.candidates[load.nid]:
-                    store = graph.node(store_nid)
-                    if store_nid != local.nid and not forwardable(load, store):
-                        add(
-                            drain,
-                            [
-                                -encoding.rf_var[(load.nid, store_nid)],
-                                order[(local.nid, load.nid)],
-                            ],
-                        )
-                if load.nid in encoding.ext_var:
-                    add(drain, [-encoding.ext_var[load.nid], order[(local.nid, load.nid)]])
-
-    # -- groups 6 and 7: store atomicity rules (a) and (b) --------------
-    rule_a = group(
+    axioms[GROUP_ATOMICITY_A] = group(
         GROUP_ATOMICITY_A,
         "rule (a): a same-address store ⊑-before a load is ⊑-before the "
         "load's source",
         guarded=True,
     )
-    rule_b = group(
+    axioms[GROUP_ATOMICITY_B] = group(
         GROUP_ATOMICITY_B,
         "rule (b): a same-address store ⊑-after a load's source is "
         "⊑-after the load",
         guarded=True,
     )
-    for (load_nid, src_nid), var in encoding.rf_var.items():
-        load = graph.node(load_nid)
-        for store in stores:
-            if store.nid in (load_nid, src_nid):
-                continue
-            if not _definite_writer(store) or not _definitely_same(store, load, facts):
-                continue
-            add(rule_a, [-var, -order[(store.nid, load_nid)], order[(store.nid, src_nid)]])
-            add(rule_b, [-var, -order[(src_nid, store.nid)], order[(load_nid, store.nid)]])
+    for key, (load_nid, store_nid), premise, conclusion in schemas:
+        if store_nid is None:
+            reads = encoding.ext_var[load_nid]
+        else:
+            reads = encoding.rf_var[(load_nid, store_nid)]
+        if premise is None:
+            add(axioms[key], [-reads, order[conclusion]])
+        else:
+            add(axioms[key], [-reads, -order[premise], order[conclusion]])
 
     return encoding
 

@@ -214,7 +214,7 @@ def _forced_cycle(
                         and local.index < load.index
                         and local.nid != src_nid
                         and _definite_writer(local)
-                        and _definitely_same(local, load, encoding.facts)
+                        and _definitely_same(local, load, encoding)
                     ):
                         put(local.nid, load_nid, "store-buffer drain")
 
@@ -227,9 +227,7 @@ def _forced_cycle(
             for store in stores:
                 if store.nid in (load_nid, src_nid):
                     continue
-                if not _definite_writer(store) or not _definitely_same(
-                    store, load, encoding.facts
-                ):
+                if not _definite_writer(store) or not _definitely_same(store, load, encoding):
                     continue
                 if (store.nid, load_nid) in reach:
                     changed |= put(

@@ -42,6 +42,7 @@ from repro.core.enumerate import (
 )
 from repro.experiments.base import parallel_map
 from repro.experiments.fig1 import render_table
+from repro.litmus.finalstate import realizable_final_memory
 from repro.litmus.library import all_tests, get_test, test_names
 from repro.litmus.runner import format_matrix, run_litmus, run_matrix
 from repro.litmus.test import LitmusTest, litmus_from_source
@@ -276,7 +277,38 @@ def cmd_dataflow(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_witness_dot(test: LitmusTest, verdict, path: str) -> None:
+    """Draw the first execution that reaches ``test``'s outcome expression
+    (judged as :func:`run_litmus` judges it, over the realizable final
+    memories); when none does, draw the first execution and say so."""
+    executions = verdict.result.executions
+    if not executions:
+        raise ReproError(f"{test.name} under {verdict.model.name}: no execution to draw")
+    locations = test.condition.locations()
+    witness = next(
+        (
+            execution
+            for execution in executions
+            if any(
+                test.condition.holds_in(execution.final_registers(), memory)
+                for memory in realizable_final_memory(execution, locations)
+            )
+        ),
+        None,
+    )
+    title = f"{test.name} / {verdict.model.name}"
+    note = ""
+    if witness is None:
+        witness = executions[0]
+        title += " (not a witness)"
+        note = f" (not a witness: no execution reaches {test.condition.expr})"
+    Path(path).write_text(to_dot(witness.graph, title=title), encoding="utf-8")
+    print(f"wrote {path}{note}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.dot and len(args.model) > 1:
+        raise ReproError("--dot draws one graph: give exactly one -m")
     test = _load_test(args.test)
     lint_exit = _auto_lint(test, args)
     if lint_exit is not None:
@@ -297,17 +329,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{expectation}{partial}"
         )
     if args.dot:
-        result = enumerate_behaviors(test.program, get_model(args.model[0]), _limits(args))
-        witnesses = [
-            execution
-            for execution in result.executions
-            if test.condition.holds_in(execution.final_registers(), {})
-        ] or result.executions
-        Path(args.dot).write_text(
-            to_dot(witnesses[0].graph, title=f"{test.name} / {args.model[0]}"),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.dot}")
+        _write_witness_dot(test, verdict, args.dot)
     return exit_code
 
 

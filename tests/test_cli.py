@@ -11,6 +11,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.isa.disassembler import disassemble
 from repro.litmus.families import independent_writers
+from repro.litmus.library import get_test
+from repro.litmus.runner import run_litmus
 
 
 class TestModels:
@@ -60,6 +62,53 @@ class TestRun:
         target = tmp_path / "g.dot"
         assert main(["run", "SB", "-m", "weak", "--dot", str(target)]) == 0
         assert target.read_text().startswith("digraph")
+
+    @pytest.mark.parametrize("name", ["R", "2+2W", "S", "CoWW", "CoWR"])
+    def test_dot_draws_a_witness_of_a_memory_outcome(self, name, tmp_path, capsys):
+        """Conditions with final-memory atoms get a real witness: the drawn
+        graph is an execution that reaches the outcome expression."""
+        from repro.litmus.finalstate import realizable_final_memory
+        from repro.viz.dot import to_dot
+
+        test = get_test(name)
+        verdict = run_litmus(test, "weak")
+        reaching = {
+            to_dot(execution.graph, title=f"{name} / weak")
+            for execution in verdict.result.executions
+            if any(
+                test.condition.holds_in(execution.final_registers(), memory)
+                for memory in realizable_final_memory(execution, test.condition.locations())
+            )
+        }
+        target = tmp_path / "g.dot"
+        main(["run", name, "-m", "weak", "--dot", str(target)])
+        out = capsys.readouterr().out
+        if reaching:
+            assert target.read_text() in reaching
+            assert "not a witness" not in out
+        else:
+            assert "(not a witness" in target.read_text()
+            assert "not a witness" in out
+
+    def test_dot_says_when_the_graph_is_no_witness(self, tmp_path, capsys):
+        target = tmp_path / "g.dot"
+        assert main(["run", "SB", "-m", "sc", "--dot", str(target)]) == 0
+        assert "not a witness: no execution reaches" in capsys.readouterr().out
+        assert 'label="SB / sc (not a witness)"' in target.read_text()
+
+    def test_dot_takes_one_model(self, tmp_path, capsys):
+        target = tmp_path / "g.dot"
+        assert main(["run", "SB", "-m", "sc", "-m", "weak", "--dot", str(target)]) == 2
+        assert "--dot draws one graph" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_dot_without_an_execution_is_an_error(self, tmp_path, capsys):
+        """A spent budget can leave nothing to draw: exit 2, not a traceback."""
+        target = tmp_path / "g.dot"
+        argv = ["run", "IRIW", "-m", "weak", "--deadline", "0", "--dot", str(target)]
+        assert main(argv) == 2
+        assert "no execution to draw" in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestEnumerate:

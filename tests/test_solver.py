@@ -34,6 +34,7 @@ from repro.litmus.library import all_tests, get_test
 from repro.litmus.runner import run_litmus
 from repro.models import get_model
 from repro.testing.fuzzgen import generate_program, profile_for_index
+from tests.test_solver_golden import _wide_program
 
 MODELS = ("sc", "tso", "pso", "weak")
 
@@ -401,14 +402,64 @@ def test_solver_stats_consistent():
 def test_wide_program_has_exactly_one_behavior():
     """t threads each store a private location and load a shared,
     never-written one: one behavior, found by a single SAT proposal."""
-    from repro.isa.assembler import assemble_program
-
-    lines = ["test wide-10"]
-    for i in range(10):
-        lines += [f"thread P{i}", f"    S y{i}, 1", f"    r{i} = L x"]
-    solved, stats = solve_behaviors_with_stats(assemble_program("\n".join(lines)), "sc")
+    solved, stats = solve_behaviors_with_stats(_wide_program(10), "sc")
     assert solved.complete and len(solved.executions) == 1
     assert stats.proposals == 1
+
+
+@pytest.mark.parametrize("threads", [8, 10])
+@pytest.mark.parametrize("model_name", ["sc", "weak"])
+def test_order_variables_only_over_what_an_axiom_orders(threads, model_name):
+    """Of wide-t's 3t+1 memory operations only the t loads and ``init x``
+    (their one source) appear in an axiom clause, so ⊑ gets (t+1)·t
+    variables, not (3t+1)·3t: the private stores and their inits are
+    ordered by the skeleton alone."""
+    encoding = encode_program(_wide_program(threads), get_model(model_name))
+    assert len(encoding.order_var) == (threads + 1) * threads
+    assert len(encoding.memory_nodes) == threads + 1
+    assert {node.nid for node in encoding.loads} <= {
+        node.nid for node in encoding.memory_nodes
+    }
+
+
+def test_known_addresses_never_compute_static_facts(monkeypatch):
+    """Facts are computed on first need: a straight-line test whose
+    skeleton knows every address never asks for them, while MP+addr (a
+    load whose address comes from another load) does, and still agrees
+    with the enumerator."""
+    import sys
+
+    from repro.analysis.static.dataflow import compute_static_facts
+
+    def replace_everywhere(stand_in):
+        """Rebind the name in every module that imported it."""
+        for module in list(sys.modules.values()):
+            if getattr(module, "compute_static_facts", None) is compute_static_facts:
+                monkeypatch.setattr(module, "compute_static_facts", stand_in)
+
+    def refuse(program):
+        raise AssertionError(f"static facts computed for {program.name}")
+
+    replace_everywhere(refuse)
+    for name in ("SB", "MP", "IRIW"):
+        for model_name in MODELS:
+            assert solve_behaviors(get_test(name).program, model_name).complete
+    monkeypatch.undo()
+
+    calls = []
+
+    def counting(program):
+        calls.append(program.name)
+        return compute_static_facts(program)
+
+    replace_everywhere(counting)
+    program = get_test("MP+addr").program
+    for model_name in MODELS:
+        solved = solve_behaviors(program, model_name)
+        enumerated = enumerate_behaviors(program, get_model(model_name))
+        assert solved.complete and enumerated.complete
+        assert _keys(solved) == _keys(enumerated), model_name
+    assert calls == ["MP+addr"] * len(MODELS)
 
 
 def test_solver_respects_behavior_budget():

@@ -1,24 +1,36 @@
-"""Golden pin of the SAT solver's observable decisions.
+"""Golden pins of the SAT solver's results and decisions.
 
-One blake2b digest over, for every (program, model) pair: the
-``SolveStats`` of ``solve_behaviors_with_stats`` (proposals, conflicts,
-decisions, propagations, ...) and the sorted ``loadstore_key`` reprs of
-its behaviors.  A second digest covers the ``repro explain`` text
-of a few forbidden library outcomes, so the unsat cores the solver hands
-the explainer are pinned too.
+Two blake2b digests over every (program, model) pair of
+``solve_behaviors_with_stats``:
+
+* ``SOLVE_PROJECTION_DIGEST`` guards **behaviour**: completeness, the
+  order-independent counters (proposals, feasible, infeasible,
+  resolutions, behaviors) and the sorted ``loadstore_key`` reprs.  No
+  change to how the CNF is built or searched may move it.
+* ``SOLVE_DIGEST`` guards the **CDCL decisions**: the same fields plus
+  the solver's conflicts, decisions and propagations.  It moves whenever
+  the variable set, the clause database or the decision order changes,
+  while the projection stays put.
+
+A third digest covers the ``repro explain`` text of a few forbidden
+library outcomes, so the unsat cores the solver hands the explainer are
+pinned too.
 
 Programs: the whole litmus library, the wide family at widths 8 and 10
 (``benchmarks/gates.py``'s solver workload) and the fuzz slice of
 ``tests/test_engine_golden.py``.  Models: sc, tso, pso and weak.  Any
 change to the CDCL core's decision order, clause database or learning,
-or to the encoding and replay it drives, moves a digest; a speedup that
-claims to keep every decision must leave both alone.
+or to the encoding it solves, moves ``SOLVE_DIGEST``; a speedup that
+claims to keep every decision must leave it alone, and one that claims
+to keep every result must leave the other two alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict
+
+import pytest
 
 from repro.analysis.solver import explain_forbidden, solve_behaviors_with_stats
 from repro.isa.assembler import assemble_program
@@ -43,7 +55,8 @@ FORBIDDEN = (
     ("2+2W", "sc"),
 )
 
-SOLVE_DIGEST = "2c2808e0ecb810d2d353769982b5860b"
+SOLVE_DIGEST = "c15a1795c8ceee748567293fb45637fa"
+SOLVE_PROJECTION_DIGEST = "1e506d13b8dfe779c5b67302701c41c1"
 EXPLAIN_DIGEST = "a23f52da6ab31226cb9c472655a3f265"
 
 
@@ -67,17 +80,25 @@ def _programs():
         )
 
 
-def _solve_digest() -> str:
-    digest = hashlib.blake2b(digest_size=16)
+def _solve_digests() -> tuple[str, str]:
+    """(``SOLVE_DIGEST``, ``SOLVE_PROJECTION_DIGEST``) of one pass."""
+    full = hashlib.blake2b(digest_size=16)
+    projection = hashlib.blake2b(digest_size=16)
     for name, program in _programs():
         for model_name in MODELS:
             result, stats = solve_behaviors_with_stats(
                 program, get_model(model_name), FUZZ_LIMITS
             )
-            keys = sorted(repr(execution.loadstore_key()) for execution in result.executions)
-            digest.update(repr((name, model_name, result.complete, asdict(stats))).encode())
-            digest.update(repr(keys).encode())
-    return digest.hexdigest()
+            keys = repr(sorted(repr(execution.loadstore_key()) for execution in result.executions))
+            full.update(repr((name, model_name, result.complete, asdict(stats))).encode())
+            full.update(keys.encode())
+            projected = (
+                name, model_name, result.complete, stats.proposals, stats.feasible,
+                stats.infeasible, stats.resolutions, stats.behaviors,
+            )
+            projection.update(repr(projected).encode())
+            projection.update(keys.encode())
+    return full.hexdigest(), projection.hexdigest()
 
 
 def _explain_digest() -> str:
@@ -89,8 +110,17 @@ def _explain_digest() -> str:
     return digest.hexdigest()
 
 
-def test_solver_results_match_golden_digest():
-    assert _solve_digest() == SOLVE_DIGEST
+@pytest.fixture(scope="module")
+def solve_digests() -> tuple[str, str]:
+    return _solve_digests()
+
+
+def test_solver_results_match_golden_digest(solve_digests):
+    assert solve_digests[1] == SOLVE_PROJECTION_DIGEST
+
+
+def test_solver_decisions_match_golden_digest(solve_digests):
+    assert solve_digests[0] == SOLVE_DIGEST
 
 
 def test_explain_forbidden_text_matches_golden_digest():
