@@ -405,7 +405,7 @@ def gate_fencesynth(quick: bool) -> tuple[dict, list[str]]:
 # -- cache -----------------------------------------------------------------
 
 #: Acceptance floor for the warm-over-cold wall-clock speedup.  A disk
-#: hit (one open + read + unpickle) must beat re-enumeration by a wide
+#: hit (one open + read + JSON decode) must beat re-enumeration by a wide
 #: margin even on the library's smallest tests.
 MIN_WARM_SPEEDUP = 5.0
 #: Acceptance floor for the warm-sweep hit rate.

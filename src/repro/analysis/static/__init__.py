@@ -45,7 +45,6 @@ from repro.analysis.static.conflict import (
 )
 from repro.analysis.static.dataflow import (
     AccessFacts,
-    AliasVerdict,
     MemoryAccessSite,
     StaticFacts,
     ThreadFacts,
@@ -84,7 +83,6 @@ __all__ = [
     "ThreadCFG",
     "build_cfg",
     "AccessFacts",
-    "AliasVerdict",
     "MemoryAccessSite",
     "StaticFacts",
     "ThreadFacts",

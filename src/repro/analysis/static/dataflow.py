@@ -165,14 +165,6 @@ class AccessFacts:
         )
 
 
-class AliasVerdict:
-    """Tri-state alias relation between two access slots."""
-
-    MUST = "must"
-    MAY = "may"
-    NEVER = "never"
-
-
 def may_alias(first: ValueSet, second: ValueSet) -> bool:
     """May two address sets meet?  ``None`` (unknown) meets everything."""
     return first is None or second is None or not first.isdisjoint(second)
@@ -249,18 +241,6 @@ class StaticFacts:
 
     def is_dead(self, tid: int, index: int) -> bool:
         return index in self.threads[tid].dead
-
-    # -- aliasing ------------------------------------------------------
-
-    def pair_verdict(self, tid1: int, index1: int, tid2: int, index2: int) -> str:
-        """Must/may/never alias verdict for two access slots."""
-        first = self.address_set(tid1, index1)
-        second = self.address_set(tid2, index2)
-        if not may_alias(first, second):
-            return AliasVerdict.NEVER
-        if must_alias(first, second):
-            return AliasVerdict.MUST
-        return AliasVerdict.MAY
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,19 @@ be memoized under the canonical
 :func:`~repro.core.serialization.behavior_cache_key` digest and replayed
 forever.  An entry is written once and never updated, so
 :class:`BehaviorCache` keeps one file per key, ``<dir>/<key hex>.bin``,
-fronted by a per-process LRU of decoded results (repeat hits inside one
-process pay a dict lookup, not an unpickle).  An entry is a
-:func:`~repro.storage.seal`-ed payload::
+fronted by a per-process LRU of decoded entries.  An entry is a
+:func:`~repro.storage.seal`-ed behaviour record
+(:func:`~repro.core.serialization.encode_entry`)::
 
-    magic[4] = b"RBEH"  version[1] = 1  blake2b-8(payload)[8]  payload
+    magic[4] = b"RBEH"  version[1] = 4  blake2b-8(payload)[8]  payload
 
-where ``payload`` is two pickles back to back.  The first is the entry
-header ``{"version", "key", "request"}``: the payload version, the cache
-key the entry was written for, and the request ``(program, model,
-limits)`` pickled on its own.  The second is ``(executions, stats)``,
-pickled with the request's program, model and instructions as
-persistent ids.  A hit through :meth:`BehaviorCache.replay` compares the
-stored key with the one it looked up and resolves those ids to the
-request's own objects, so it neither computes the key a second time nor
-unpickles a copy of the program and model.  A lookup without a request
-(such as :meth:`BehaviorCache.verify`) unpickles the stored one.
+where ``payload`` is canonical JSON: the request, its key, the stats,
+and for each behavior its resolution log and final registers.  A hit
+answers ``len()`` and ``register_outcomes()`` from the records; its
+executions are rebuilt by one replay of the logs on first access, on the
+request's own program and model.  A lookup without a request (such as
+:meth:`BehaviorCache.verify`) rebuilds the program from its disassembly
+and the model from its canonical form.
 
 Entries are written with :func:`~repro.storage.atomic_write`, so
 concurrent workers sharing a directory and a ``kill -9`` mid-put can
@@ -35,86 +32,58 @@ Safety model
 * only **complete** results are ever stored (:meth:`BehaviorCache.memoize`
   refuses anything else), so a hit can never silently truncate a
   behavior set, and a budget-exhausted search leaves nothing on disk;
-* hits are **verified-decodable**: the header, the payload checksum,
-  the pickle decode, the payload version and the stored cache key
-  must all agree before a cached result is returned — anything less
-  degrades to a miss with a :class:`~repro.errors.CacheIntegrityWarning`
-  and deletes the entry, so the re-enumeration that follows repairs it;
-* :meth:`BehaviorCache.verify` recomputes each entry's key from its
-  stored request, so an entry written under a key that is not its
-  request's is reported bad; a decodable entry whose *behaviors* are
-  wrong (a subset stored under an honest key) is caught by ``verify``
-  with ``full=True`` (``repro cache verify DIR --full``), which
+* hits are **verified-decodable**: the framing, the checksum, the
+  record's fields and types, and the key check (the stored request
+  hashes to the key looked up) must all hold before a cached result is
+  returned — anything less degrades to a miss with a
+  :class:`~repro.errors.CacheIntegrityWarning` and deletes the entry, so
+  the re-enumeration that follows repairs it.  An entry is data decoded
+  by :mod:`json`: nothing read from it is executed;
+* a log that does not replay (it names a missing node, or a store that
+  is not visible) raises :class:`~repro.errors.CacheError` naming the
+  entry when the executions are first accessed;
+* a decodable entry whose *behaviors* are wrong (a subset stored under
+  an honest key) is caught by :meth:`BehaviorCache.verify` with
+  ``full=True`` (``repro cache verify DIR --full``), which replays and
   re-enumerates every entry — the audit for a cache directory of
   unknown provenance.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import pickle
 import warnings
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.enumerate import (
+    EnumerationLimits,
     EnumerationResult,
     EnumerationStats,
     enumerate_behaviors,
 )
-from repro.core.serialization import behavior_cache_key
-from repro.errors import CacheError, CacheIntegrityWarning
+from repro.core.serialization import (
+    behavior_cache_key,
+    behavior_records,
+    behavior_request,
+    decode_entry,
+    encode_entry,
+    replay_logs,
+    request_objects,
+)
+from repro.errors import CacheError, CacheIntegrityWarning, ReproError
 from repro.storage import atomic_write, seal, unseal
 
-#: Version stamped into every pickled payload; unknown versions decode
-#: to misses (a cache directory is shareable across builds, not a
-#: compatibility contract).  Version 2: ``Node`` carries its class
-#: predicates as slots set at construction, which a version-1 pickle
-#: lacks (its nodes would unpickle, then fail on first use).  Version 3:
-#: a header pickle (version, key, pickled request) followed by the
-#: executions pickled against the request (see the module docstring).
-CACHE_PAYLOAD_VERSION = 3
+#: The version byte of an entry's sealed framing.  An entry stamped with
+#: another is a warned miss that the re-enumeration rewrites (a cache
+#: directory is shareable across builds, not a compatibility contract).
+CACHE_PAYLOAD_VERSION = 4
 
 _ENTRY_SUFFIX = ".bin"
 _MAGIC = b"RBEH"  #: "repro behaviors"
-_ENTRY_VERSION = 1  #: the sealed framing's version byte
 _LRU_SIZE = 128  #: decoded entries kept per process
-
-
-class _RequestPickler(pickle.Pickler):
-    """Pickles executions with the request's program, model and
-    instructions left out, as persistent ids: ``"program"``, ``"model"``
-    and ``(thread, pc)``."""
-
-    def __init__(self, file, program, model) -> None:
-        super().__init__(file)
-        self._ids: dict[int, object] = {id(program): "program", id(model): "model"}
-        for tid, thread in enumerate(program.threads):
-            for pc, instruction in enumerate(thread.code):
-                self._ids[id(instruction)] = (tid, pc)
-
-    def persistent_id(self, obj):
-        return self._ids.get(id(obj))
-
-
-class _RequestUnpickler(pickle.Unpickler):
-    """Resolves :class:`_RequestPickler`'s persistent ids to the objects
-    of ``request``, a ``(program, model, limits)`` tuple."""
-
-    def __init__(self, file, request: tuple) -> None:
-        super().__init__(file)
-        self.request = request
-
-    def persistent_load(self, pid):
-        program, model, _ = self.request
-        if pid == "program":
-            return program
-        if pid == "model":
-            return model
-        tid, pc = pid
-        return program.threads[tid].code[pc]
 
 
 @dataclass
@@ -132,6 +101,64 @@ class CacheCounters:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
+class CachedExecutions(Sequence):
+    """The executions of one cache entry.  Its length and register
+    outcomes are read from the entry's
+    :func:`~repro.core.serialization.behavior_records`; the executions
+    are rebuilt by one
+    :func:`~repro.core.serialization.replay_logs` on first access, unless
+    the entry was stored from them."""
+
+    def __init__(
+        self,
+        key: bytes,
+        program,
+        model,
+        limits,
+        records: tuple,
+        executions: list | None = None,
+    ) -> None:
+        self.key = key
+        self.program = program
+        self.model = model
+        self.limits = limits or EnumerationLimits()
+        self.records = records
+        self._executions = executions
+
+    def register_outcomes(self) -> frozenset[frozenset]:
+        return frozenset(
+            frozenset(((thread, register), value) for thread, register, value in finals)
+            for _, finals in self.records
+        )
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        return self._replayed()[index]
+
+    def _replayed(self) -> list:
+        if self._executions is None:
+            logs = [log for log, _ in self.records]
+            try:
+                executions = replay_logs(
+                    self.program, self.model, self.limits.max_nodes_per_thread, logs
+                )
+            except ReproError as exc:
+                raise CacheError(
+                    f"cache entry {self.key.hex()} does not replay: {exc}"
+                ) from exc
+            if behavior_records(executions) != self.records or not all(
+                execution.completed() for execution in executions
+            ):
+                raise CacheError(
+                    f"cache entry {self.key.hex()} replays to an outcome it "
+                    f"does not record"
+                )
+            self._executions = executions
+        return self._executions
+
+
 @dataclass(frozen=True)
 class CachedBehaviors:
     """One decoded cache entry: everything the enumerator stored."""
@@ -139,7 +166,7 @@ class CachedBehaviors:
     program: object
     model: object
     limits: object
-    executions: tuple
+    executions: CachedExecutions
     stats: EnumerationStats
 
 
@@ -187,7 +214,7 @@ class BehaviorCache:
         return EnumerationResult(
             program=program,
             model=model,
-            executions=list(entry.executions),
+            executions=entry.executions,
             stats=replace(entry.stats),
             complete=True,
             cached=True,
@@ -219,8 +246,9 @@ class BehaviorCache:
         damaged data — every failure mode is a miss.
 
         ``request`` is the ``(program, model, limits)`` that ``key`` was
-        computed from: a decoded entry's executions then refer to that
-        program and model.  Without it the stored request is unpickled."""
+        computed from: a decoded entry's executions then replay on that
+        program and model.  Without it they are rebuilt from the stored
+        request."""
         entry = self._lru.get(key)
         if entry is not None:
             self._lru.move_to_end(key)
@@ -258,37 +286,19 @@ class BehaviorCache:
 
     def _decode(self, key: bytes, raw: bytes, request: tuple | None) -> CachedBehaviors | None:
         try:
-            payload = unseal(_MAGIC, _ENTRY_VERSION, raw)
+            stored, stats, records = decode_entry(
+                unseal(_MAGIC, CACHE_PAYLOAD_VERSION, raw), key
+            )
+            if request is None:
+                request = request_objects(stored)
         except ValueError as exc:
             return self._damaged(key, str(exc))
-        stream = io.BytesIO(payload)
-        try:
-            header = pickle.load(stream)
-            version = header["version"]
-            if version != CACHE_PAYLOAD_VERSION:
-                return self._damaged(
-                    key,
-                    f"has payload version {version!r} (this build reads "
-                    f"{CACHE_PAYLOAD_VERSION})",
-                )
-            # The key sits under the checksum, so another entry's payload
-            # (or a copy of one) is refused here without recomputing it.
-            if header["key"] != key:
-                return self._damaged(
-                    key,
-                    "fails key verification (payload is for a different request)",
-                )
-            if request is None:
-                request = pickle.loads(header["request"])
-            executions, stats = _RequestUnpickler(stream, request).load()
-        except Exception as exc:  # noqa: BLE001 — pickle raises anything
-            return self._damaged(key, f"does not decode ({exc})")
         program, model, limits = request
         return CachedBehaviors(
             program=program,
             model=model,
             limits=limits,
-            executions=executions,
+            executions=CachedExecutions(key, program, model, limits, records),
             stats=stats,
         )
 
@@ -308,8 +318,9 @@ class BehaviorCache:
         if key in self._lru or path.exists():
             self.counters.duplicate_puts += 1
             return False
-        payload = _encode(key, program, model, limits, executions, stats)
-        data = seal(_MAGIC, _ENTRY_VERSION, payload)
+        records = behavior_records(executions)
+        payload = encode_entry(behavior_request(program, model, limits), stats, records)
+        data = seal(_MAGIC, CACHE_PAYLOAD_VERSION, payload)
         try:
             try:
                 atomic_write(path, data, fsync=False)
@@ -324,7 +335,9 @@ class BehaviorCache:
                 program=program,
                 model=model,
                 limits=limits,
-                executions=tuple(executions),
+                executions=CachedExecutions(
+                    key, program, model, limits, records, list(executions)
+                ),
                 stats=replace(stats),
             ),
         )
@@ -373,7 +386,7 @@ class BehaviorCache:
         }
 
     def verify(self, full: bool = False) -> dict:
-        """Decode-verify every entry; with ``full=True`` also
+        """Decode-verify every entry; with ``full=True`` also replay and
         re-enumerate each and compare ``loadstore_key`` sets (slow —
         this re-pays the whole store's worth of enumeration)."""
         checked = ok = 0
@@ -384,34 +397,21 @@ class BehaviorCache:
                 entry = self._decode(key, path.read_bytes(), None)
             except OSError as exc:
                 entry = self._damaged(key, f"is unreadable ({exc})")
-            if entry is None or behavior_cache_key(
-                entry.program, entry.model, entry.limits
-            ) != key:
+            if entry is None:
                 bad.append(key.hex())
                 continue
             if full:
+                try:
+                    stored = _loadstore_set(entry.executions)
+                except CacheError:
+                    bad.append(key.hex())
+                    continue
                 fresh = enumerate_behaviors(entry.program, entry.model, entry.limits)
-                if not fresh.complete or _loadstore_set(
-                    fresh.executions
-                ) != _loadstore_set(entry.executions):
+                if not fresh.complete or _loadstore_set(fresh.executions) != stored:
                     bad.append(key.hex())
                     continue
             ok += 1
         return {"checked": checked, "ok": ok, "bad": bad, "full": full}
-
-
-def _encode(key: bytes, program, model, limits, executions, stats) -> bytes:
-    """An entry's payload: the header pickle, then the executions and
-    stats pickled against the request (see the module docstring)."""
-    buffer = io.BytesIO()
-    header = {
-        "version": CACHE_PAYLOAD_VERSION,
-        "key": key,
-        "request": pickle.dumps((program, model, limits)),
-    }
-    pickle.dump(header, buffer)
-    _RequestPickler(buffer, program, model).dump((tuple(executions), stats))
-    return buffer.getvalue()
 
 
 def _unlink(path: Path) -> None:

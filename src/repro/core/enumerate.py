@@ -25,7 +25,7 @@ Resilience
 The behavior set grows combinatorially with threads and loads, so the
 search is guarded by :class:`EnumerationLimits` budgets: behavior and
 execution counts, a wall-clock deadline, an approximate memory budget
-over the worklist and dedup set, and a cooperative
+over the worklist, the dedup set and the kept executions, and a cooperative
 :class:`CancellationToken`.  By default an exhausted budget **degrades
 gracefully**: the partial result is returned with ``complete=False``, a
 populated :class:`ExhaustionReason`, and an
@@ -37,7 +37,6 @@ under a bigger budget (:func:`resume_enumeration`).  Passing
 from __future__ import annotations
 
 import enum
-import pickle
 import sys
 import threading
 import time
@@ -50,10 +49,18 @@ from repro.errors import (
     AtomicityViolation,
     CycleError,
     EnumerationError,
+    ReproError,
     StuckBehaviorWarning,
 )
 from repro.core.candidates import candidate_stores
 from repro.core.execution import Execution
+from repro.core.serialization import (
+    behavior_request,
+    decode_checkpoint,
+    encode_checkpoint,
+    replay_logs,
+    request_objects,
+)
 from repro.isa.program import Program
 from repro.models.base import MemoryModel
 from repro.storage import atomic_write, seal, unseal
@@ -104,7 +111,7 @@ class EnumerationLimits:
     max_executions: int = 100_000  #: distinct completed executions kept
     max_nodes_per_thread: int = 64  #: dynamic-instruction bound (loops)
     deadline_seconds: float | None = None  #: wall-clock budget per call
-    max_memory_mb: float | None = None  #: approximate worklist+dedup budget
+    max_memory_mb: float | None = None  #: approximate worklist+dedup+kept budget
 
 
 @dataclass
@@ -132,22 +139,10 @@ class EnumerationStats:
         return self.explored == self.completed + self.stuck + self.branched
 
 
-#: Version stamped into every saved checkpoint's sealed framing.  Bump it
-#: whenever the pickled layout changes incompatibly;
-#: :meth:`EnumerationCheckpoint.load` rejects any other version.  Version 2:
-#: ``Node`` gained construction-time slots that version-1 pickles lack.
-#: Version 3: the ``dedup_exact`` field is gone — every dedup set holds
-#: digests, and a version-2 checkpoint may hold full-tuple keys instead.
-#: Version 4: the digests hash the state piece by piece
-#: (:meth:`Execution.dedup_digest`), so a version-3 dedup set would match
-#: none of them and re-explore every state it already holds.
-#: Version 5: the search branches on one stable load where it can
-#: (:func:`_stable_eligible`), so a version-4 worklist is a prefix of
-#: another search and its dedup set holds states this one never reaches.
-#: Version 6: the pickle is :func:`~repro.storage.seal`-ed (magic, version
-#: byte, blake2b-8 of the payload), so a damaged file is refused before
-#: it is unpickled; versions 1–5 were bare pickles.
-CHECKPOINT_FORMAT_VERSION = 6
+#: The version byte of a saved checkpoint's sealed framing;
+#: :meth:`EnumerationCheckpoint.load` refuses any other.  Bump it whenever
+#: the record or what a search resumed from it explores changes.
+CHECKPOINT_FORMAT_VERSION = 7
 
 _CHECKPOINT_MAGIC = b"RCKP"  #: "repro checkpoint"
 
@@ -161,10 +156,13 @@ class EnumerationCheckpoint:
     search exactly where it stopped, so a resumed run reaches the same
     behavior set as an unbudgeted run would have.
 
-    On disk the checkpoint is a sealed pickle: :meth:`load` refuses a
-    file whose framing, :data:`CHECKPOINT_FORMAT_VERSION` or checksum
-    does not match with a clear :class:`EnumerationError` instead of
-    unpickling damaged or foreign bytes.
+    On disk a checkpoint is a sealed behaviour record
+    (:func:`~repro.core.serialization.encode_checkpoint`): the request, the
+    stats, ``dedup``, the dedup digests in hex, and one resolution log per
+    worklist and finished execution.  :meth:`load` replays the logs and
+    refuses, with a clear :class:`EnumerationError`, a file whose
+    framing, :data:`CHECKPOINT_FORMAT_VERSION`, checksum or record does
+    not hold.
     """
 
     program: Program
@@ -177,16 +175,25 @@ class EnumerationCheckpoint:
     stats: EnumerationStats
 
     def save(self, path: str | Path) -> None:
-        """Serialize the checkpoint to ``path`` (a sealed pickle) with
+        """Write the checkpoint to ``path`` with
         :func:`~repro.storage.atomic_write`: a run killed mid-save can
         never leave a truncated checkpoint behind (at worst the previous
         complete one survives)."""
-        data = seal(_CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, pickle.dumps(self))
+        payload = encode_checkpoint(
+            behavior_request(self.program, self.model, self.limits),
+            self.stats,
+            self.dedup,
+            self.seen_states,
+            self.worklist,
+            self.finished.values(),
+        )
+        data = seal(_CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, payload)
         atomic_write(path, data, fsync=False)
 
     @staticmethod
     def load(path: str | Path) -> "EnumerationCheckpoint":
-        """Load a checkpoint previously written by :meth:`save`."""
+        """Load a checkpoint previously written by :meth:`save`,
+        replaying its worklist and finished executions."""
         try:
             payload = unseal(
                 _CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, Path(path).read_bytes()
@@ -202,26 +209,27 @@ class EnumerationCheckpoint:
                 f"enumeration instead of resuming"
             ) from exc
         try:
-            checkpoint = pickle.loads(payload)
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            # A sealed payload this build cannot rebuild (a layout change
-            # without a version bump) surfaces as any of these:
-            ValueError,
-            AttributeError,
-            ImportError,
-            IndexError,
-        ) as exc:
-            raise EnumerationError(
-                f"cannot load checkpoint {str(path)!r}: {exc}"
-            ) from exc
-        if not isinstance(checkpoint, EnumerationCheckpoint):
-            raise EnumerationError(
-                f"{str(path)!r} does not contain an enumeration checkpoint "
-                f"(found {type(checkpoint).__name__})"
+            record = decode_checkpoint(payload)
+            program, model, limits = request_objects(record["request"])
+            queued = len(record["worklist"])
+            executions = replay_logs(
+                program, model, limits.max_nodes_per_thread,
+                record["worklist"] + record["finished"],
             )
-        return checkpoint
+        except (ValueError, ReproError) as exc:
+            raise EnumerationError(
+                f"cannot load checkpoint {str(path)!r}: it {exc}"
+            ) from exc
+        return EnumerationCheckpoint(
+            program=program,
+            model=model,
+            limits=limits,
+            dedup=record["dedup"],
+            worklist=executions[:queued],
+            seen_states=record["seen"],
+            finished={execution.loadstore_key(): execution for execution in executions[queued:]},
+            stats=record["stats"],
+        )
 
 
 @dataclass
@@ -245,7 +253,11 @@ class EnumerationResult:
 
     def register_outcomes(self) -> frozenset[frozenset]:
         """The set of final-register outcomes over all executions.  Each
-        outcome is a frozenset of ((thread, register), value) items."""
+        outcome is a frozenset of ((thread, register), value) items.  A
+        cache hit's executions answer from their records, unreplayed."""
+        recorded = getattr(self.executions, "register_outcomes", None)
+        if recorded is not None:
+            return recorded()
         return frozenset(
             frozenset(execution.final_registers().items()) for execution in self.executions
         )
@@ -275,10 +287,10 @@ def outcome_sort_key(outcome: frozenset) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# approximate memory accounting (worklist + dedup set)
+# approximate memory accounting (worklist, dedup set, kept executions)
 
-_EXEC_BASE_COST = 1024  #: bytes charged per queued behavior (object overhead)
-_EXEC_NODE_COST = 512  #: bytes charged per graph node of a queued behavior
+_EXEC_BASE_COST = 1024  #: bytes charged per queued or kept behavior (object overhead)
+_EXEC_NODE_COST = 512  #: bytes charged per graph node of a queued or kept behavior
 
 
 def _execution_cost(execution: Execution) -> int:
@@ -552,8 +564,8 @@ def _search(
     start = time.monotonic() if start is None else start
     accountant = _MemoryAccountant(limits.max_memory_mb)
     if accountant.limit_bytes is not None:
-        for queued in worklist:
-            accountant.charge_execution(queued)
+        for held in (*worklist, *finished.values()):
+            accountant.charge_execution(held)
         for key in seen_states:
             accountant.charge_key(key)
 
@@ -583,7 +595,8 @@ def _search(
                     raise _strict_error(reason, program, model, limits)
                 break
             stats.completed += 1
-            finished.setdefault(key, behavior)
+            if finished.setdefault(key, behavior) is behavior:
+                accountant.charge_execution(behavior)  # newly kept
             continue
 
         loads = eligible(behavior)

@@ -94,11 +94,6 @@ class ThreadState:
             nodes=list(self.nodes),
         )
 
-    def __reduce__(self):
-        # Pickled as the constructor call, so an unpickled state starts
-        # without the memo, as a copy does.
-        return (ThreadState, (self.pc, self.regs, self.waiting_branch, self.halted, self.nodes))
-
     def state(self, nodes: list[Node]) -> tuple:
         """This thread's entry in :meth:`Execution.state_key`, registers
         naming their producers by ``(tid, index)`` identity."""
@@ -132,6 +127,11 @@ class Execution:
         self.init_nodes: dict[Value, int] = {}
         #: (earlier nid, later nid) same-address checks awaiting addresses.
         self.pending_alias: list[tuple[int, int]] = []
+        #: The resolution log: every (load nid, store nid) choice of
+        #: :meth:`resolve_load`, in order.  It fixes the behavior, so it is
+        #: what cache entries and checkpoints store
+        #: (:func:`~repro.core.serialization.replay_logs` rebuilds from it).
+        self.resolutions: tuple[tuple[int, int], ...] = ()
         self._create_init_stores()
 
     # ------------------------------------------------------------------
@@ -189,6 +189,7 @@ class Execution:
         dup.threads = [ts if ts.halted else ts.copy() for ts in self.threads]
         dup.init_nodes = self.init_nodes  # write-once at construction
         dup.pending_alias = list(self.pending_alias)
+        dup.resolutions = self.resolutions
         return dup
 
     # ------------------------------------------------------------------
@@ -512,6 +513,7 @@ class Execution:
             raise GraphError(f"load n{load_nid} is already resolved")
         if not store.is_visible_store:
             raise GraphError(f"node n{store_nid} is not a visible store")
+        self.resolutions += ((load_nid, store_nid),)
 
         is_local_forward = (
             self.model.store_load_bypass

@@ -61,7 +61,7 @@ class Node:
         when the write happens — a failed CAS does not write).
       * ``stored`` — the value made visible to memory.
 
-    Memo (engine-private, never compared, pickled or cloned):
+    Memo (engine-private, never compared or cloned):
       * ``key_fragment`` — the encoded :meth:`state` of a *settled* node,
         kept by :meth:`fragment` for the dedup digest.  A settled node
         never changes again, so the copy-on-write copies that share it
@@ -136,30 +136,6 @@ class Node:
         dup.is_memory = self.is_memory
         dup.key_fragment = None  # the clone may be mutated: never share the memo
         return dup
-
-    def __reduce__(self):
-        # Pickled as the constructor call: the derived slots are not
-        # stored but recomputed, the fragment memo starts empty, and
-        # cached behaviours load faster than through the default
-        # per-slot state dict.
-        return (
-            Node,
-            (
-                self.nid,
-                self.tid,
-                self.index,
-                self.instruction,
-                self.op_class,
-                self.operand_sources,
-                self.static_index,
-                self.executed,
-                self.value,
-                self.addr,
-                self.source,
-                self.writes,
-                self.stored,
-            ),
-        )
 
     def state(self, nodes: list["Node"]) -> tuple:
         """This node's entry in :meth:`Execution.state_key

@@ -24,18 +24,26 @@ TSO executions with bypass edges are deliberately *not* serializable
 treat bypassed loads as satisfied at any point at or after their source's
 position minus the buffer — i.e. they are simply skipped during replay
 validation, matching the grey edges' exemption from ``⊑``.
+
+The module also holds what cache entries and checkpoints store: the
+canonical request that :func:`behavior_cache_key` hashes, and the
+behaviour record codec, whose resolution logs :func:`replay_logs`
+turns back into executions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from typing import Iterator
 
-from repro.errors import SerializationError
+from repro.errors import GraphError, ReproError, SerializationError
 from repro.core.execution import Execution
 from repro.core.node import Node
+from repro.isa.assembler import assemble_program
 from repro.isa.disassembler import disassemble
+from repro.models.base import MemoryModel
 
 
 def _memory_nodes(execution: Execution) -> list[Node]:
@@ -167,7 +175,7 @@ def always_before_pairs(execution: Execution) -> frozenset[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# the canonical behavior-cache digest
+# the canonical request and its digest
 
 #: Bump when the canonical form below changes, or when what an entry
 #: stored under it holds changes: a key from another format version must
@@ -183,6 +191,35 @@ _LIMIT_FIELDS = (
     "deadline_seconds",
     "max_memory_mb",
 )
+
+
+def canonical_json(value) -> str:
+    """``value`` as sorted-key JSON without whitespace: the one encoding
+    that is hashed into keys and stored in records."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def behavior_request(program, model, limits=None) -> dict:
+    """The canonical form of one enumeration request: what
+    :func:`behavior_cache_key` hashes, and what cache entries and
+    checkpoints store.  ``None`` limits are the default
+    :class:`~repro.core.enumerate.EnumerationLimits`."""
+    if limits is None:
+        from repro.core.enumerate import EnumerationLimits
+
+        limits = EnumerationLimits()
+    return {
+        "version": BEHAVIOR_CACHE_KEY_VERSION,
+        "program": disassemble(program),
+        "model": model.canonical_form(),
+        "limits": [getattr(limits, name) for name in _LIMIT_FIELDS],
+    }
+
+
+def request_key(request: dict, *, digest_size: int = 16) -> bytes:
+    """The blake2b digest of a request's canonical JSON."""
+    canonical = canonical_json(request).encode("utf-8")
+    return hashlib.blake2b(canonical, digest_size=digest_size).digest()
 
 
 def behavior_cache_key(program, model, limits=None, *, digest_size: int = 16) -> bytes:
@@ -216,16 +253,205 @@ def behavior_cache_key(program, model, limits=None, *, digest_size: int = 16) ->
     The digest is deterministic across processes and platforms (the
     canonical form is sorted JSON; no ``PYTHONHASHSEED`` dependence).
     """
-    if limits is None:
-        from repro.core.enumerate import EnumerationLimits
+    return request_key(behavior_request(program, model, limits), digest_size=digest_size)
 
-        limits = EnumerationLimits()
-    limits_fields = [getattr(limits, name) for name in _LIMIT_FIELDS]
-    payload = {
-        "version": BEHAVIOR_CACHE_KEY_VERSION,
-        "program": disassemble(program),
-        "model": model.canonical_form(),
-        "limits": limits_fields,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=digest_size).digest()
+
+def request_objects(request: dict) -> tuple:
+    """Rebuild ``(program, model, limits)`` from a stored request: the
+    program assembled from its disassembly, the model from its canonical
+    form.  Raises :class:`ValueError` when the request does not rebuild."""
+    from repro.core.enumerate import EnumerationLimits
+
+    try:
+        return (
+            assemble_program(request["program"]),
+            MemoryModel.from_canonical_form(request["model"]),
+            EnumerationLimits(**dict(zip(_LIMIT_FIELDS, request["limits"]))),
+        )
+    except (ReproError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"holds a request that does not rebuild ({exc})") from exc
+
+
+# ----------------------------------------------------------------------
+# the behaviour record: request, stats and resolution logs
+#
+# A behaviour is fixed by its Load Resolution choices (§4: one
+# ``source(L) = S`` per load), so cache entries and checkpoints store
+# those choices, never a graph: a *resolution log* is the
+# ``(load nid, store nid)`` pairs of :meth:`Execution.resolve_load
+# <repro.core.execution.Execution.resolve_load>` in the order they were
+# made, and :func:`replay_logs` rebuilds the executions from the logs.
+
+
+def _encode_record(request: dict, stats, **fields) -> bytes:
+    """``fields`` plus the request, its key (hex) and ``stats``, as
+    canonical JSON."""
+    record = dict(
+        fields, request=request, key=request_key(request).hex(), stats=asdict(stats)
+    )
+    return canonical_json(record).encode("utf-8")
+
+
+def _decode_record(payload: bytes, **fields: type) -> dict:
+    """The record :func:`_encode_record` wrote, given the types of its
+    ``fields``; its ``stats`` come back as
+    :class:`~repro.core.enumerate.EnumerationStats`.  The integrity check
+    is that the request hashes to the stored key.  Raises
+    :class:`ValueError` naming the problem; nothing in the payload is
+    executed."""
+    from repro.core.enumerate import EnumerationStats
+
+    try:
+        record = json.loads(payload)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"is not a JSON record ({exc})") from exc
+    expected = dict(fields, request=dict, key=str, stats=dict)
+    if not isinstance(record, dict) or record.keys() != expected.keys():
+        raise ValueError("does not hold the fields of a record")
+    for name, kind in expected.items():
+        if not isinstance(record[name], kind):
+            raise ValueError(f"has a {name!r} field that is not a {kind.__name__}")
+    if request_key(record["request"]).hex() != record["key"]:
+        raise ValueError("fails key verification (its request hashes to another key)")
+    stats = record["stats"]
+    if stats.keys() != EnumerationStats.__dataclass_fields__.keys() or not all(
+        type(count) is int for count in stats.values()
+    ):
+        raise ValueError("holds malformed stats")
+    record["stats"] = EnumerationStats(**stats)
+    return record
+
+
+def _log(value) -> tuple[tuple[int, int], ...]:
+    """A stored resolution log: a list of ``[load nid, store nid]``."""
+    if isinstance(value, list) and all(
+        isinstance(step, list)
+        and len(step) == 2
+        and type(step[0]) is int
+        and type(step[1]) is int
+        for step in value
+    ):
+        return tuple(tuple(step) for step in value)
+    raise ValueError("holds a malformed resolution log")
+
+
+def behavior_records(executions) -> tuple:
+    """What a cache entry keeps of each execution: its resolution log and
+    its final registers as sorted ``(thread, register, value)`` triples."""
+    return tuple(
+        (
+            execution.resolutions,
+            tuple(
+                sorted(
+                    (thread, register, value)
+                    for (thread, register), value in execution.final_registers().items()
+                )
+            ),
+        )
+        for execution in executions
+    )
+
+
+def encode_entry(request: dict, stats, records: tuple) -> bytes:
+    """A cache entry's payload: the request, its key, ``stats`` and the
+    :func:`behavior_records`."""
+    return _encode_record(request, stats, behaviors=records)
+
+
+def decode_entry(payload: bytes, key: bytes) -> tuple:
+    """``(request, stats, records)`` of the cache entry stored under
+    ``key``.  Raises :class:`ValueError` naming the problem."""
+    record = _decode_record(payload, behaviors=list)
+    if record["key"] != key.hex():
+        raise ValueError("fails key verification (payload is for a different request)")
+    return record["request"], record["stats"], tuple(map(_behavior, record["behaviors"]))
+
+
+def _behavior(value) -> tuple:
+    """One stored ``[log, final registers]`` pair."""
+    if isinstance(value, list) and len(value) == 2:
+        log, finals = value
+        if isinstance(finals, list) and all(
+            isinstance(final, list)
+            and len(final) == 3
+            and isinstance(final[0], str)
+            and isinstance(final[1], str)
+            and isinstance(final[2], (int, str))
+            for final in finals
+        ):
+            return _log(log), tuple(tuple(final) for final in finals)
+    raise ValueError("holds a malformed behavior")
+
+
+def encode_checkpoint(request: dict, stats, dedup: bool, seen, worklist, finished) -> bytes:
+    """A checkpoint's payload: the request, its key, ``stats``,
+    ``dedup``, the ``seen`` dedup digests in hex, and the resolution logs
+    of the ``worklist`` and ``finished`` executions."""
+    return _encode_record(
+        request,
+        stats,
+        dedup=dedup,
+        seen=sorted(digest.hex() for digest in seen),
+        worklist=[execution.resolutions for execution in worklist],
+        finished=[execution.resolutions for execution in finished],
+    )
+
+
+def decode_checkpoint(payload: bytes) -> dict:
+    """The fields of a checkpoint's payload, ``seen`` as a set of
+    digests and ``worklist`` and ``finished`` as resolution logs.  Raises
+    :class:`ValueError` naming the problem."""
+    record = _decode_record(payload, dedup=bool, seen=list, worklist=list, finished=list)
+    if not all(isinstance(digest, str) for digest in record["seen"]):
+        raise ValueError("holds a malformed dedup digest")
+    record["seen"] = {bytes.fromhex(digest) for digest in record["seen"]}
+    record["worklist"] = [_log(log) for log in record["worklist"]]
+    record["finished"] = [_log(log) for log in record["finished"]]
+    return record
+
+
+def replay_logs(program, model, max_nodes_per_thread: int, logs) -> list[Execution]:
+    """Rebuild one execution per resolution log, in the order given.
+
+    The logs are replayed in sorted order down one stack of executions,
+    so a prefix shared with the previous log is not replayed again: each
+    step copies the execution of the step before it, as the search did.
+    Raises :class:`~repro.errors.GraphError` for a step that names no
+    unresolved load or no visible store at its address, and whatever
+    :meth:`~repro.core.execution.Execution.resolve_load` raises for an
+    inconsistent choice."""
+    executions: list = [None] * len(logs)
+    stack = [Execution.initial(program, model, max_nodes_per_thread)]
+    previous: tuple = ()
+    for index in sorted(range(len(logs)), key=logs.__getitem__):
+        log = logs[index]
+        shared = 0
+        for before, step in zip(previous, log):
+            if before != step:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for load_nid, store_nid in log[shared:]:
+            child = stack[-1].copy()
+            _replay_step(child, load_nid, store_nid)
+            stack.append(child)
+        executions[index] = stack[-1]
+        previous = log
+    return executions
+
+
+def _replay_step(execution: Execution, load_nid: int, store_nid: int) -> None:
+    nodes = execution.graph.nodes
+    load = nodes[load_nid] if 0 <= load_nid < len(nodes) else None
+    store = nodes[store_nid] if 0 <= store_nid < len(nodes) else None
+    if load is None or not load.reads_memory or load.executed or load.addr is None:
+        raise GraphError(
+            f"the log resolves n{load_nid}, which is not an unresolved load "
+            f"with a known address"
+        )
+    if store is None or not store.is_visible_store or store.addr != load.addr:
+        raise GraphError(
+            f"the log reads n{load_nid} from n{store_nid}, which is not a "
+            f"visible store at {load.addr!r}"
+        )
+    execution.resolve_load(load_nid, store_nid)

@@ -181,6 +181,21 @@ class MemoryModel:
             ),
         }
 
+    @classmethod
+    def from_canonical_form(cls, form: dict) -> "MemoryModel":
+        """The model whose :meth:`canonical_form` is ``form`` (the
+        description is not part of it)."""
+        entries = {
+            (OpClass(first), OpClass(second)): OrderRequirement(requirement)
+            for first, second, requirement in form["table"]
+        }
+        return cls(
+            name=form["name"],
+            table=ReorderingTable(entries),
+            store_load_bypass=form["store_load_bypass"],
+            speculative_aliasing=form["speculative_aliasing"],
+        )
+
     def __str__(self) -> str:
         flags = []
         if self.store_load_bypass:

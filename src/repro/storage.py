@@ -10,8 +10,11 @@
   canonical JSON encoding that WAL records and campaign state carry.
   Its bytes are part of those formats: changing the encoding or the
   digest size would make every existing file fail verification.
-* :func:`seal` / :func:`unseal` — the framing of the binary formats
-  (behavior-cache entries and enumeration checkpoints)::
+* :func:`seal` / :func:`unseal` — the framing of the record formats:
+  behavior-cache entries and enumeration checkpoints, whose payloads are
+  the canonical-JSON records of
+  :func:`~repro.core.serialization.encode_entry` and
+  :func:`~repro.core.serialization.encode_checkpoint`::
 
       magic[4]  version[1]  blake2b-8(payload)[8]  payload
 

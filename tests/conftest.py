@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import copyreg
-import io
 import os
-import pickle
 
 import pytest
 
-from repro.core.node import Node
 from repro.isa.dsl import ProgramBuilder
 from repro.models.registry import get_model
 
@@ -121,26 +117,3 @@ def sc():
 @pytest.fixture
 def tso():
     return get_model("tso")
-
-
-#: ``Node``'s slots before its class predicates became slots too.
-VERSION_1_NODE_SLOTS = (
-    "nid", "tid", "index", "instruction", "op_class", "operand_sources",
-    "static_index", "executed", "value", "addr", "source", "writes", "stored",
-)
-
-
-class _Version1Pickler(pickle.Pickler):
-    def reducer_override(self, obj):
-        if type(obj) is Node:
-            state = {name: getattr(obj, name) for name in VERSION_1_NODE_SLOTS}
-            return (copyreg.__newobj__, (Node,), (None, state))
-        return NotImplemented
-
-
-def version_1_dumps(obj) -> bytes:
-    """Pickle ``obj`` as a build with the version-1 ``Node`` layout did:
-    every node's state holds only :data:`VERSION_1_NODE_SLOTS`."""
-    buffer = io.BytesIO()
-    _Version1Pickler(buffer).dump(obj)
-    return buffer.getvalue()

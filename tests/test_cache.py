@@ -6,9 +6,8 @@ integration (complete results only, one hit path), the offline
 and the CLI surface."""
 
 import hashlib
-import io
+import json
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -19,13 +18,14 @@ import pytest
 
 from repro.cache import CACHE_PAYLOAD_VERSION, BehaviorCache
 from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
-from repro.core.serialization import behavior_cache_key
-from repro.errors import CacheIntegrityWarning
+from repro.core.serialization import behavior_cache_key, behavior_request
+from repro.errors import CacheError, CacheIntegrityWarning
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
 from repro.litmus.library import all_tests, get_test
 from repro.models.registry import get_model
-from tests.conftest import version_1_dumps
+from repro.service.jobs import canonical_result
+from repro.storage import seal
 
 SB_SOURCE = """
 test SB
@@ -161,11 +161,10 @@ class TestBehaviorCacheStore:
 
     def test_entry_file_layout_round_trip(self, tmp_path):
         """One file per key: magic and format version, a blake2b-8 of
-        the payload, then two pickles.  The header holds the payload
-        version, the key and the pickled request, which hashes back to
-        the key; the body holds the executions and stats with the
-        request's program, model and instructions as persistent ids, so
-        it carries no copy of them and decodes against the request."""
+        the payload, then one canonical-JSON record: the request (which
+        hashes to the key), the key, the stats, and per behavior its
+        resolution log and sorted final registers.  Nothing in it names
+        a Python class."""
         keys = populate(BehaviorCache(tmp_path))
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             entry_path(tmp_path, key).name for key in keys.values()
@@ -173,24 +172,33 @@ class TestBehaviorCacheStore:
         model = get_model("weak")
         for name, key in keys.items():
             raw = entry_path(tmp_path, key).read_bytes()
-            assert raw[:5] == b"RBEH\x01"
+            assert raw[:5] == b"RBEH" + bytes((CACHE_PAYLOAD_VERSION,))
             payload = raw[13:]
             assert raw[5:13] == hashlib.blake2b(payload, digest_size=8).digest()
-            stream = io.BytesIO(payload)
-            header = pickle.load(stream)
-            assert sorted(header) == ["key", "request", "version"]
-            assert header["version"] == CACHE_PAYLOAD_VERSION
-            assert header["key"] == key
-            program, stored_model, limits = pickle.loads(header["request"])
-            assert behavior_cache_key(program, stored_model, limits) == key
+            record = json.loads(payload)
+            assert payload == json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            ).encode()
+            assert sorted(record) == ["behaviors", "key", "request", "stats"]
+            program = get_test(name).program
+            assert record["request"] == json.loads(
+                json.dumps(behavior_request(program, model))
+            )
+            assert record["key"] == key.hex()
+            assert b"repro." not in payload
 
-            body = stream.read()
-            assert b"repro.isa.program" not in body and b"repro.models" not in body
-            executions, stats = RequestResolver(io.BytesIO(body), program, stored_model).load()
-            assert all(e.program is program and e.model is stored_model for e in executions)
-            fresh = enumerate_behaviors(get_test(name).program, model)
-            assert loadstore_keys(executions) == loadstore_keys(fresh.executions)
-            assert stats == fresh.stats
+            fresh = enumerate_behaviors(program, model)
+            assert record["stats"] == vars(fresh.stats)
+            assert record["behaviors"] == [
+                [
+                    [list(step) for step in execution.resolutions],
+                    sorted(
+                        [thread, register, value]
+                        for (thread, register), value in execution.final_registers().items()
+                    ),
+                ]
+                for execution in fresh.executions
+            ]
 
     def test_lookup_and_store_never_list_the_directory(self, tmp_path, monkeypatch):
         """A miss is one failed open and a put one atomic write: neither
@@ -278,6 +286,36 @@ class TestBehaviorCacheStore:
         assert not any("partial" in path.parts for path in touched)
         assert [path.name for path in tmp_path.iterdir()] == [entry.name]
 
+    def test_hits_answer_outcomes_without_replaying(self, tmp_path, monkeypatch):
+        """On every library test under sc/tso/pso/weak, a disk hit's
+        canonical result is byte-identical to a fresh enumeration's, and
+        no execution is built to answer it."""
+        import repro.cache.store as store_module
+        from repro.core.execution import Execution
+
+        cells = [
+            (test.program, get_model(name))
+            for test in all_tests()
+            for name in ("sc", "tso", "pso", "weak")
+        ]
+        cache = BehaviorCache(tmp_path)
+        fresh = [
+            json.dumps(canonical_result(enumerate_behaviors(*cell, cache=cache)))
+            for cell in cells
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache hit built an execution")
+
+        monkeypatch.setattr(store_module, "replay_logs", forbidden)
+        monkeypatch.setattr(Execution, "__init__", forbidden)
+        warm = BehaviorCache(tmp_path)
+        for cell, expected in zip(cells, fresh):
+            hit = enumerate_behaviors(*cell, cache=warm)
+            assert hit.cached
+            assert json.dumps(canonical_result(hit)) == expected
+        assert warm.counters.hits == len(cells) == 180
+
     def test_replay_builds_the_request_result(self, tmp_path):
         """The one hit path: ``replay`` answers with a complete, cached
         result for the request, whose stats are a private copy."""
@@ -323,9 +361,9 @@ class TestBehaviorCacheStore:
             )
 
     def test_verify_reports_an_entry_under_another_requests_key(self, tmp_path):
-        """A lookup trusts the key stored with the entry; ``verify``
-        recomputes it from the stored request and reports an entry that
-        was written under a key that is not its request's."""
+        """An entry whose stored request does not hash to its key is
+        refused by the one integrity check: a lookup is a warned miss,
+        and ``verify`` reports it."""
         cache = BehaviorCache(tmp_path)
         populate(cache, ("MP",))
         program = get_test("SB").program
@@ -333,10 +371,12 @@ class TestBehaviorCacheStore:
         result = enumerate_behaviors(program, model)
         foreign = behavior_cache_key(get_test("LB").program, model, None)
         cache.store(foreign, program, model, None, result.executions, result.stats)
-        assert BehaviorCache(tmp_path).lookup(foreign) is not None
-        report = BehaviorCache(tmp_path).verify()
+        with pytest.warns(CacheIntegrityWarning, match="fails key verification"):
+            report = BehaviorCache(tmp_path).verify()
         assert report["checked"] == 2 and report["ok"] == 1
         assert report["bad"] == [foreign.hex()]
+        with pytest.warns(CacheIntegrityWarning, match="fails key verification"):
+            assert BehaviorCache(tmp_path).lookup(foreign) is None
 
     def test_duplicate_puts_are_skipped(self, tmp_path):
         cache = BehaviorCache(tmp_path)
@@ -430,27 +470,38 @@ def flip_byte(index: int):
     return damage
 
 
-class RequestResolver(pickle.Unpickler):
-    """Loads an entry body, resolving its persistent ids by hand."""
+def rewrite(change):
+    """Damage that edits the decoded record and re-seals it with a
+    *valid* checksum: ``change(record, other entry's record)``."""
 
-    def __init__(self, file, program, model):
-        super().__init__(file)
-        self.program, self.model = program, model
+    def damage(raw: bytes, other: bytes) -> bytes:
+        record = json.loads(raw[13:])
+        change(record, json.loads(other[13:]))
+        return reframe(raw, json.dumps(record).encode())
 
-    def persistent_load(self, pid):
-        if pid == "program":
-            return self.program
-        if pid == "model":
-            return self.model
-        tid, pc = pid
-        return self.program.threads[tid].code[pc]
+    return damage
+
+
+def set_field(name, value):
+    return rewrite(lambda record, other: record.__setitem__(name, value))
+
+
+def foreign_request(record, other):
+    """Another entry's request under this entry's key."""
+    record["request"] = other["request"]
+
+
+def foreign_request_and_key(record, other):
+    """A self-consistent record, but for another key than its file's."""
+    record["request"], record["key"] = other["request"], other["key"]
+
+
+def stringly_stats(record, other):
+    record["stats"]["explored"] = str(record["stats"]["explored"])
 
 
 def unknown_version(raw: bytes, other: bytes) -> bytes:
-    stream = io.BytesIO(raw[13:])
-    header = pickle.load(stream)
-    header["version"] = 99
-    return reframe(raw, pickle.dumps(header) + stream.read())
+    return seal(b"RBEH", CACHE_PAYLOAD_VERSION + 1, raw[13:])
 
 
 #: (id, damage(entry bytes, another entry's bytes) -> new bytes or None
@@ -466,7 +517,17 @@ ENTRY_DAMAGE = [
     ("flipped-checksum-byte", flip_byte(5), True),
     ("unknown-payload-version", unknown_version, True),
     ("payload-of-another-key", lambda raw, other: other, True),
-    ("not-a-pickle", lambda raw, other: reframe(raw, b"not a pickle"), True),
+    ("not-json", lambda raw, other: reframe(raw, b"not json"), True),
+    ("invalid-json", lambda raw, other: reframe(raw, raw[13:-1]), True),
+    ("not-an-object", lambda raw, other: reframe(raw, b"[1, 2]"), True),
+    ("missing-field", rewrite(lambda record, other: record.pop("stats")), True),
+    ("extra-field", set_field("executions", []), True),
+    ("behaviors-not-a-list", set_field("behaviors", {"0": []}), True),
+    ("malformed-log", set_field("behaviors", [[[["0", 1]], []]]), True),
+    ("malformed-registers", set_field("behaviors", [[[], [["P0", "r1"]]]]), True),
+    ("stats-not-ints", rewrite(stringly_stats), True),
+    ("request-of-another-key", rewrite(foreign_request), True),
+    ("record-of-another-key", rewrite(foreign_request_and_key), True),
 ]
 
 
@@ -502,35 +563,49 @@ class TestCacheCorruption:
         assert BehaviorCache(tmp_path).lookup(keys["SB"]) is not None
 
     def test_version_1_entry_is_a_warned_miss(self, tmp_path):
-        """An entry written before ``Node`` gained its predicate slots
-        unpickles into nodes that fail on first use; its payload version
-        turns it into a warned miss instead, and the re-enumeration
-        repairs it."""
+        """Entries of the pickle formats were framed with version byte 1;
+        one is a warned miss, and the re-enumeration rewrites it in the
+        current format."""
         keys = populate(BehaviorCache(tmp_path))
         path = entry_path(tmp_path, keys["SB"])
-        raw = path.read_bytes()
-        program = get_test("SB").program
-        result = enumerate_behaviors(program, get_model("weak"))
-        decoded = {  # the one-pickle layout of payload versions 1 and 2
-            "version": 1,
-            "program": program,
-            "model": result.model,
-            "limits": None,
-            "executions": tuple(result.executions),
-            "stats": result.stats,
-        }
-        path.write_bytes(reframe(raw, version_1_dumps(decoded)))
-        old_nodes = pickle.loads(path.read_bytes()[13:])["executions"][0].graph.nodes
-        with pytest.raises(AttributeError, match="is_memory"):
-            old_nodes[0].is_memory
+        path.write_bytes(seal(b"RBEH", 1, b"\x80\x04an old pickle payload."))
 
         fresh = BehaviorCache(tmp_path)
-        with pytest.warns(CacheIntegrityWarning, match="payload version 1"):
+        with pytest.warns(CacheIntegrityWarning, match="unrecognized header"):
             assert fresh.lookup(keys["SB"]) is None
         assert fresh.counters.decode_failures == 1
         result = enumerate_behaviors(get_test("SB").program, get_model("weak"), cache=fresh)
         assert not result.cached and result.complete
+        assert path.read_bytes()[:5] == b"RBEH" + bytes((CACHE_PAYLOAD_VERSION,))
         assert BehaviorCache(tmp_path).lookup(keys["SB"]) is not None
+
+    @pytest.mark.parametrize(
+        "log",
+        [[[99, 0]], [[4, 99]], [[4, 3]]],
+        ids=["missing-load", "missing-store", "non-visible-store"],
+    )
+    def test_log_that_does_not_replay(self, tmp_path, log):
+        """A record whose log names a missing node, or a store that is
+        not visible (LB+data's n3 stores a loaded value), decodes: its
+        length and outcomes come from the records.  Its executions raise
+        :class:`CacheError` naming the entry, and ``verify(full=True)``
+        reports it bad."""
+        program = get_test("LB+data").program
+        model = get_model("weak")
+        [key] = populate(BehaviorCache(tmp_path), ("LB+data",)).values()
+        path = entry_path(tmp_path, key)
+        record = json.loads(path.read_bytes()[13:])
+        record["behaviors"][0][0] = log
+        path.write_bytes(reframe(path.read_bytes(), json.dumps(record).encode()))
+
+        hit = enumerate_behaviors(program, model, cache=BehaviorCache(tmp_path))
+        fresh = enumerate_behaviors(program, model)
+        assert hit.cached and len(hit) == len(fresh)
+        assert hit.register_outcomes() == fresh.register_outcomes()
+        with pytest.raises(CacheError, match=f"cache entry {key.hex()} does not replay"):
+            hit.executions[0]
+        report = BehaviorCache(tmp_path).verify(full=True)
+        assert report["bad"] == [key.hex()]
 
     def test_flipped_record_checksum_degrades_to_miss(self, tmp_path):
         cache = BehaviorCache(tmp_path)

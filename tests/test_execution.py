@@ -1,16 +1,23 @@
-"""Unit tests for graph generation and dataflow execution (§4.1)."""
+"""Unit tests for graph generation and dataflow execution (§4.1), and
+for rebuilding executions from their resolution logs."""
 
-import pickle
+from pathlib import Path
 
 import pytest
 
-from repro.errors import EnumerationError, ExecutionError
+from repro.errors import EnumerationError, ExecutionError, GraphError
+from repro.core.enumerate import EnumerationLimits, enumerate_behaviors
 from repro.core.execution import Execution, instruction_operands
 from repro.core.graph import EdgeKind
+from repro.core.serialization import replay_logs
+from repro.isa.assembler import assemble_program
+from repro.isa.disassembler import disassemble
 from repro.isa.dsl import ProgramBuilder
 from repro.isa.instructions import Compute, Load, Store
 from repro.isa.operands import Const, Reg
+from repro.litmus.library import all_tests
 from repro.models.registry import get_model
+from repro.testing.corpus import load_corpus
 
 from tests.conftest import build_branchy, build_loop, build_single_thread
 
@@ -250,7 +257,7 @@ class TestDedupDigest:
     @pytest.mark.parametrize("program", ["indirect", "branchy"])
     def test_digest_follows_in_place_resolution(self, program):
         """Resolved in place, without copies, an execution digests at
-        every step to what a fresh unpickled copy (no memos) digests to:
+        every step to what its replay (fresh nodes, no memos) digests to:
         no memoized fragment outlives a change to its node or thread."""
         from repro.core.candidates import candidate_stores
 
@@ -258,14 +265,14 @@ class TestDedupDigest:
         execution = initial(built, "weak")
         steps = 0
         while not execution.completed():
-            fresh = pickle.loads(pickle.dumps(execution))
+            fresh = replayed(execution)
             assert execution.dedup_digest() == fresh.dedup_digest()
             assert execution.state_key() == fresh.state_key()
             load = execution.eligible_loads()[0]
             execution.resolve_load(load.nid, candidate_stores(execution, load)[-1].nid)
             steps += 1
         assert steps >= 2
-        assert execution.dedup_digest() == pickle.loads(pickle.dumps(execution)).dedup_digest()
+        assert execution.dedup_digest() == replayed(execution).dedup_digest()
 
     def test_thread_fragment_is_memoized_only_once_halted(self):
         execution = initial(build_branchy())
@@ -276,7 +283,84 @@ class TestDedupDigest:
         assert halted.key_fragment == halted.fragment(nodes)
         assert blocked.key_fragment is None  # waiting on a branch: may still change
         assert halted.copy().key_fragment is None
-        assert pickle.loads(pickle.dumps(halted)).key_fragment is None
+        assert replayed(execution).threads[0].key_fragment is None
+
+
+def replayed(execution: Execution) -> Execution:
+    """``execution`` rebuilt from its resolution log."""
+    (rebuilt,) = replay_logs(
+        execution.program, execution.model, execution.max_nodes_per_thread,
+        [execution.resolutions],
+    )
+    return rebuilt
+
+
+LIBRARY = [test.program for test in all_tests()]
+CORPUS = [entry.program for entry in load_corpus(Path(__file__).parent / "corpus")]
+
+
+def assert_replays_exactly(program, model, executions) -> None:
+    """Replaying the executions' logs, on ``program`` and on the program
+    rebuilt from its disassembly, gives each execution back: the same
+    dedup digest, Load-Store key and node count."""
+    logs = [execution.resolutions for execution in executions]
+    for target in (program, assemble_program(disassemble(program))):
+        rebuilt = replay_logs(target, model, 64, logs)
+        for original, copy in zip(executions, rebuilt, strict=True):
+            assert copy.dedup_digest() == original.dedup_digest(), program.name
+            assert copy.loadstore_key() == original.loadstore_key(), program.name
+            assert len(copy.graph.nodes) == len(original.graph.nodes), program.name
+
+
+class TestReplay:
+    @pytest.mark.parametrize("model_name", ["sc", "tso", "pso", "weak"])
+    @pytest.mark.parametrize("programs", [LIBRARY, CORPUS], ids=["library", "corpus"])
+    def test_replay_rebuilds_every_execution(self, programs, model_name):
+        model = get_model(model_name)
+        for program in programs:
+            result = enumerate_behaviors(program, model)
+            assert result.executions
+            assert_replays_exactly(program, model, result.executions)
+
+    @pytest.mark.parametrize("model_name", ["sc", "tso", "weak", "weak-spec"])
+    def test_replay_rebuilds_checkpoint_frontiers(self, model_name):
+        """The worklist and finished executions of a cut search replay
+        exactly, partial ones included."""
+        model = get_model(model_name)
+        frontiers = 0
+        for program in LIBRARY + CORPUS:
+            result = enumerate_behaviors(program, model, EnumerationLimits(max_behaviors=5))
+            if result.checkpoint is not None:
+                checkpoint = result.checkpoint
+                held = checkpoint.worklist + list(checkpoint.finished.values())
+                assert_replays_exactly(program, model, held)
+                frontiers += 1
+        assert frontiers > 20
+
+    def test_replay_shares_prefixes(self, monkeypatch):
+        """Sorted logs replay down one stack: IRIW/weak's 81 executions
+        take far fewer resolutions than their logs hold in total."""
+        result = enumerate_behaviors(LIBRARY_BY_NAME["IRIW"], get_model("weak"))
+        calls = []
+        real = Execution.resolve_load
+        monkeypatch.setattr(
+            Execution, "resolve_load",
+            lambda self, *step: calls.append(step) or real(self, *step),
+        )
+        logs = [execution.resolutions for execution in result.executions]
+        replay_logs(result.program, result.model, 64, logs)
+        assert len(calls) < sum(map(len, logs)) / 2
+
+    def test_bad_log_steps_are_refused(self, sb_program):
+        execution = initial(sb_program)
+        load = execution.eligible_loads()[0]
+        stores = [node for node in execution.graph.nodes if node.is_visible_store]
+        for step in ((99, stores[0].nid), (load.nid, 99), (stores[0].nid, stores[0].nid)):
+            with pytest.raises(GraphError):
+                replay_logs(sb_program, execution.model, 64, [(step,)])
+
+
+LIBRARY_BY_NAME = {test.name: test.program for test in all_tests()}
 
 
 class TestCopySemantics:

@@ -1,5 +1,7 @@
-"""The engine layer stands alone: ``repro.core`` imports nothing from
-``repro.analysis``.
+"""Import rules, checked over the source with :mod:`ast`: the engine
+layer stands alone (``repro.core`` imports nothing from
+``repro.analysis``), and no module under ``src/repro`` imports
+``pickle``, ``marshal`` or ``shelve``.
 
 The enumeration engine is the paper's procedure (§4) and nothing else;
 static facts, the solver and the delay-set analyzer sit above it.  The
@@ -46,3 +48,22 @@ def _layer_violations() -> list[str]:
 
 def test_core_imports_nothing_from_analysis():
     assert _layer_violations() == []
+
+
+SRC = CORE.parent
+#: Modules that decode objects by running their constructors: nothing
+#: read back from disk may execute code, so no module loads with them.
+OBJECT_DECODERS = ("pickle", "marshal", "shelve")
+
+
+def test_no_module_imports_an_object_decoder():
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 50, f"no modules under {SRC}"
+    violations = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            for module in _imported_modules(node):
+                if module.split(".")[0] in OBJECT_DECODERS:
+                    violations.append(f"{path.relative_to(SRC)}:{node.lineno} imports {module}")
+    assert violations == []

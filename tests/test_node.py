@@ -1,7 +1,5 @@
 """Unit tests for dynamic nodes and the error hierarchy."""
 
-import pickle
-
 from repro import errors
 from repro.core.node import INIT_TID, Node
 from repro.isa.instructions import Load, OpClass, Store
@@ -67,7 +65,7 @@ class TestNode:
         assert load.fragment(nodes) == repr(load.state(nodes)).encode()
         assert load.key_fragment == load.fragment(nodes)
 
-    def test_clone_and_pickle_drop_the_fragment_memo(self):
+    def test_clone_drops_the_fragment_memo(self):
         node = Node(0, INIT_TID, 0, None, OpClass.STORE, executed=True, writes=True,
                     addr="x", stored=0, value=0)
         memo = node.fragment([node])
@@ -76,7 +74,6 @@ class TestNode:
         assert clone.key_fragment is None
         clone.stored = clone.value = 5  # a deep graph copy may mutate its clones
         assert clone.fragment([clone]) == repr(clone.state([clone])).encode() != memo
-        assert pickle.loads(pickle.dumps(node)).key_fragment is None
 
     def test_class_predicates_are_construction_time_attributes(self):
         expected = {

@@ -2,6 +2,7 @@
 checkpoints/resume, cancellation, and stuck-behavior surfacing."""
 
 import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -22,12 +23,14 @@ from repro.core.enumerate import (
     resume_enumeration,
 )
 from repro.core.execution import Execution
+from repro.experiments.scaling import chain_program
+from repro.isa.disassembler import disassemble
 from repro.isa.dsl import ProgramBuilder
 from repro.litmus.library import get_test
 from repro.models.registry import get_model
 from repro.storage import seal
 
-from tests.conftest import build_sb, version_1_dumps
+from tests.conftest import build_sb
 
 
 def build_heavy3():
@@ -114,6 +117,32 @@ class TestGracefulDegradation:
         )
         assert result.complete is False
         assert result.reason is ExhaustionReason.MEMORY
+
+    def test_memory_budget_charges_kept_executions(self):
+        """fanout-5x1/weak keeps 7,776 executions on a short worklist:
+        with only the worklist and the dedup set charged, a 5 MB budget
+        let it complete.  Kept executions are charged too, so it stops,
+        and its checkpoint resumes to the full set without the limit."""
+        program = chain_program(5, 1)
+        weak = get_model("weak")
+        partial = enumerate_behaviors(program, weak, EnumerationLimits(max_memory_mb=5))
+        assert partial.complete is False
+        assert partial.reason is ExhaustionReason.MEMORY
+        assert 0 < len(partial) < 7776
+        resumed = resume_enumeration(partial.checkpoint, EnumerationLimits())
+        assert resumed.complete and len(resumed) == 7776
+
+    def test_resumed_kept_executions_are_charged(self):
+        """A resume charges the executions its checkpoint already kept:
+        resumed under the budget that stopped it, the search stops again
+        at once."""
+        partial = enumerate_behaviors(
+            chain_program(4, 1), get_model("weak"), EnumerationLimits(max_memory_mb=0.5)
+        )
+        assert partial.reason is ExhaustionReason.MEMORY
+        again = resume_enumeration(partial.checkpoint)
+        assert again.reason is ExhaustionReason.MEMORY
+        assert again.stats.explored == partial.stats.explored
 
     def test_cancellation_token(self):
         token = CancellationToken()
@@ -308,8 +337,8 @@ class TestCheckpointVersioning:
         return message
 
     def _stamped(self, version: int) -> bytes:
-        """The current checkpoint, sealed as a build stamping
-        ``version`` would seal it."""
+        """A pickled checkpoint, sealed as a build stamping ``version``
+        would seal it."""
         return seal(b"RCKP", version, pickle.dumps(self._partial_checkpoint()))
 
     def test_save_stamps_current_version(self, tmp_path):
@@ -358,12 +387,83 @@ class TestCheckpointVersioning:
         assert "has an unrecognized header" in message
 
     def test_load_rejects_version_1_checkpoint(self, tmp_path):
-        """A checkpoint as the version-1 build pickled it: its nodes
-        without the predicate slots, and no seal."""
-        message = self._refusal(
-            tmp_path / "v1.ckpt", version_1_dumps(self._partial_checkpoint())
-        )
+        """A checkpoint stamped with version 1, whatever its payload,
+        is refused by its header alone."""
+        message = self._refusal(tmp_path / "v1.ckpt", self._stamped(1))
         assert "has an unrecognized header" in message
+
+    def test_load_rejects_version_6_checkpoint(self, tmp_path):
+        """Version 6 was a sealed pickle of the checkpoint object; this
+        build reads records and refuses it without decoding it."""
+        message = self._refusal(tmp_path / "v6.ckpt", self._stamped(6))
+        assert "has an unrecognized header" in message
+
+
+def _record_change(change):
+    """A payload edit: ``change(record)`` on the decoded record, which
+    is then re-encoded (and sealed with a valid checksum)."""
+
+    def edit(payload: bytes) -> bytes:
+        record = json.loads(payload)
+        change(record)
+        return json.dumps(record).encode()
+
+    return edit
+
+
+def _foreign_request(record):
+    record["request"]["program"] = disassemble(get_test("SB").program)
+
+
+#: (id, payload -> crafted payload): every one carries a valid checksum.
+CHECKPOINT_DAMAGE = [
+    ("not-json", lambda payload: b"not json"),
+    ("invalid-json", lambda payload: payload[:-1]),
+    ("not-an-object", lambda payload: b"[]"),
+    ("missing-field", _record_change(lambda record: record.pop("seen"))),
+    ("dedup-not-a-bool", _record_change(lambda record: record.update(dedup="yes"))),
+    ("seen-not-hex", _record_change(lambda record: record.update(seen=[7]))),
+    ("seen-not-a-list", _record_change(lambda record: record.update(seen={}))),
+    ("worklist-not-logs", _record_change(lambda record: record.update(worklist=["n2"]))),
+    ("stats-not-ints", _record_change(lambda record: record["stats"].update(explored="1"))),
+    ("request-of-another-key", _record_change(_foreign_request)),
+    ("log-names-a-missing-node", _record_change(lambda record: record["worklist"].__setitem__(0, [[99, 0]]))),
+    ("log-reads-a-non-visible-store", _record_change(lambda record: record["worklist"].__setitem__(0, [[4, 3]]))),
+]
+
+
+class TestCheckpointRecordDamage:
+    """Crafted payloads that the checksum cannot catch: malformed JSON,
+    wrong field types, a request that hashes to another key, and logs
+    that name a missing node or a store that is not visible (LB+data's
+    n3 stores a loaded value).  Each is refused with
+    :class:`EnumerationError` before a search could resume from it."""
+
+    @staticmethod
+    def _saved(path: Path) -> bytes:
+        partial = enumerate_behaviors(
+            get_test("LB+data").program, get_model("weak"), EnumerationLimits(max_behaviors=1)
+        )
+        partial.checkpoint.save(path)
+        return path.read_bytes()[13:]
+
+    def test_record_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        self._saved(path)
+        saved = path.read_bytes()
+        loaded = EnumerationCheckpoint.load(path)
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == saved
+
+    @pytest.mark.parametrize(
+        "craft", [case[1] for case in CHECKPOINT_DAMAGE], ids=[case[0] for case in CHECKPOINT_DAMAGE]
+    )
+    def test_crafted_record_is_refused(self, tmp_path, craft):
+        path = tmp_path / "search.ckpt"
+        payload = craft(self._saved(path))
+        path.write_bytes(seal(b"RCKP", CHECKPOINT_FORMAT_VERSION, payload))
+        with pytest.raises(EnumerationError, match="cannot load checkpoint"):
+            EnumerationCheckpoint.load(path)
 
 
 class TestStatsAccounting:

@@ -7,13 +7,13 @@ import itertools
 import pytest
 
 from repro.analysis.static import (
-    AliasVerdict,
     analyze_program,
     build_cfg,
     compute_static_facts,
     speculation_safety,
 )
 from repro.analysis.static.conflict import collect_accesses
+from repro.analysis.static.dataflow import may_alias, must_alias
 from repro.cli import main
 from repro.core.enumerate import enumerate_behaviors
 from repro.experiments.fig89 import build_program as build_fig8
@@ -104,8 +104,9 @@ class TestDiamond:
         facts = compute_static_facts(program)
         # The syntactic analyzer merged the dynamic-address store with
         # every location; the value sets prove it can never touch "c".
-        assert facts.pair_verdict(0, 5, 1, 1) == AliasVerdict.NEVER
-        assert facts.pair_verdict(0, 5, 0, 5) == AliasVerdict.MAY
+        store, other = facts.address_set(0, 5), facts.address_set(1, 1)
+        assert not may_alias(store, other)
+        assert may_alias(store, store) and not must_alias(store, store)
         assert analyze_program(program, "weak", precise=False).conservative
 
     def test_collect_accesses_carries_location_sets(self):
@@ -131,7 +132,7 @@ class TestConstantFolding:
         store = facts.access(0, 1)
         assert store.addresses == frozenset({"x"})
         assert store.exact
-        assert facts.pair_verdict(0, 1, 1, 0) == AliasVerdict.MUST
+        assert must_alias(store.addresses, facts.address_set(1, 0))
 
     def test_analyzer_resolves_it_exactly(self):
         program = build_folded()
@@ -216,12 +217,13 @@ class TestSoundnessAgainstEnumeration:
                         f"outside {sorted(map(repr, addresses))}"
                     )
                 for first, second in itertools.combinations(nodes, 2):
-                    verdict = facts.pair_verdict(
-                        first.tid, first.static_index, second.tid, second.static_index
+                    sets = (
+                        facts.address_set(first.tid, first.static_index),
+                        facts.address_set(second.tid, second.static_index),
                     )
-                    if verdict == AliasVerdict.MUST:
+                    if must_alias(*sets):
                         assert first.addr == second.addr, f"{name}: {first} {second}"
-                    elif verdict == AliasVerdict.NEVER:
+                    elif not may_alias(*sets):
                         assert first.addr != second.addr, f"{name}: {first} {second}"
                 checked += len(nodes)
         assert checked > 0

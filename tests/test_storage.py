@@ -74,7 +74,7 @@ class TestFormatPins:
 
 def test_any_damaged_checkpoint_byte_is_refused(tmp_path):
     """A checkpoint is sealed: flipping any single byte of a saved file,
-    in the header, the checksum or the pickle, makes ``load`` raise
+    in the header, the checksum or the record, makes ``load`` raise
     :class:`EnumerationError` instead of resuming from (or crashing on)
     damaged state."""
     result = enumerate_behaviors(
