@@ -9,19 +9,20 @@ recoverable after ``kill -9``.  The log is a sequence of JSON lines::
 
 ``crc`` is a blake2b digest over the canonical encoding of the other
 fields, so replay detects corruption.  A crash mid-append can leave one
-*torn* record at the tail; :func:`replay_wal` silently drops it (the
-transition was never acknowledged).  A bad record followed by good ones,
-or a sequence-number regression, means real corruption and raises
-:class:`~repro.errors.WALError`.
+*torn* record at the tail; :func:`replay_wal` drops it (the transition
+was never acknowledged) and opening the log cuts it off.  A bad record
+followed by good ones, or a sequence-number regression, means real
+corruption and raises :class:`~repro.errors.WALError`.
 
 :meth:`WriteAheadLog.rewrite` compacts the log with
 :func:`repro.storage.atomic_write`, bounding disk growth across
-restarts.  This is the repository's one append log: coverage campaigns
-commit their batches through it too.
+restarts.  This is the repository's one append log: a coverage campaign
+keeps its whole state in one too (a snapshot record, then its batches).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -29,11 +30,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WALError
-from repro.storage import atomic_write, checksum
+from repro.storage import atomic_write
 
 
 def _crc(seq: int, event: str, job_id: str, data: dict) -> str:
-    return checksum([seq, event, job_id, data])
+    """Hex blake2b-8 of the record's canonical JSON; its bytes are part
+    of the format, so every existing log must keep verifying."""
+    canonical = json.dumps([seq, event, job_id, data], sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class WALRecord:
             "crc": _crc(self.seq, self.event, self.job_id, self.data),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _encode(records: list[WALRecord]) -> bytes:
+    return "".join(record.encode() + "\n" for record in records).encode("utf-8")
 
 
 def _decode_line(line: str) -> WALRecord:
@@ -125,11 +133,12 @@ class WriteAheadLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         existing = replay_wal(self.path)
         self._seq = existing[-1].seq if existing else 0
-        # "a" keeps durable records; a torn tail line (no newline) is
-        # neutralized by starting every append on a fresh line.
+        durable = _encode(existing)
+        if self.path.exists() and self.path.read_bytes() != durable:
+            # The file is more than its durable records (a torn last line):
+            # an append after that would leave damage mid-log, which replay refuses.
+            atomic_write(self.path, durable, fsync=fsync)
         self._handle = open(self.path, "a", encoding="utf-8")
-        if self._handle.tell() > 0:
-            self._handle.write("\n")
 
     @property
     def last_seq(self) -> int:
@@ -155,11 +164,10 @@ class WriteAheadLog:
     def rewrite(self, records: list[WALRecord]) -> None:
         """Atomically replace the log with ``records`` (compaction).
         Sequence numbers are preserved so replay ordering survives."""
-        data = "".join(record.encode() + "\n" for record in records)
         with self._lock:
             self._handle.close()
             try:
-                atomic_write(self.path, data.encode("utf-8"), fsync=self.fsync)
+                atomic_write(self.path, _encode(records), fsync=self.fsync)
             finally:
                 self._handle = open(self.path, "a", encoding="utf-8")
             if records:

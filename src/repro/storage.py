@@ -4,12 +4,10 @@
   target's directory, optionally fsynced, then moved into place with
   :func:`os.replace`.  A process killed at any instant leaves either the
   previous complete file or the new one, never a torn mix, and a write
-  that fails part-way removes its temporary file.  Checkpoints, campaign
-  state, behavior-cache entries and WAL compaction all write this way.
-* :func:`checksum` — the truncated blake2b digest of an object's
-  canonical JSON encoding that WAL records and campaign state carry.
-  Its bytes are part of those formats: changing the encoding or the
-  digest size would make every existing file fail verification.
+  that fails part-way removes its temporary file.  Checkpoints,
+  behavior-cache entries and WAL compaction (the job server's log and a
+  fuzz campaign's, whose snapshot record is its whole state) all write
+  this way.
 * :func:`seal` / :func:`unseal` — the framing of the record formats:
   behavior-cache entries and enumeration checkpoints, whose payloads are
   the canonical-JSON records of
@@ -28,19 +26,11 @@ The service WAL (:mod:`repro.service.wal`) is the one append log.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from pathlib import Path
 
 _CHECKSUM_SIZE = 8  #: digest bytes (corruption detection, not crypto)
-
-
-def checksum(body) -> str:
-    """Hex blake2b-8 digest of ``body``'s canonical JSON encoding
-    (sorted keys, no whitespace)."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode(), digest_size=_CHECKSUM_SIZE).hexdigest()
 
 
 def atomic_write(path: str | Path, data: bytes, *, fsync: bool) -> None:

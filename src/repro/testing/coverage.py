@@ -20,8 +20,9 @@ into a campaign that **learns** and **accumulates**:
   programs through the exact set of program digests already checked
   *before* any enumeration budget is spent on them.
 * **Campaign state** — grid, corpus, seen digests, RNG cursor, and spent budget
-  persist in a WAL-checkpointed directory
-  (``state.json`` + ``campaign.wal``), so a killed or nightly-restarted
+  persist in one log, ``campaign.wal``: a snapshot record of the whole
+  state followed by one record per committed batch, compacted back to a
+  single snapshot by one atomic write.  A killed or nightly-restarted
   campaign resumes exactly where it stopped and budget accumulates
   across runs instead of restarting.
 
@@ -58,8 +59,7 @@ from repro.isa.disassembler import disassemble
 from repro.isa.instructions import Fence, FenceKind, Load, Rmw, Store
 from repro.isa.operands import Const, Reg
 from repro.isa.program import Program, Thread
-from repro.service.wal import WriteAheadLog, replay_wal
-from repro.storage import atomic_write, checksum
+from repro.service.wal import WALRecord, WriteAheadLog, replay_wal
 from repro.testing.fuzz import CampaignReport, run_campaign
 from repro.testing.fuzzgen import (
     MIXED,
@@ -82,7 +82,6 @@ from repro.testing.shrink import reduction_candidates
 #: One grid cell: (edge kind, coverage label, exhaustion reason, outcome).
 Cell = tuple[str, str, str, str]
 
-STATE_FILE = "state.json"
 WAL_FILE = "campaign.wal"
 CORPUS_SUBDIR = "corpus"
 
@@ -90,13 +89,10 @@ DEFAULT_BATCH_SIZE = 12
 MUTATE_RATE = 0.45  #: chance a slot's first attempts mutate a corpus entry
 CORPUS_LIMIT = 256  #: mutation-corpus entries kept per campaign
 
-#: Format 2: the seen-program set is an exact sorted list of digest
-#: prefixes (format 1 held a bloom filter).  Format 3: the config no
-#: longer carries the mutation rate and corpus limit (both constants).
-_STATE_FORMAT = 3
+_STATE_FORMAT = 4  #: of the snapshot record's body; a snapshot of any other is refused
 _PLAN_ATTEMPTS = 6  #: dedup retries per slot before accepting a duplicate
 _MUTANT_ATTEMPTS = 3  #: of those, how many may draw from the corpus
-_CHECKPOINT_EVERY = 4  #: batches between state.json checkpoints
+_CHECKPOINT_EVERY = 4  #: batches between compactions of the campaign log
 _SEEN_PREFIX = 8  #: bytes of a program digest kept in the seen set
 _EXPLORE_EVERY = 3  #: fresh-draw indices forced onto the round-robin
 
@@ -429,9 +425,8 @@ class CampaignState:
 
     The same committed batches folded in the same order always produce
     the same state — whether they arrive live or from WAL replay after a
-    crash.  ``next_index`` doubles as the fold cursor: a WAL record
-    whose ``start`` is behind it has already been folded into the last
-    checkpoint and is skipped.
+    crash.  ``next_index`` doubles as the fold cursor: every batch
+    record must start exactly there.
     """
 
     config: CampaignConfig
@@ -448,71 +443,47 @@ class CampaignState:
     profile_novelty: dict[str, int] = field(default_factory=dict)
 
 
-_state_crc = checksum
-
-
-def save_state(state: CampaignState, campaign_dir: Path) -> Path:
-    """Atomically checkpoint ``state`` to ``<dir>/state.json``."""
-    campaign_dir = Path(campaign_dir)
-    campaign_dir.mkdir(parents=True, exist_ok=True)
-    body = {
-        "format": _STATE_FORMAT,
-        "config": state.config.to_json(),
-        "next_index": state.next_index,
-        "budget_spent": state.budget_spent,
-        "discrepancies": state.discrepancies,
-        "grid": state.grid.to_json(),
-        "corpus": [record.to_json() for record in state.corpus],
-        "profiles": {
-            name: [
-                state.profile_programs.get(name, 0),
-                state.profile_novelty.get(name, 0),
-            ]
-            for name in sorted(
-                set(state.profile_programs) | set(state.profile_novelty)
-            )
+def _snapshot(state: CampaignState) -> WALRecord:
+    """The campaign log's first record: the whole state, which the
+    ``batch`` records after it extend.  Its sequence number is fixed, so
+    a compacted log's bytes are a function of the state alone."""
+    return WALRecord(
+        seq=1,
+        event="snapshot",
+        job_id="campaign",
+        data={
+            "format": _STATE_FORMAT,
+            "config": state.config.to_json(),
+            "next_index": state.next_index,
+            "budget_spent": state.budget_spent,
+            "discrepancies": state.discrepancies,
+            "grid": state.grid.to_json(),
+            "corpus": [record.to_json() for record in state.corpus],
+            "profiles": {
+                name: [state.profile_programs.get(name, 0), state.profile_novelty.get(name, 0)]
+                for name in sorted(set(state.profile_programs) | set(state.profile_novelty))
+            },
+            "seen": sorted(prefix.hex() for prefix in state.seen),
         },
-        "seen": sorted(prefix.hex() for prefix in state.seen),
-    }
-    payload = dict(body)
-    payload["crc"] = _state_crc(body)
-    path = campaign_dir / STATE_FILE
-    atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"), fsync=True)
-    return path
+    )
 
 
-def load_state(campaign_dir: Path) -> CampaignState | None:
-    """The last checkpoint, validated; ``None`` when the directory has
-    no campaign yet.  Raises :class:`~repro.errors.ReproError` on a
-    damaged checkpoint — coverage accounting must never silently trust
-    or silently discard corrupt state."""
-    path = Path(campaign_dir) / STATE_FILE
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"campaign state {path} is unreadable: {exc}") from exc
-    try:
-        crc = payload.pop("crc")
-    except (KeyError, AttributeError):
-        raise ReproError(f"campaign state {path} is malformed (no crc)") from None
-    if _state_crc(payload) != crc:
-        raise ReproError(f"campaign state {path} failed its checksum")
-    if payload.get("format") != _STATE_FORMAT:
+def _restore(path: Path, data: dict) -> CampaignState:
+    """The state a snapshot record holds."""
+    if data.get("format") != _STATE_FORMAT:
         raise ReproError(
-            f"campaign state {path} has unsupported format {payload.get('format')!r}"
+            f"campaign log {path} has unsupported snapshot format {data.get('format')!r}"
         )
     state = CampaignState(
-        config=CampaignConfig.from_json(payload["config"]),
-        next_index=int(payload["next_index"]),
-        budget_spent=int(payload["budget_spent"]),
-        discrepancies=int(payload["discrepancies"]),
-        grid=CoverageGrid.from_json(payload["grid"]),
-        corpus=[CorpusRecord.from_json(entry) for entry in payload["corpus"]],
-        seen={bytes.fromhex(prefix) for prefix in payload["seen"]},
+        config=CampaignConfig.from_json(data["config"]),
+        next_index=int(data["next_index"]),
+        budget_spent=int(data["budget_spent"]),
+        discrepancies=int(data["discrepancies"]),
+        grid=CoverageGrid.from_json(data["grid"]),
+        corpus=[CorpusRecord.from_json(entry) for entry in data["corpus"]],
+        seen={bytes.fromhex(prefix) for prefix in data["seen"]},
     )
-    for name, (programs, novelty) in payload["profiles"].items():
+    for name, (programs, novelty) in data["profiles"].items():
         state.profile_programs[name] = int(programs)
         state.profile_novelty[name] = int(novelty)
     return state
@@ -552,15 +523,44 @@ def _fold_batch(state: CampaignState, items: list[dict]) -> frozenset[Cell]:
 
 
 def load_campaign(campaign_dir: Path) -> CampaignState | None:
-    """Checkpoint + WAL fold: the campaign's current state, including
-    batches committed after the last ``state.json`` checkpoint."""
-    state = load_state(campaign_dir)
-    if state is None:
+    """Replay ``campaign.wal``: restore its snapshot record, then fold
+    every batch committed after it.  ``None`` when the directory holds
+    no campaign yet.  Raises :class:`~repro.errors.ReproError` on a log
+    damaged anywhere but its torn last batch, and on a campaign in the
+    older ``state.json`` layout — coverage accounting must never
+    silently trust, discard or restart over stored state."""
+    campaign_dir = Path(campaign_dir)
+    if (campaign_dir / "state.json").exists():
+        raise ReproError(
+            f"{campaign_dir} holds an older state.json campaign; campaigns now keep "
+            f"their state in {WAL_FILE} alone — start a fresh campaign directory"
+        )
+    path = campaign_dir / WAL_FILE
+    if not path.exists() or path.stat().st_size == 0:
         return None
-    for record in replay_wal(Path(campaign_dir) / WAL_FILE):
-        if record.event == "batch" and int(record.data.get("start", -1)) == state.next_index:
-            _fold_batch(state, record.data["items"])
+    # The first snapshot is written atomically, and a log never shrinks
+    # back to empty, so a log with bytes but no snapshot record is
+    # damage, not a campaign that never started.
+    records = replay_wal(path)
+    if not records or records[0].event != "snapshot":
+        raise ReproError(f"campaign log {path} has no intact snapshot record")
+    state = _restore(path, records[0].data)
+    for record in records[1:]:
+        if record.event != "batch" or record.data.get("start") != state.next_index:
+            raise ReproError(
+                f"campaign log {path} record {record.seq} ({record.event} "
+                f"at {record.data.get('start')!r}) does not continue the "
+                f"state at index {state.next_index}"
+            )
+        _fold_batch(state, record.data["items"])
     return state
+
+
+def _compact(wal: WriteAheadLog, state: CampaignState) -> None:
+    """Replace the campaign log with one snapshot of ``state`` — one
+    atomic, fsynced write — then mirror the corpus files."""
+    wal.rewrite([_snapshot(state)])
+    _export_corpus_files(state, wal.path.parent)
 
 
 def open_campaign(
@@ -568,8 +568,8 @@ def open_campaign(
 ) -> CampaignState:
     """Load-or-create the campaign in ``campaign_dir``.
 
-    A fresh directory starts a new campaign (checkpointed immediately so
-    the directory is marked).  An existing campaign requires
+    A fresh directory starts a new campaign (its snapshot is written
+    immediately so the directory is marked).  An existing campaign requires
     ``resume=True`` — continuing one by accident would silently append
     history — and its pinned config (seed, profile, oracle set, batch
     size) must match exactly, as must the
@@ -579,7 +579,11 @@ def open_campaign(
     state = load_campaign(campaign_dir)
     if state is None:
         state = CampaignState(config=config)
-        save_state(state, campaign_dir)
+        wal = WriteAheadLog(Path(campaign_dir) / WAL_FILE, fsync=True)
+        try:
+            _compact(wal, state)
+        finally:
+            wal.close()
         return state
     if not resume:
         raise ReproError(
@@ -808,8 +812,9 @@ class GuidedReport(CampaignReport):
 def _export_corpus_files(state: CampaignState, campaign_dir: Path) -> None:
     """Mirror the mutation corpus as replayable ``.litmus`` files under
     ``<dir>/corpus/`` — a human-inspectable convenience view; the
-    authoritative copy lives inside the checkpoint, so a crash between
-    the two writes at worst leaves this directory one checkpoint stale."""
+    authoritative copy lives inside the snapshot record, so a crash
+    between the two writes at worst leaves this directory one
+    compaction stale."""
     from repro.testing.corpus import CorpusEntry, save_entry
 
     directory = Path(campaign_dir) / CORPUS_SUBDIR
@@ -908,12 +913,8 @@ def run_guided_campaign(
             done += count
             batches += 1
             if batches % _CHECKPOINT_EVERY == 0:
-                save_state(state, campaign_dir)
-                wal.rewrite([])
-                _export_corpus_files(state, campaign_dir)
-        save_state(state, campaign_dir)
-        wal.rewrite([])
-        _export_corpus_files(state, campaign_dir)
+                _compact(wal, state)
+        _compact(wal, state)
     finally:
         wal.close()
     report.new_cells = len(new_cells)
@@ -995,7 +996,6 @@ __all__ = [
     "coverage_report",
     "guided_one",
     "load_campaign",
-    "load_state",
     "model_tables_digest",
     "mutation_candidates",
     "open_campaign",
@@ -1003,6 +1003,5 @@ __all__ = [
     "program_digest",
     "program_edge_kinds",
     "run_guided_campaign",
-    "save_state",
     "verdict_cells",
 ]

@@ -26,11 +26,12 @@ from repro.errors import ReproError
 from repro.isa.assembler import assemble_program
 from repro.isa.disassembler import disassemble
 from repro.models.registry import get_model
-from repro.storage import checksum
+from repro.service.wal import WALRecord, WriteAheadLog, replay_wal
 from repro.testing.coverage import (
     CampaignConfig,
     CampaignState,
     CoverageGrid,
+    _snapshot,
     coverage_report,
     load_campaign,
     model_tables_digest,
@@ -40,7 +41,6 @@ from repro.testing.coverage import (
     program_digest,
     program_edge_kinds,
     run_guided_campaign,
-    save_state,
 )
 from repro.testing.fuzz import replay_entry, replay_paths
 from repro.testing.fuzzgen import MIXED_ORDER, generate_program, get_profile
@@ -185,7 +185,15 @@ def _synthetic_state(tmp_path: Path) -> tuple[CampaignState, Path]:
     return state, directory
 
 
-def test_state_roundtrip_and_crc(tmp_path):
+def _compact(state: CampaignState, directory: Path) -> Path:
+    """Compact the campaign log of ``directory`` to one snapshot of ``state``."""
+    wal = WriteAheadLog(directory / "campaign.wal", fsync=False)
+    wal.rewrite([_snapshot(state)])
+    wal.close()
+    return wal.path
+
+
+def _filled_state(tmp_path: Path) -> tuple[CampaignState, Path]:
     state, directory = _synthetic_state(tmp_path)
     state.grid.add({("St", "sc", "complete", "axiomatic-vs-sc:ok")})
     state.seen.update({b"\x02" * 8, b"\x01" * 8})
@@ -193,39 +201,73 @@ def test_state_roundtrip_and_crc(tmp_path):
     state.profile_novelty["relaxed"] = 5
     state.next_index = 4
     state.budget_spent = 4
-    save_state(state, directory)
+    return state, directory
+
+
+def test_snapshot_roundtrip(tmp_path):
+    state, directory = _filled_state(tmp_path)
+    path = _compact(state, directory)
 
     loaded = load_campaign(directory)
     assert loaded.grid.cells == state.grid.cells
     assert loaded.next_index == 4 and loaded.budget_spent == 4
     assert loaded.profile_programs == {"relaxed": 3}
     assert loaded.seen == {b"\x01" * 8, b"\x02" * 8}
-    on_disk = json.loads((directory / "state.json").read_text())
-    assert on_disk["format"] == 3
-    assert on_disk["seen"] == ["01" * 8, "02" * 8]  # exact, sorted
+    # The directory holds the log and nothing else: no state file.
+    assert [p.name for p in directory.iterdir()] == ["campaign.wal"]
+    [record] = replay_wal(path)
+    assert (record.seq, record.event) == (1, "snapshot")
+    assert record.data["format"] == 4
+    assert record.data["seen"] == ["01" * 8, "02" * 8]  # exact, sorted
 
-    # Any body tamper breaks the checksum.
-    path = directory / "state.json"
-    payload = json.loads(path.read_text())
-    payload["budget_spent"] = 999
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ReproError, match="checksum"):
+
+def test_damaged_snapshot_is_refused(tmp_path):
+    """A snapshot whose checksum fails, or one of another format, is
+    refused — never read as a campaign that has not started yet."""
+    state, directory = _filled_state(tmp_path)
+    path = _compact(state, directory)
+    line = json.loads(path.read_text())
+    line["data"]["budget_spent"] = 999  # the crc no longer matches
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(ReproError, match="no intact snapshot"):
+        load_campaign(directory)
+
+    record = _snapshot(state)
+    older = WALRecord(record.seq, record.event, record.job_id, {**record.data, "format": 3})
+    path.write_text(older.encode() + "\n")
+    with pytest.raises(ReproError, match="unsupported snapshot format 3"):
         load_campaign(directory)
 
 
-def test_format_2_state_is_refused(tmp_path):
-    """A format-2 ``state.json`` (its config still carrying the mutation
-    rate and corpus limit, now constants) is refused, not reinterpreted."""
-    _state, directory = _synthetic_state(tmp_path)
-    path = directory / "state.json"
-    payload = json.loads(path.read_text())
-    del payload["crc"]
-    payload["format"] = 2
-    payload["config"].update(mutate_rate=0.45, corpus_limit=256)
-    payload["crc"] = checksum(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ReproError, match="unsupported format 2"):
+def test_any_damaged_snapshot_byte_is_refused(tmp_path):
+    """A compacted log is one atomically written snapshot record, so it
+    cannot be torn: flipping any single byte of it makes
+    ``load_campaign`` raise, never return ``None`` or a fresh state."""
+    state, directory = _filled_state(tmp_path)
+    path = _compact(state, directory)
+    saved = path.read_bytes()
+    assert load_campaign(directory).budget_spent == 4
+    for position in range(len(saved)):
+        damaged = bytearray(saved)
+        damaged[position] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ReproError):
+            load_campaign(directory)
+
+
+def test_older_state_json_layout_is_refused(tmp_path):
+    """A directory holding a ``state.json`` from the older two-file
+    layout is refused with a message naming the change; no new campaign
+    starts over it."""
+    directory = tmp_path / "old"
+    directory.mkdir()
+    (directory / "state.json").write_text('{"crc": "0", "format": 3}')
+    (directory / "campaign.wal").write_text("")
+    with pytest.raises(ReproError, match="state.json.*campaign.wal alone"):
         load_campaign(directory)
+    with pytest.raises(ReproError, match="state.json"):
+        _run(directory, 3, resume=True)
+    assert (directory / "campaign.wal").read_text() == ""
 
 
 def test_seen_digests_are_exact_and_steer_planning(tmp_path):
@@ -260,10 +302,10 @@ def test_open_campaign_requires_resume_and_matching_config(tmp_path):
         open_campaign(directory, replace(config, tables="0" * 32), resume=True)
 
 
-def test_wal_fold_skips_already_checkpointed_batches(tmp_path):
-    from repro.service.wal import WriteAheadLog
-
-    state, directory = _synthetic_state(tmp_path)
+def test_out_of_cursor_batch_is_refused(tmp_path):
+    """Batches fold only where the state's cursor stands: snapshot and
+    batches share one atomically compacted file, so a batch that starts
+    behind or ahead of the cursor is damage, not history to skip."""
     item = {
         "index": 0,
         "seed": 5,
@@ -274,20 +316,19 @@ def test_wal_fold_skips_already_checkpointed_batches(tmp_path):
         "cells": [["St", "sc", "complete", "axiomatic-vs-sc:ok"]],
         "fails": 0,
     }
-    wal = WriteAheadLog(directory / "campaign.wal", fsync=False)
-    wal.append("batch", "batch-0", {"start": 0, "items": [item]})
-    # A stale record (start behind the checkpoint cursor) is skipped; a
-    # matching one folds.
-    loaded = load_campaign(directory)
-    assert loaded.budget_spent == 1 and loaded.next_index == 1
-    assert len(loaded.corpus) == 1
-    assert loaded.corpus[0].new_cells == (("St", "sc", "complete", "axiomatic-vs-sc:ok"),)
+    for name, stray_start in (("behind", 0), ("ahead", 2)):
+        _state, directory = _synthetic_state(tmp_path / name)
+        wal = WriteAheadLog(directory / "campaign.wal", fsync=False)
+        wal.append("batch", "batch-0", {"start": 0, "items": [item]})
+        loaded = load_campaign(directory)
+        assert loaded.budget_spent == 1 and loaded.next_index == 1
+        assert loaded.corpus[0].new_cells == (("St", "sc", "complete", "axiomatic-vs-sc:ok"),)
 
-    # Checkpoint past it: the same WAL record must now be ignored.
-    save_state(loaded, directory)
-    again = load_campaign(directory)
-    assert again.budget_spent == 1 and again.next_index == 1
-    wal.close()
+        stray = dict(item, index=stray_start)
+        wal.append("batch", f"batch-{stray_start}", {"start": stray_start, "items": [stray]})
+        wal.close()
+        with pytest.raises(ReproError, match=f"at {stray_start}.*index 1"):
+            load_campaign(directory)
 
 
 def test_plan_batch_pure_function_of_state(tmp_path):
@@ -313,10 +354,9 @@ def test_split_run_equals_uninterrupted_and_jobs_insensitive(tmp_path):
     whole = _fingerprint(tmp_path / "whole")
     assert _fingerprint(tmp_path / "split") == whole
     assert _fingerprint(tmp_path / "jobs") == whole
-    # The checkpoint files themselves are byte-identical.
-    assert (tmp_path / "whole" / "state.json").read_bytes() == (
-        tmp_path / "split" / "state.json"
-    ).read_bytes()
+    # The compacted logs themselves are byte-identical.
+    logs = {(tmp_path / run / "campaign.wal").read_bytes() for run in ("whole", "split", "jobs")}
+    assert len(logs) == 1
 
 
 def test_budget_accumulates_and_report_counts(tmp_path):
@@ -367,6 +407,37 @@ def test_odd_budget_slice_realigns_to_window_grid(tmp_path):
     # one: a further aligned run matches a reference that diverged only
     # inside the first window.
     assert len(state.grid) > 0
+
+
+class Killed(Exception):
+    """Stands in for a kill: the run stops where it is raised."""
+
+
+def test_torn_tail_then_killed_before_compaction_resumes_identically(tmp_path, monkeypatch):
+    """A campaign killed mid-append (a torn last line) is resumed, and
+    that run is killed before its next compaction, so its batch lands
+    after the torn line.  The log must still load, and resuming it must
+    reproduce the uninterrupted run's grid, corpus and compacted log."""
+    reference = tmp_path / "ref"
+    _run(reference, 9, batch_size=3, seed=11)
+
+    campaign = tmp_path / "twice-killed"
+    _run(campaign, 3, batch_size=3, seed=11)
+    with open(campaign / "campaign.wal", "a", encoding="utf-8") as handle:
+        handle.write('{"crc":"5e1d')  # killed mid-append
+
+    def killed(self, records):
+        raise Killed
+
+    monkeypatch.setattr(WriteAheadLog, "rewrite", killed)
+    with pytest.raises(Killed):
+        _run(campaign, 3, batch_size=3, seed=11, resume=True)
+    monkeypatch.undo()
+
+    assert load_campaign(campaign).budget_spent == 6
+    _run(campaign, 3, batch_size=3, seed=11, resume=True)
+    assert _fingerprint(campaign) == _fingerprint(reference)
+    assert (campaign / "campaign.wal").read_bytes() == (reference / "campaign.wal").read_bytes()
 
 
 @pytest.mark.slow

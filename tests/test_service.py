@@ -89,6 +89,20 @@ class TestWriteAheadLog:
         records = replay_wal(path)
         assert [r.event for r in records] == ["submitted", "state"]
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        """Reopening a log with a torn tail and appending must not leave
+        the torn line mid-log, where replay would refuse it."""
+        path = tmp_path / "jobs.wal"
+        wal = WriteAheadLog(path, fsync=False)
+        wal.append("submitted", "j1", {})
+        wal.close()
+        blob = path.read_text()
+        path.write_text(blob + blob[:20])  # torn record
+        wal = WriteAheadLog(path, fsync=False)
+        wal.append("state", "j1", {"state": "running"})
+        wal.close()
+        assert [(r.seq, r.event) for r in replay_wal(path)] == [(1, "submitted"), (2, "state")]
+
     def test_corruption_mid_log_raises(self, tmp_path):
         path = tmp_path / "jobs.wal"
         wal = WriteAheadLog(path, fsync=False)

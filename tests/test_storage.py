@@ -1,7 +1,7 @@
 """Tests for the on-disk formats and the shared atomic snapshot write.
 
 The format pins are literal bytes: a change to the framing must
-reproduce them exactly, or every WAL and campaign state already on disk
+reproduce them exactly, or every WAL and campaign log already on disk
 silently stops verifying.
 """
 
@@ -23,21 +23,27 @@ from repro.litmus.library import all_tests, get_test
 from repro.models.registry import get_model
 from repro.service.wal import WALRecord, WriteAheadLog, replay_wal
 from repro.storage import atomic_write
-from repro.testing.coverage import CampaignConfig, CampaignState, _state_crc, save_state
+from repro.testing.coverage import (
+    CampaignConfig,
+    CampaignState,
+    CoverageGrid,
+    _snapshot,
+    load_campaign,
+)
 
 PINNED_WAL_LINE = (
     '{"crc":"6d2af62c7aa91e20","data":{"attempt":2,"note":"\\u00e9",'
     '"state":"running"},"event":"state","job":"ab12","seq":3}'
 )
-#: Campaign-state format 2: the seen-program set is a sorted list of
-#: 8-byte digest prefixes (format 1 carried a base64 bloom filter).
-PINNED_STATE_BODY = {
-    "format": 2,
-    "next_index": 7,
-    "grid": {"cells": ["a", "b"]},
-    "seen": ["0123456789abcdef", "fedcba9876543210"],
-}
-PINNED_STATE_CRC = "247742fed2b0fa9d"
+#: A campaign log's snapshot record (format 4): the whole campaign
+#: state, the seen-program set a sorted list of 8-byte digest prefixes.
+PINNED_SNAPSHOT_LINE = (
+    '{"crc":"52b1081389d66a2f","data":{"budget_spent":7,"config":{"batch_size":12,'
+    '"oracles":null,"profile":"mixed","seed":1,"tables":"abababababababababababababababab"},'
+    '"corpus":[],"discrepancies":0,"format":4,"grid":{"cells":[["St","sc","complete",'
+    '"axiomatic-vs-sc:ok",2]]},"next_index":7,"profiles":{"relaxed":[7,1]},'
+    '"seen":["0123456789abcdef","fedcba9876543210"]},"event":"snapshot","job":"campaign","seq":1}'
+)
 #: blake2b-16 over ``behavior_cache_key`` of every library test under
 #: each model below, in library order: every cache entry on disk is
 #: filed under one of these keys.
@@ -61,8 +67,19 @@ class TestFormatPins:
         [record] = replay_wal(path)
         assert (record.seq, record.event, record.job_id) == (3, "state", "ab12")
 
-    def test_campaign_state_crc(self):
-        assert _state_crc(PINNED_STATE_BODY) == PINNED_STATE_CRC
+    def test_campaign_snapshot_line(self, tmp_path):
+        state = CampaignState(
+            config=CampaignConfig(seed=1, tables="ab" * 16),
+            next_index=7,
+            budget_spent=7,
+            grid=CoverageGrid({("St", "sc", "complete", "axiomatic-vs-sc:ok"): 2}),
+            seen={bytes.fromhex("fedcba9876543210"), bytes.fromhex("0123456789abcdef")},
+            profile_programs={"relaxed": 7},
+            profile_novelty={"relaxed": 1},
+        )
+        assert _snapshot(state).encode() == PINNED_SNAPSHOT_LINE
+        (tmp_path / "campaign.wal").write_text(PINNED_SNAPSHOT_LINE + "\n", encoding="utf-8")
+        assert load_campaign(tmp_path) == state
 
     def test_behavior_cache_keys_over_the_library(self):
         digest = hashlib.blake2b(digest_size=16)
@@ -108,16 +125,6 @@ def checkpoint_writes(directory, request):
         lambda: shallow.checkpoint.save(path),
         lambda: deeper.checkpoint.save(path),
     )
-
-
-def campaign_state_writes(directory, request):
-    state = CampaignState(config=CampaignConfig(seed=1))
-
-    def advance():
-        state.next_index += 1
-        save_state(state, directory)
-
-    return advance, advance
 
 
 def cache_entry_writes(directory, request):
@@ -167,8 +174,8 @@ def snapshot(directory: Path) -> dict:
 class TestAtomicWrite:
     @pytest.mark.parametrize(
         "writes",
-        [checkpoint_writes, campaign_state_writes, cache_entry_writes, wal_rewrites],
-        ids=["checkpoint", "campaign-state", "cache-entry", "wal-rewrite"],
+        [checkpoint_writes, cache_entry_writes, wal_rewrites],
+        ids=["checkpoint", "cache-entry", "wal-rewrite"],
     )
     def test_failed_write_keeps_previous_bytes(self, writes, tmp_path, request, monkeypatch):
         """A write that dies part-way leaves the previous bytes intact
