@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.solver.behaviors import _materialize, _step
+from repro.analysis.solver.behaviors import _interrupt, _materialize, _replay_stack, _step
 from repro.analysis.solver.encode import (
     ClauseGroup,
     Encoding,
@@ -37,7 +37,7 @@ from repro.analysis.solver.encode import (
     _short,
     encode_program,
 )
-from repro.core.enumerate import EnumerationLimits, EnumerationStats
+from repro.core.enumerate import CancellationToken, EnumerationLimits, EnumerationStats
 from repro.core.execution import Execution
 from repro.core.node import Node
 from repro.isa.instructions import OpClass
@@ -329,12 +329,15 @@ def explain_forbidden(
     test: LitmusTest,
     model: MemoryModel | str,
     limits: EnumerationLimits | None = None,
+    *,
+    token: CancellationToken | None = None,
 ) -> ForbiddenExplanation:
     """Decide reachability of ``test``'s outcome expression under
     ``model`` and explain the verdict (see the module docstring).
 
-    ``limits`` bound it as they bound ``solve_behaviors``, but strictly:
-    a spent budget raises :class:`~repro.errors.EnumerationError`."""
+    ``limits`` and ``token`` bound it as they bound ``solve_behaviors``
+    (the core's minimization included), but strictly: a spent budget
+    raises :class:`~repro.errors.EnumerationError`."""
     start = time.monotonic()
     if isinstance(model, str):
         model = get_model(model)
@@ -360,14 +363,18 @@ def explain_forbidden(
 
     assumptions = encoding.selectors()
     work = EnumerationStats()
+    interrupt = _interrupt(encoding, limits, start, token)
+    frontiers = _replay_stack(encoding)
     locations = test.condition.locations()
     blocked = 0
     while True:
-        _step(encoding, limits, work, start)
-        if not solver.solve(assumptions):
+        _step(encoding, limits, work, start, token)
+        if not solver.solve(assumptions, interrupt):
             break
         assignment = encoding.rf_assignment()
-        for execution in _materialize(encoding, assignment, limits, work, start):
+        for execution in _materialize(
+            encoding, assignment, limits, work, start, token, frontiers
+        ):
             registers = execution.final_registers()
             for memory in realizable_final_memory(execution, locations):
                 if test.condition.holds_in(registers, memory):
@@ -397,7 +404,7 @@ def explain_forbidden(
         shrinking = False
         for literal in list(core):
             trial = [other for other in core if other != literal]
-            if not solver.solve(trial):
+            if not solver.solve(trial, interrupt):
                 core = solver.core() or trial
                 shrinking = True
                 break

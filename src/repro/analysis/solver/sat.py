@@ -27,6 +27,13 @@ scan would pick — the unassigned variable of highest activity, lowest
 index on ties — so decisions, conflicts and learnt clauses do not
 depend on the heap.
 
+After a SAT answer the trail is kept: the next :meth:`SatSolver.solve`
+backtracks only to the longest prefix its assumptions share with the
+last SAT call's (assumption ``i`` holds decision level ``i + 1``), so a
+caller walking models depth first does not re-propagate what two calls
+share.  :meth:`~SatSolver.add_clause` returns to the root first, and
+:meth:`~SatSolver.fixed` reads root values only.
+
 There is no clause-database reduction or preprocessing — the encodings
 in this package stay small (thousands of variables, tens of thousands
 of clauses), and learnt clauses are simply kept.
@@ -35,7 +42,7 @@ of clauses), and learnt clauses are simply kept.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _UNDEF = -1
 
@@ -71,6 +78,9 @@ class SatSolver:
         self._var_inc = 1.0
         self._ok = True
         self._model: list[int] = []
+        #: the last SAT call's internal assumptions, whose levels the
+        #: trail may still hold
+        self._held: list[int] = []
         self._core: list[int] = []
         self.conflicts = 0
         self.decisions = 0
@@ -109,7 +119,7 @@ class SatSolver:
         formula is already unsatisfiable at the root level."""
         if not self._ok:
             return False
-        assert not self._trail_lim, "clauses must be added at the root level"
+        self._backtrack(0)
         # The literal conversion and root values are read inline: this
         # loop runs once per literal of every encoded clause.  Every
         # literal is checked, even after the clause is known to be
@@ -355,27 +365,48 @@ class SatSolver:
 
     # -- main loop ------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+    def solve(
+        self,
+        assumptions: Sequence[int] = (),
+        interrupt: Callable[[], object] | None = None,
+    ) -> bool:
         """Decide satisfiability under ``assumptions``.  On SAT the model
         is readable via :meth:`value`; on UNSAT caused by assumptions,
-        :meth:`core` holds a (not necessarily minimal) failed subset."""
+        :meth:`core` holds a (not necessarily minimal) failed subset.
+
+        ``interrupt`` is called once per conflict; whatever it raises
+        ends the call, with the solver back at the root and still
+        usable (learnt clauses are kept)."""
         self._core = []
         if not self._ok:
             return False
         assumed = [self._internal(lit) for lit in assumptions]
-        conflict_budget = 0
+        shared = 0
+        for held, lit in zip(self._held, assumed):
+            if held != lit:
+                break
+            shared += 1
+        self._held = []
+        self._backtrack(shared)
         restart_index = 0
-        while True:
-            restart_index += 1
-            conflict_budget = 100 * _luby(restart_index)
-            result = self._search(assumed, conflict_budget)
-            if result is not None:
+        try:
+            while True:
+                restart_index += 1
+                result = self._search(assumed, 100 * _luby(restart_index), interrupt)
+                if result:
+                    self._held = assumed
+                    return True
                 self._backtrack(0)
-                return result
-            self.restarts += 1
+                if result is not None:
+                    return False
+                self.restarts += 1
+        except BaseException:
             self._backtrack(0)
+            raise
 
-    def _search(self, assumed: list[int], budget: int) -> bool | None:
+    def _search(
+        self, assumed: list[int], budget: int, interrupt: Callable[[], object] | None
+    ) -> bool | None:
         conflicts_here = 0
         while True:
             conflict = self._propagate()
@@ -391,6 +422,8 @@ class SatSolver:
                 self._backtrack(back_level)
                 self._record_learnt(learnt)
                 self._var_inc /= 0.95
+                if interrupt is not None:
+                    interrupt()
                 if conflicts_here >= budget:
                     return None
                 continue
@@ -416,12 +449,12 @@ class SatSolver:
 
     def fixed(self, lit: int) -> bool | None:
         """The root-level value of an external literal, ``None`` while
-        unassigned (between :meth:`solve` calls every assignment is at
-        the root).  Root assignments are permanent, so a clause holding
-        a root-true literal is a no-op for :meth:`add_clause` — callers
-        may skip building it."""
-        value = self._assign[self._internal(lit) >> 1]
-        if value == _UNDEF:
+        unassigned at the root.  Root assignments are permanent, so a
+        clause holding a root-true literal is a no-op for
+        :meth:`add_clause` — callers may skip building it."""
+        var = self._internal(lit) >> 1
+        value = self._assign[var]
+        if value == _UNDEF or self._level[var] > 0:
             return None
         return bool(value ^ (lit < 0))
 
