@@ -652,8 +652,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
         if not args.dir:
             raise ReproError("usage: repro fuzz coverage DIR")
-        print(coverage_report(Path(args.dir)))
         state = load_campaign(Path(args.dir))
+        if state is None:
+            raise ReproError(f"no campaign state under {Path(args.dir)}")
+        print(coverage_report(Path(args.dir), state))
         if args.export:
             Path(args.export).write_text(
                 json.dumps(state.grid.to_json(), sort_keys=True, indent=1) + "\n"

@@ -949,11 +949,10 @@ def blind_grid(
 # reporting
 
 
-def coverage_report(campaign_dir: Path) -> str:
-    """The human-readable grid report behind ``repro fuzz coverage DIR``."""
-    state = load_campaign(campaign_dir)
-    if state is None:
-        raise ReproError(f"no campaign state under {campaign_dir}")
+def coverage_report(campaign_dir: Path, state: CampaignState) -> str:
+    """The human-readable grid report behind ``repro fuzz coverage DIR``:
+    ``state`` is the campaign :func:`load_campaign` read from
+    ``campaign_dir``."""
     config = state.config
     oracles = "all" if config.oracles is None else ",".join(config.oracles)
     lines = [

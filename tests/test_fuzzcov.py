@@ -367,8 +367,33 @@ def test_budget_accumulates_and_report_counts(tmp_path):
     state = load_campaign(tmp_path / "camp")
     assert state.budget_spent == 8 and state.next_index == 8
     assert len(state.grid) > 0
-    text = coverage_report(tmp_path / "camp")
+    text = coverage_report(tmp_path / "camp", state)
     assert "budget spent : 8" in text and "grid cells" in text
+
+
+def test_coverage_command_loads_the_campaign_once(tmp_path, monkeypatch, capsys):
+    """``repro fuzz coverage DIR`` replays the campaign log once, also
+    with ``--export`` and ``--check-superset``, and prints the report."""
+    from repro.cli import main
+    from repro.testing import coverage
+
+    campaign = tmp_path / "camp"
+    _run(campaign, 4)
+    report = coverage_report(campaign, load_campaign(campaign))
+    loads = []
+    monkeypatch.setattr(
+        coverage, "load_campaign", lambda path: loads.append(path) or load_campaign(path)
+    )
+    grid = tmp_path / "grid.json"
+    assert main(["fuzz", "coverage", str(campaign), "--export", str(grid)]) == 0
+    assert loads == [campaign]
+    assert main(["fuzz", "coverage", str(campaign), "--check-superset", str(grid)]) == 0
+    assert loads == [campaign, campaign]
+    cells = len(load_campaign(campaign).grid)
+    assert capsys.readouterr().out == (
+        f"{report}\ngrid exported to {grid}\n"
+        f"{report}\ngrid covers all {cells} cells of {grid}\n"
+    )
 
 
 @settings(max_examples=4, deadline=None)
