@@ -14,8 +14,9 @@ skipped.
   (``loadstore_key``) to the enumerator's on the litmus library and the
   wide family; nothing truncates; on the wide family the stable-load
   reduction is ≥5x faster than the full-eligibility search, ``wide-t``
-  makes exactly ``t`` resolutions, and fanout-4x1/weak makes no
-  duplicate.
+  makes exactly ``t`` resolutions, fanout-4x1/weak makes no duplicate,
+  and the solver's replay makes no more resolutions on fanout-4x1/weak
+  than the enumerator.
 * **fencesynth** — static and enumerative minimal fence sets agree;
   nothing truncates; the static sweep is ≥10x faster; TAB-STATIC's
   static race analysis of the library is ≥10x faster than its dynamic
@@ -56,7 +57,7 @@ import traceback
 from pathlib import Path
 
 from repro.analysis.fencesynth import synthesize_fences
-from repro.analysis.solver import solve_behaviors
+from repro.analysis.solver import solve_behaviors, solve_behaviors_with_stats
 from repro.analysis.static import analyze_program
 from repro.analysis.static.dataflow import compute_static_facts
 from repro.analysis.static.fencerepair import repair_fences
@@ -225,9 +226,11 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
     speed floor measures what the wide family was built to expose: the
     reduced enumeration against the full-eligibility search (every
     eligible load branched on, as the well-sync check still does), on
-    the same widths.  Two work floors back it that host noise cannot
-    move: ``wide-t`` makes exactly ``t`` resolutions, and
-    fanout-4x1/weak makes no duplicate."""
+    the same widths.  Three work floors back it that host noise cannot
+    move: ``wide-t`` makes exactly ``t`` resolutions, fanout-4x1/weak
+    makes no duplicate, and the solver materializes fanout-4x1/weak's
+    models with no more resolutions than the enumerator makes (its
+    depth-first walk shares one replay stack across models)."""
     models = ("tso", "weak") if quick else ("sc", "tso", "pso", "weak")
     widths = (8, 10) if quick else (8, 10, 12)
     library = [(test.program, model) for test in all_tests() for model in models]
@@ -277,6 +280,12 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
     fanout = enumerate_behaviors(chain_program(4, 1), get_model("weak"))
     if fanout.stats.duplicates:
         work_failures.append(f"fanout-4x1/weak made {fanout.stats.duplicates} duplicates, not 0")
+    _, fanout_solved = solve_behaviors_with_stats(chain_program(4, 1), "weak")
+    if fanout_solved.resolutions > fanout.stats.resolutions:
+        work_failures.append(
+            f"the solver made {fanout_solved.resolutions} resolutions on fanout-4x1/weak, "
+            f"more than the enumerator's {fanout.stats.resolutions}"
+        )
 
     speedup = full_total / enum_total if enum_total > 0 else float("inf")
     values = {
@@ -294,6 +303,8 @@ def gate_solver(quick: bool) -> tuple[dict, list[str]]:
         "wide_resolutions": resolutions,
         "wide_full_eligibility_resolutions": full_resolutions,
         "fanout_4x1_weak_duplicates": fanout.stats.duplicates,
+        "fanout_4x1_weak_resolutions": fanout.stats.resolutions,
+        "fanout_4x1_weak_solver_resolutions": fanout_solved.resolutions,
     }
     failures = []
     if mismatches:
