@@ -18,7 +18,7 @@ behavior.  :mod:`repro.analysis.solver.behaviors` closes the gap by
 replaying each model through the exact :class:`Execution` machinery —
 anything the relaxation over-admits (may-alias sources, rule (c),
 dynamically-discovered same-address edges, value flow) is rejected
-there and blocked.  Value consistency is therefore enforced exactly by
+there.  Value consistency is therefore enforced exactly by
 replay rather than approximated in CNF.
 
 **Order variables only where an axiom orders.**  Every clause of the
@@ -133,6 +133,15 @@ class Encoding:
                 choice[nid] = None
         return choice
 
+    def rf_options(self, load_nid: int) -> list[int]:
+        """The literals of ``load_nid``'s reads-from choice, exactly one
+        of which holds: one per candidate source, then "reads a
+        post-branch store" when some thread is blocked on a branch."""
+        options = [self.rf_var[(load_nid, store)] for store in self.candidates[load_nid]]
+        if self.has_extension:
+            options.append(self.ext_var[load_nid])
+        return options
+
     def rf_literals(self, assignment: dict[int, int | None]) -> list[int]:
         """The positive rf/extension literals selecting ``assignment``."""
         literals = []
@@ -144,7 +153,8 @@ class Encoding:
         return literals
 
     def block(self, assignment: dict[int, int | None]) -> None:
-        """Forbid ``assignment`` (the AllSAT blocking clause)."""
+        """Forbid ``assignment`` (the blocking clause of
+        ``explain_forbidden``'s search for a witness)."""
         self.solver.add_clause([-lit for lit in self.rf_literals(assignment)])
 
     def selectors(self) -> list[int]:
@@ -418,9 +428,7 @@ def encode_program(
     # -- group 3: every load reads exactly one source (structural) ------
     group(GROUP_RF_CHOICE, "every load reads exactly one store", guarded=False)
     for load in loads:
-        options = [encoding.rf_var[(load.nid, s)] for s in candidates[load.nid]]
-        if has_extension:
-            options.append(encoding.ext_var[load.nid])
+        options = encoding.rf_options(load.nid)
         add_clause(options)
         for i, first in enumerate(options):
             for second in options[i + 1 :]:
