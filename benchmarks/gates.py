@@ -9,7 +9,9 @@ skipped.
 
 * **hot-path** — copy-on-write ``Execution.copy()`` is ≥1.2x an eager
   graph copy; per-branch copy + dedup digest (what ``_branch`` pays) is
-  ≥1.1x the seed's eager copy + state key.
+  ≥1.1x the seed's eager copy + state key; fanout-4x1/weak, whose search
+  branches on one load at every step, computes at most one dedup
+  digest, and dekker/weak still drops its 5 duplicates.
 * **solver** — the SAT/AllSAT solver's behavior sets are byte-identical
   (``loadstore_key``) to the enumerator's on the litmus library and the
   wide family; nothing truncates; on the wide family the stable-load
@@ -63,6 +65,7 @@ from repro.analysis.static.dataflow import compute_static_facts
 from repro.analysis.static.fencerepair import repair_fences
 from repro.analysis.wellsync import check_well_synchronized
 from repro.cache import BehaviorCache
+import repro.core.enumerate as engine
 from repro.core.enumerate import (
     EnumerationLimits,
     _enumerate_full_eligibility,
@@ -71,7 +74,7 @@ from repro.core.enumerate import (
 from repro.experiments.scaling import chain_program
 from repro.isa.assembler import assemble_program
 from repro.isa.program import Program
-from repro.litmus.library import all_tests
+from repro.litmus.library import all_tests, get_test
 from repro.models.registry import available_models, get_model
 from repro.testing.coverage import blind_grid, load_campaign, run_guided_campaign
 
@@ -89,6 +92,30 @@ MIN_COPY_RATIO = 1.2
 #: vs the seed's (eager copy + materialized-reachability key) — the
 #: number the search actually pays per Load-Resolution branch.
 MIN_BRANCH_RATIO = 1.1
+#: Work floors of the dedup layer: the digests fanout-4x1/weak may compute
+#: (its initial behavior's; every child has a single-load lineage), and
+#: the duplicates dekker/weak, which branches on several loads, must drop.
+MAX_FANOUT_DIGESTS = 1
+DEKKER_DUPLICATES = 5
+
+
+def count_digests(program: Program, model_name: str):
+    """``enumerate_behaviors`` with every ``_dedup_key`` call counted:
+    the result and the number of digests its search computed."""
+    real = engine._dedup_key
+    calls = 0
+
+    def counting(execution):
+        nonlocal calls
+        calls += 1
+        return real(execution)
+
+    engine._dedup_key = counting
+    try:
+        result = enumerate_behaviors(program, get_model(model_name))
+    finally:
+        engine._dedup_key = real
+    return result, calls
 
 
 def seed_style_state_key(behavior) -> tuple:
@@ -133,7 +160,8 @@ def seed_style_state_key(behavior) -> tuple:
 
 def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
     """Per-branch microbenchmarks on a representative mid-search state
-    (the deepest worklist entry of a budgeted fanout-5 run).  ``quick``
+    (the deepest worklist entry of a budgeted fanout-5 run), plus two
+    digest-count work floors that host noise cannot move.  ``quick``
     changes nothing: the gate already takes well under a second."""
     partial = enumerate_behaviors(
         chain_program(5), get_model("weak"), EnumerationLimits(max_behaviors=40)
@@ -160,6 +188,9 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
     loadstore_key_us = per_call_us(behavior.loadstore_key)
     seed_key_us = per_call_us(lambda: seed_style_state_key(behavior))
 
+    _, fanout_digests = count_digests(chain_program(4, 1), "weak")
+    dekker, _ = count_digests(get_test("dekker").program, "weak")
+
     branch_us = cow_copy_us + dedup_key_us
     seed_branch_us = eager_copy_us + seed_key_us
     copy_ratio = eager_copy_us / cow_copy_us if cow_copy_us else 0.0
@@ -178,8 +209,22 @@ def gate_hot_path(quick: bool) -> tuple[dict, list[str]]:
         "seed_branch_us": seed_branch_us,
         "branch_ratio": branch_ratio,
         "min_branch_ratio": MIN_BRANCH_RATIO,
+        "fanout_digests": fanout_digests,
+        "max_fanout_digests": MAX_FANOUT_DIGESTS,
+        "dekker_duplicates": dekker.stats.duplicates,
+        "required_dekker_duplicates": DEKKER_DUPLICATES,
     }
     failures = []
+    if fanout_digests > MAX_FANOUT_DIGESTS:
+        failures.append(
+            f"fanout-4x1/weak computed {fanout_digests} dedup digests "
+            f"(at most {MAX_FANOUT_DIGESTS})"
+        )
+    if dekker.stats.duplicates != DEKKER_DUPLICATES:
+        failures.append(
+            f"dekker/weak dropped {dekker.stats.duplicates} duplicates, "
+            f"not {DEKKER_DUPLICATES}"
+        )
     if copy_ratio < MIN_COPY_RATIO:
         failures.append(
             f"copy-on-write copy only {copy_ratio:.2f}x faster than eager copy "

@@ -11,9 +11,13 @@ duplicate effort" — duplicates are discarded by comparing canonical
 behavior keys (and completed executions by their Load–Store graphs).
 The enumerator avoids most of that duplication up front: when some
 eligible load is *stable* (no store can become its candidate later), it
-branches on that load alone (:func:`_stable_eligible`).  The well-sync
-check, value speculation and the solver's replay keep the paper's full
-eligibility.
+branches on that load alone (:func:`_stable_eligible`).  Where it
+branches on one load the search is a tree, so a behavior whose every
+step from the root branched on a single load
+(:attr:`Execution.unique_lineage`) is never digested: only the states
+below a multi-load branch can be duplicates (:func:`_branch`).  The
+well-sync check, value speculation and the solver's replay keep the
+paper's full eligibility and digest every child.
 
 Speculative executions whose deferred alias edges or atomicity closure
 become inconsistent are discarded: in an enumerative setting, a rolled
@@ -344,6 +348,9 @@ def _dedup_key(execution: Execution) -> bytes:
     library never hits (a test checks that its digests map one-to-one
     onto its state keys).  Nothing hashed depends on ``hash()``, so a
     checkpoint resumes in any process.
+
+    :func:`_branch` calls it only for a child without a unique lineage,
+    and :func:`_search` for the children a branch cut short had pushed.
     """
     return execution.dedup_digest()
 
@@ -428,6 +435,7 @@ def _fresh_search(
 ) -> EnumerationResult:
     """:func:`_search` from the program's initial behavior."""
     initial = Execution.initial(program, model, limits.max_nodes_per_thread)
+    initial.unique_lineage = True
     return _search(
         program,
         model,
@@ -605,6 +613,7 @@ def _search(
             continue
         stats.branched += 1
 
+        pushed = len(worklist)
         reason = _branch(
             behavior, loads, dedup, worklist, seen_states, stats, accountant,
             candidates, resolve,
@@ -612,7 +621,17 @@ def _search(
         if reason is not None:
             # The behavior was only partly expanded: requeue it so the
             # remaining branches are regenerated on resume (already-seen
-            # children dedup away), and undo its pop accounting.
+            # children dedup away), and undo its pop accounting.  Its
+            # regenerated children must meet the pushed ones in
+            # ``seen_states``, so the requeued behavior loses its unique
+            # lineage and the children it pushed are digested now.
+            if behavior.unique_lineage:
+                behavior.unique_lineage = False
+                if dedup:
+                    for child in worklist[pushed:]:
+                        key = _dedup_key(child)
+                        seen_states.add(key)
+                        accountant.charge_key(key)
             worklist.append(behavior)
             accountant.charge_execution(behavior)
             stats.explored -= 1
@@ -663,7 +682,15 @@ def _branch(
     resolve,
 ) -> ExhaustionReason | None:
     """Expand one behavior by Load Resolution.  Returns an exhaustion
-    reason when a fault forces the search to degrade, else None."""
+    reason when a fault forces the search to degrade, else None.
+
+    A child keeps a unique lineage when its parent has one and the
+    branch is on a single load.  Such a child resolved that load to a
+    store no sibling chose, so its state differs from every other state
+    the search generates (DESIGN.md, "Stable-load reduction"): it is
+    pushed without a dedup digest.  Every other child is digested and
+    dropped when ``seen_states`` already holds it."""
+    unique = behavior.unique_lineage and len(loads) == 1
     for load in loads:
         for store in candidates(behavior, load, stats):
             stats.resolutions += 1
@@ -680,7 +707,8 @@ def _branch(
                 # Allocation pressure (real or injected): stop cleanly
                 # with whatever has been gathered so far.
                 return ExhaustionReason.MEMORY
-            if dedup:
+            child.unique_lineage = unique
+            if dedup and not unique:
                 key = _dedup_key(child)
                 if key in seen_states:
                     stats.duplicates += 1

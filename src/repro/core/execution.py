@@ -132,6 +132,13 @@ class Execution:
         #: what cache entries and checkpoints store
         #: (:func:`~repro.core.serialization.replay_logs` rebuilds from it).
         self.resolutions: tuple[tuple[int, int], ...] = ()
+        #: True when every Load-Resolution step from the search's root to
+        #: this behavior branched on a single load: the search is a tree
+        #: along such a lineage, so the behavior equals no other state it
+        #: generates and needs no dedup digest.  Only the enumerator's
+        #: fresh search sets it (on its initial behavior); see
+        #: :func:`repro.core.enumerate._branch`.
+        self.unique_lineage = False
         self._create_init_stores()
 
     # ------------------------------------------------------------------
@@ -190,6 +197,7 @@ class Execution:
         dup.init_nodes = self.init_nodes  # write-once at construction
         dup.pending_alias = list(self.pending_alias)
         dup.resolutions = self.resolutions
+        dup.unique_lineage = self.unique_lineage
         return dup
 
     # ------------------------------------------------------------------
@@ -700,11 +708,21 @@ class Execution:
         identities = self._identities()
         order, _ = self._canonical_ranks(identities)
         memory_order = [nid for nid in order if nodes[nid].is_memory]
-        memory_mask = 0
-        memory_rank = [0] * len(nodes)
-        for position, nid in enumerate(memory_order):
-            memory_mask |= 1 << nid
-            memory_rank[nid] = position
+        if len(memory_order) == len(nodes) and order == list(range(len(order))):
+            # Every node is a memory operation and the nids are already in
+            # canonical order: the projection and the permutation are both
+            # the identity.
+            projected = tuple(graph._anc)
+        else:
+            memory_mask = 0
+            memory_rank = [0] * len(nodes)
+            for position, nid in enumerate(memory_order):
+                memory_mask |= 1 << nid
+                memory_rank[nid] = position
+            projected = tuple(
+                remap_mask(graph._anc[nid] & memory_mask, memory_rank)
+                for nid in memory_order
+            )
         descriptors = tuple(
             (
                 node.tid,
@@ -716,9 +734,6 @@ class Execution:
                 identities[node.source] if node.source is not None else None,
             )
             for node in (nodes[nid] for nid in memory_order)
-        )
-        projected = tuple(
-            remap_mask(graph._anc[nid] & memory_mask, memory_rank) for nid in memory_order
         )
         return (descriptors, projected, self._bypass_identities(identities))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.errors import ProgramError
 from repro.isa.dsl import ProgramBuilder
-from repro.isa.program import Program
 from repro.litmus.conditions import parse_condition
 from repro.litmus.test import LitmusTest
 
@@ -110,9 +109,3 @@ def independent_writers(readers: int) -> LitmusTest:
         description=f"independent writers observed by {readers} readers",
     )
 
-
-def family_programs(max_ring: int = 3, max_chain: int = 2) -> list[Program]:
-    """A bundle of family instances for scaling sweeps."""
-    programs = [sb_ring(n).program for n in range(2, max_ring + 1)]
-    programs += [mp_chain(n).program for n in range(1, max_chain + 1)]
-    return programs

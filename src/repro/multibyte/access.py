@@ -123,11 +123,6 @@ class WideThread:
         self._advance(1)
         return self
 
-    def byte_load(self, dst: str | Reg, location: str, index: int) -> "WideThread":
-        self.inner.load(dst, byte_cell(location, index))
-        self._advance(1)
-        return self
-
     def fence(self, kind: FenceKind = FenceKind.FULL) -> "WideThread":
         self.inner.fence(kind)
         self._advance(1)

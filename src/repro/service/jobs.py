@@ -25,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.core.enumerate import EnumerationLimits, EnumerationResult
+from repro.core.enumerate import EnumerationLimits, EnumerationResult, outcome_sort_key
 from repro.errors import ServiceError
 from repro.service.wal import WALRecord, WriteAheadLog
 
@@ -90,12 +90,15 @@ def canonical_result(result: EnumerationResult) -> dict:
 
     Deterministic (sorted) so a resumed-after-crash run and a direct
     :func:`~repro.core.enumerate.enumerate_behaviors` call serialize to
-    byte-identical JSON whenever their behavior sets agree.
+    byte-identical JSON whenever their behavior sets agree.  Outcomes
+    are listed in :func:`~repro.core.enumerate.outcome_sort_key` order,
+    so a register that holds a number in one behavior and a location
+    name in another sorts (numbers first) instead of raising.
     """
-    outcomes = sorted(
-        sorted([thread, register, value] for (thread, register), value in outcome)
-        for outcome in result.register_outcomes()
-    )
+    outcomes = [
+        [[thread, register, value] for thread, register, _, value in key]
+        for key in sorted(map(outcome_sort_key, result.register_outcomes()))
+    ]
     return {
         "complete": result.complete,
         "executions": len(result),

@@ -192,10 +192,6 @@ class CoverageGrid:
             self.cells[cell] = self.cells.get(cell, 0) + 1
         return frozenset(new)
 
-    def merge(self, other: "CoverageGrid") -> None:
-        for cell, count in other.cells.items():
-            self.cells[cell] = self.cells.get(cell, 0) + count
-
     def project(self, axes: tuple[int, ...] = (0, 1, 2)) -> frozenset[tuple]:
         """The distinct cells projected onto ``axes`` — the benchmark
         gate compares the default (edge-kind × model × reason)

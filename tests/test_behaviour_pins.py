@@ -9,10 +9,7 @@ holds, per item:
   digest of the sorted ``repr(loadstore_key())`` list of
   ``enumerate_behaviors`` and of ``solve_behaviors``;
 * ``result``: a blake2b digest of the job server's
-  ``canonical_result`` JSON (sorted keys) of the enumeration, or the name
-  of the exception it raises (it cannot sort the outcomes of a program
-  whose register holds an address in one behaviour and a number in
-  another);
+  ``canonical_result`` JSON (sorted keys) of the enumeration;
 * ``explain`` (library tests only; corpus programs carry no condition):
   whether ``repro explain`` calls the outcome forbidden, and a blake2b
   digest of its text.
@@ -71,14 +68,10 @@ def _items():
 def _entry(program, test, model_name: str) -> dict:
     model = get_model(model_name)
     enumerated = enumerate_behaviors(program, model)
-    try:
-        result = _digest(json.dumps(canonical_result(enumerated), sort_keys=True))
-    except TypeError as error:
-        result = type(error).__name__
     entry = {
         "enumerate": _keys(enumerated),
         "solve": _keys(solve_behaviors(program, model)),
-        "result": result,
+        "result": _digest(json.dumps(canonical_result(enumerated), sort_keys=True)),
     }
     if test is not None:
         explanation = explain_forbidden(test, model)

@@ -124,8 +124,6 @@ def test_grid_add_merge_project_roundtrip():
 
     other = CoverageGrid.from_json(grid.to_json())
     assert other.cells == grid.cells
-    other.merge(grid)
-    assert other.cells[c1] == 4
 
     assert other.is_superset_of(grid)
     grid.add({("Ld", "sc", "complete", "axiomatic-vs-sc:ok")})

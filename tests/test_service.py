@@ -5,6 +5,7 @@ slices, idempotent submission, and the HTTP server end to end."""
 import asyncio
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +20,13 @@ from repro.service.jobs import (
     job_key,
     limits_from_dict,
 )
-from repro.service.pool import WorkerPool
+from repro.service.pool import WorkerPool, _run_slice
 from repro.service.ratelimit import RateLimiter, TokenBucket, retry_after_header
 from repro.service.server import JobServer, ServiceConfig
 from repro.service.client import ServiceClient
 from repro.service.wal import WALRecord, WriteAheadLog, replay_wal
+
+CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 SB_SOURCE = """
 test SB
@@ -289,6 +292,32 @@ class TestWorkerPool:
         assert outcome.status == "completed"
         assert outcome.result["complete"] is True
         assert outcome.result["executions"] == 4
+
+    @pytest.mark.parametrize("model", ["sc", "tso", "pso", "weak"])
+    def test_slice_finishes_when_a_register_holds_an_address_or_a_number(
+        self, tmp_path, model
+    ):
+        """P0's r2 reads q's initial value (the address z) in one
+        behaviour and 0 in another: the result sorts the number first."""
+        source = (CORPUS_DIR / "fz-dataflow-14-min.litmus").read_text()
+        reply = _run_slice(
+            {
+                "source": source,
+                "model": model,
+                "limits": {},
+                "checkpoint_path": str(tmp_path / "mixed.ckpt"),
+                "slice_budget": 1000,
+            }
+        )
+        assert reply["status"] == "done"
+        assert reply["result"]["complete"] is True
+        r2_values = [
+            value
+            for outcome in reply["result"]["outcomes"]
+            for thread, register, value in outcome
+            if (thread, register) == ("P0", "r2")
+        ]
+        assert r2_values == [0, "z"]
 
     def test_sliced_job_matches_direct_enumeration(self, tmp_path):
         """Many tiny checkpointed slices must produce the canonical
